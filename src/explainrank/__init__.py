@@ -53,8 +53,6 @@ from .rerank import (
     depth_sweep,
     iterative_rerank,
     rerank_all,
-    rerank_score,
-    weighted_relevance,
 )
 from .scorer import (
     Ranking,
@@ -70,14 +68,13 @@ from .textsim import (
     STOPWORDS,
     DenseWordVectors,
     TfidfProvider,
+    Rows,
     build_tfidf,
-    cosine,
     default_provider,
-    dense_vector,
+    dense_rows,
     fact_vectors,
     load_dense,
     qa_text,
-    sparse_vector,
     tokenize,
 )
 

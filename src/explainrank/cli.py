@@ -36,14 +36,13 @@ DEFAULTS = {
     "k": 7,
     "m": 3,
     "seed": 13,
-    "jobs": 1,
     "task": dataprep.CLASSIFICATION,
     "with_context": False,
     "trace": False,
     "out": "out",
 }
 
-_INT_KEYS = {"depth", "k", "m", "seed", "jobs", "top_m"}
+_INT_KEYS = {"depth", "k", "m", "seed", "top_m"}
 _FLAG_KEYS = {"trace", "with_context"}
 _LIST_KEYS = {"facts"}
 
@@ -61,7 +60,6 @@ class RunConfig:
     k: int
     m: int
     seed: int
-    jobs: int
     top_m: int | None
     task: str
     with_context: bool
@@ -128,7 +126,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         k=pick("k"),
         m=pick("m"),
         seed=pick("seed"),
-        jobs=pick("jobs"),
         top_m=pick("top_m"),
         task=pick("task"),
         with_context=bool(pick("with_context")),
@@ -216,9 +213,7 @@ def cmd_rerank(cfg: RunConfig) -> int:
     provider = _provider(cfg, corpus)
     table = _table(cfg, corpus, provider)
     config = rerank.RerankConfig(depth=cfg.depth)
-    rankings, traces = rerank.rerank_all(
-        corpus, provider, table, config, jobs=cfg.jobs, want_trace=cfg.trace
-    )
+    rankings, traces = rerank.rerank_all(corpus, provider, table, config, want_trace=cfg.trace)
     predictions_path = cfg.out / "reranked_predictions.tsv"
     evaluation.write_predictions(rankings, predictions_path, cfg.top_m)
     print(f"wrote {predictions_path} ({len(rankings)} questions, depth {cfg.depth})")
@@ -252,7 +247,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             raise UsageError("--sweep needs --scores with externally computed relevance scores")
         provider = _provider(cfg, corpus)
         table = scorer.load_scores(cfg.scores, corpus)
-        rows = rerank.depth_sweep(corpus, provider, table, cfg.sweep, jobs=cfg.jobs)
+        rows = rerank.depth_sweep(corpus, provider, table, cfg.sweep)
         sweep_path = cfg.out / "depth_sweep.tsv"
         with open(sweep_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("depth\tmap\n")
@@ -284,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="FILE", help="flat key=value config; flags override")
     common.add_argument("--out", metavar="DIR", help="output directory (default: out)")
     common.add_argument("--seed", type=int, help="seed for all randomness (default: 13)")
-    common.add_argument("--jobs", type=_positive_int, help="per-question parallelism (default: 1)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -189,7 +189,8 @@ def load_questions(
     """Load annotated questions from a TSV file.
 
     Rows with an empty explanation cell become questions with empty gold;
-    they are kept for prediction but excluded from MAP. An answer key that
+    they are kept for prediction but excluded from MAP. A question id that
+    repeats is a FormatError naming both lines. An answer key that
     does not match any parsed choice is kept as-is and surfaced as a hard
     issue by validate().
     """
@@ -204,12 +205,18 @@ def load_questions(
     idx = {c: headers.index(c) for c in (id_col, text_col, key_col, expl_col)}
 
     questions: list[Question] = []
+    first_line: dict[str, int] = {}
     for lineno, row in enumerate(lines[1:], start=2):
         if not row.strip():
             continue
         cells = row.split("\t")
         cells += [""] * (len(headers) - len(cells))
         qid = cells[idx[id_col]].strip()
+        if qid in first_line:
+            raise FormatError(
+                f"{path} line {lineno}: duplicate {id_col} {qid!r}, first on line {first_line[qid]}"
+            )
+        first_line[qid] = lineno
         stem, choices, malformed = _split_question(cells[idx[text_col]])
         if malformed:
             log.warning(

@@ -19,9 +19,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, Question, Role
 from .errors import DataError, FormatError
-from .textsim import cosine, qa_text
+from .scorer import uid_ranks
+from .textsim import fact_vectors, qa_text
 
 log = logging.getLogger(__name__)
 
@@ -63,6 +66,30 @@ class TrainingExample:
     role: Role | None  # None for sampled negatives
 
 
+class _Sampler:
+    """Fact rows and the uid tie-break order, built once per corpus."""
+
+    def __init__(self, corpus: Corpus, provider):
+        self.uids = list(corpus.facts)
+        self.uid_ranks = uid_ranks(self.uids)
+        self.rows = fact_vectors(corpus, provider)
+
+    def negatives(self, gold_uid: str, gold_uids: frozenset[str] | set[str], k: int) -> list[str]:
+        if gold_uid not in self.uids:
+            raise DataError(f"gold fact {gold_uid!r} not in corpus")
+        candidates = np.flatnonzero([uid not in gold_uids for uid in self.uids])
+        if len(candidates) < k:
+            log.warning(
+                "gold fact %s: only %d non-gold fact(s) available for k=%d",
+                gold_uid,
+                len(candidates),
+                k,
+            )
+        sims = self.rows.cosines(self.uids.index(gold_uid), among=candidates)
+        best = candidates[np.lexsort((self.uid_ranks[candidates], -sims))[:k]]
+        return [self.uids[i] for i in best]
+
+
 def sample_negatives(
     gold_uid: str,
     gold_uids: frozenset[str] | set[str],
@@ -74,26 +101,10 @@ def sample_negatives(
     the question's gold set, similarity descending, ties by uid ascending.
 
     Returns fewer than k (with a warning) when the corpus is that small.
+    build_dataset vectorizes the corpus once for all its gold facts; this
+    vectorizes it on every call.
     """
-    try:
-        gold_fact = corpus.facts[gold_uid]
-    except KeyError:
-        raise DataError(f"gold fact {gold_uid!r} not in corpus") from None
-    anchor = provider.vector(gold_fact.text)
-    scored = []
-    for uid, fact in corpus.facts.items():
-        if uid in gold_uids:
-            continue
-        scored.append((-cosine(anchor, provider.vector(fact.text)), uid))
-    scored.sort()
-    if len(scored) < k:
-        log.warning(
-            "gold fact %s: only %d non-gold fact(s) available for k=%d",
-            gold_uid,
-            len(scored),
-            k,
-        )
-    return [uid for _, uid in scored[:k]]
+    return _Sampler(corpus, provider).negatives(gold_uid, gold_uids, k)
 
 
 def build_dataset(corpus: Corpus, provider, cfg: PrepConfig) -> list[TrainingExample]:
@@ -107,17 +118,18 @@ def build_dataset(corpus: Corpus, provider, cfg: PrepConfig) -> list[TrainingExa
     """
     examples: list[TrainingExample] = []
     warned_roles: set[str] = set()
+    sampler = _Sampler(corpus, provider)
     for question in corpus.questions:
         if not question.gold:
             continue
-        examples.extend(_question_examples(question, corpus, provider, cfg, warned_roles))
+        examples.extend(_question_examples(question, corpus, sampler, cfg, warned_roles))
     return examples
 
 
 def _question_examples(
     question: Question,
     corpus: Corpus,
-    provider,
+    sampler: _Sampler,
     cfg: PrepConfig,
     warned_roles: set[str],
 ) -> list[TrainingExample]:
@@ -126,7 +138,7 @@ def _question_examples(
     negatives: dict[str, list[str]] = {}
     for uid, _ in question.gold:
         if uid not in negatives:
-            negatives[uid] = sample_negatives(uid, gold_uids, corpus, provider, cfg.k)
+            negatives[uid] = sampler.negatives(uid, gold_uids, cfg.k)
 
     out: list[TrainingExample] = []
     if not cfg.with_context:

@@ -10,15 +10,16 @@ reaches keep their initial order, so depth 1 leaves a ranking untouched.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError
 from .evaluation import map_overall
-from .scorer import Ranking, RelevanceTable, initial_ranking, normalize
-from .textsim import SentenceVector, cosine, fact_vectors, qa_text
+from .scorer import Ranking, RelevanceTable, normalize
+from .textsim import Rows, fact_vectors, qa_text
 
 log = logging.getLogger(__name__)
 
@@ -67,109 +68,77 @@ class RerankTrace:
         return lines
 
 
-def weighted_relevance(
-    candidate_vec: SentenceVector, selected: Sequence[tuple[SentenceVector, float]]
-) -> float:
-    """Relevance-weighted mean cosine similarity between a candidate and the
-    already-selected facts: sum(rel_k * sim(candidate, k)) / sum(rel_k).
-
-    A convex combination, so the result stays within the [min, max] of the
-    individual similarities and is unchanged when all weights are scaled.
-    """
-    if not selected:
-        raise ValueError("weighted_relevance needs at least one selected fact")
-    weighted = 0.0
-    total = 0.0
-    for vec, rel in selected:
-        weighted += rel * cosine(candidate_vec, vec)
-        total += rel
-    if total <= 0.0:
-        raise DataError("relevance weights must be positive; normalize scores first")
-    return weighted / total
-
-
-def rerank_score(
-    candidate_vec: SentenceVector,
-    selected: Sequence[tuple[SentenceVector, float]],
-    qa_vec: SentenceVector,
-) -> float:
-    """Round score: weighted relevance times similarity to the question/answer."""
-    return weighted_relevance(candidate_vec, selected) * cosine(candidate_vec, qa_vec)
-
-
 def iterative_rerank(
-    ranking: Ranking,
-    rel_scores: Mapping[str, float],
-    vectors: Mapping[str, SentenceVector],
-    qa_vec: SentenceVector,
+    order: np.ndarray,
+    weights: np.ndarray,
+    qa_sims: np.ndarray,
+    rows: Rows,
+    uids: Sequence[str],
     config: RerankConfig,
-) -> tuple[Ranking, RerankTrace]:
+    *,
+    want_trace: bool = False,
+) -> tuple[np.ndarray, tuple[RerankRound, ...]]:
     """Greedily rebuild the top config.depth positions of one ranking.
+
+    order is the initial ranking as fact indices, best first; an index picks
+    a row of rows and an entry of uids. weights (strictly positive, see
+    normalize()) and qa_sims, each fact's similarity to the question/answer
+    text, belong to the facts at order's first 2 * depth positions (or all
+    of them); later entries are ignored.
 
     The initial top fact is kept as the anchor. Each round considers the
     unselected facts whose initial rank index is at most depth plus the
     number already selected (a window sliding forward one position per
-    round), commits the rerank_score argmax, and breaks ties by better
-    initial rank, then smaller uid. Unselected facts follow in their initial
-    order, each with its incoming score, so depth 1 returns the input
-    unchanged.
-
-    rel_scores must be strictly positive for every uid in the ranking
-    (normalize() guarantees this).
+    round) and commits the one with the highest score: its weighted
+    relevance sum(w_k * sim(fact, k)) / sum(w_k) over the selected facts k,
+    times its qa_sim. Ties go to the better initial rank. Returns the new
+    order, selected facts first and the rest in initial order, and one
+    round per commit when want_trace is set.
     """
-    items = list(ranking.items)
-    if not items:
-        return ranking, RerankTrace(qid=ranking.qid, rounds=())
-    order = [uid for uid, _ in items]
-    initial_index = {uid: pos for pos, uid in enumerate(order)}
-    original_score = dict(items)
-
-    selected = [order[0]]
-    selected_set = {order[0]}
-    denom = rel_scores[order[0]]
-    # running numerators of the weighted-relevance sum; folded[uid] counts how
-    # many selected facts are already accumulated, so each pair is computed once
-    numer: dict[str, float] = {}
-    folded: dict[str, int] = {}
-    qa_sims: dict[str, float] = {}
-    rounds: list[RerankRound] = []
-
-    target = min(config.depth, len(order))
+    top = order[: 2 * config.depth]
+    if len(top) == 0:
+        return order, ()
+    if not (weights[: len(top)] > 0.0).all():
+        raise DataError("relevance weights must be positive; normalize scores first")
+    target = min(config.depth, len(top))
+    selected = [0]  # positions in top
+    waiting = np.ones(len(top), dtype=bool)
+    waiting[0] = False
+    # running numerators of the weighted relevance, one fold per selected fact
+    numer = np.zeros(len(top))
+    denom = weights[0]
+    rounds = []
     while len(selected) < target:
-        window_end = min(config.depth + len(selected), len(order) - 1)
-        pool = [uid for uid in order[: window_end + 1] if uid not in selected_set]
-        best_uid: str | None = None
-        best_key = None
-        candidates = []
-        for uid in pool:
-            acc = numer.get(uid, 0.0)
-            for s_uid in selected[folded.get(uid, 0) :]:
-                acc += rel_scores[s_uid] * cosine(vectors[uid], vectors[s_uid])
-            numer[uid] = acc
-            folded[uid] = len(selected)
-            w = acc / denom
-            qa_sim = qa_sims.get(uid)
-            if qa_sim is None:
-                qa_sim = cosine(vectors[uid], qa_vec)
-                qa_sims[uid] = qa_sim
-            score = w * qa_sim
-            candidates.append(CandidateScore(uid=uid, weighted_rel=w, qa_sim=qa_sim, score=score))
-            key = (-score, initial_index[uid], uid)
-            if best_key is None or key < best_key:
-                best_key, best_uid = key, uid
-        assert best_uid is not None  # the window always reaches an unselected fact
-        selected.append(best_uid)
-        selected_set.add(best_uid)
-        denom += rel_scores[best_uid]
-        rounds.append(
-            RerankRound(number=len(rounds) + 1, selected=best_uid, candidates=tuple(candidates))
-        )
+        last = selected[-1]
+        numer += weights[last] * rows.cosines(top[last], among=top)
+        pool = np.flatnonzero(waiting[: min(config.depth + len(selected), len(top) - 1) + 1])
+        rel = numer[pool] / denom
+        score = rel * qa_sims[pool]
+        best = pool[np.argmax(score)]  # the first maximum: better initial rank wins ties
+        if want_trace:
+            facts = [uids[f] for f in top[pool]]
+            scored = map(CandidateScore, facts, rel.tolist(), qa_sims[pool].tolist(), score.tolist())
+            rounds.append(RerankRound(len(rounds) + 1, uids[top[best]], tuple(scored)))
+        selected.append(best)
+        waiting[best] = False
+        denom += weights[best]
+    return np.concatenate([top[selected], top[waiting], order[len(top) :]]), tuple(rounds)
 
-    reordered = selected + [uid for uid in order if uid not in selected_set]
-    new_items = tuple((uid, original_score[uid]) for uid in reordered)
-    return Ranking(qid=ranking.qid, items=new_items), RerankTrace(
-        qid=ranking.qid, rounds=tuple(rounds)
-    )
+
+def _questions(corpus: Corpus, provider, table: RelevanceTable, rows: Rows, depth: int):
+    """For each scored question of the corpus: its table row, its initial
+    order from the raw scores, and the normalized weights and Q/A
+    similarities of that order's first 2 * depth facts."""
+    if table.uids != tuple(corpus.facts):
+        raise DataError("score table columns do not match the corpus facts")
+    weights = normalize(table).scores
+    by_qid = corpus.question_index()
+    scored = [i for i, qid in enumerate(table.qids) if qid in by_qid]
+    qa_rows = provider.rows([qa_text(by_qid[table.qids[i]]) for i in scored])
+    for n, i in enumerate(scored):
+        order = table.order(i)
+        top = order[: 2 * depth]
+        yield i, order, weights[i, top], rows.cosines(n, qa_rows, among=top)
 
 
 def rerank_all(
@@ -178,46 +147,36 @@ def rerank_all(
     table: RelevanceTable,
     config: RerankConfig,
     *,
-    jobs: int = 1,
     want_trace: bool = False,
 ) -> tuple[list[Ranking], dict[str, RerankTrace]]:
-    """Re-rank every scored question; output follows the table's question order
-    regardless of how many worker threads run."""
-    normalized = normalize(table)
-    vectors = fact_vectors(corpus, provider)
-    by_qid = corpus.question_index()
-    qids = [qid for qid in table if qid in by_qid]
-
-    def one(qid: str) -> tuple[Ranking, RerankTrace]:
-        qa_vec = provider.vector(qa_text(by_qid[qid]))
-        base = initial_ranking(normalized, qid)
-        return iterative_rerank(base, normalized[qid], vectors, qa_vec, config)
-
-    results: dict[str, tuple[Ranking, RerankTrace]] = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for qid, result in zip(qids, pool.map(one, qids)):
-                results[qid] = result
-    else:
-        for qid in qids:
-            results[qid] = one(qid)
-    rankings = [results[qid][0] for qid in qids]
-    traces = {qid: results[qid][1] for qid in qids} if want_trace else {}
+    """Re-rank every scored question in table order. The base order and its
+    tie-break come from the raw scores; normalized scores are only weights."""
+    rows = fact_vectors(corpus, provider)
+    rankings, traces = [], {}
+    for i, order, weights, qa_sims in _questions(corpus, provider, table, rows, config.depth):
+        new_order, rounds = iterative_rerank(
+            order, weights, qa_sims, rows, table.uids, config, want_trace=want_trace
+        )
+        rankings.append(table.ranking(i, new_order))
+        if want_trace:
+            traces[table.qids[i]] = RerankTrace(qid=table.qids[i], rounds=rounds)
     return rankings, traces
 
 
 def depth_sweep(
-    corpus: Corpus,
-    provider,
-    table: RelevanceTable,
-    depths: Sequence[int],
-    *,
-    jobs: int = 1,
+    corpus: Corpus, provider, table: RelevanceTable, depths: Sequence[int]
 ) -> list[tuple[int, float]]:
-    """MAP over the annotated questions after re-ranking at each depth."""
+    """MAP over the annotated questions after re-ranking at each depth. Each
+    question's base order, weights and Q/A similarities are computed once;
+    only the greedy top is rerun per depth."""
+    rows = fact_vectors(corpus, provider)
+    questions = list(_questions(corpus, provider, table, rows, max(depths, default=1)))
     results = []
     for depth in depths:
-        rankings, _ = rerank_all(corpus, provider, table, RerankConfig(depth=depth), jobs=jobs)
-        ranked = {r.qid: r.uids for r in rankings}
+        config = RerankConfig(depth=depth)
+        ranked = {}
+        for i, order, weights, qa_sims in questions:
+            new_order, _ = iterative_rerank(order, weights, qa_sims, rows, table.uids, config)
+            ranked[table.qids[i]] = table.ranking(i, new_order).uids
         results.append((depth, map_overall(ranked, corpus)))
     return results

@@ -2,20 +2,26 @@
 
 Scores come either from the built-in lexical scorers (a desk-scale stand-in
 for an externally trained relevance model) or from a scores TSV produced by
-such a model. Rankings sort by score descending with uid as the tie-break,
-so the same table always yields the same ranking.
+such a model. A score table is one float64 matrix, a row per scored question
+and a column per corpus fact. Rankings sort by score descending with uid as
+the tie-break, so the same table always yields the same ranking.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError, FormatError
-from .textsim import cosine, qa_text, tokenize
+from .textsim import fact_vectors, qa_text, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -26,19 +32,44 @@ OVERLAP = "overlap"
 # strictly positive for the weighted re-ranking average
 NORM_FLOOR = 1e-6
 
-RelevanceTable = dict[str, dict[str, float]]
-
 
 @dataclass(frozen=True)
 class Ranking:
-    """Ordered (fact uid, score) pairs for one question, best first."""
+    """Fact uids for one question, best first."""
 
     qid: str
-    items: tuple[tuple[str, float], ...]
+    uids: list[str]
 
-    @property
-    def uids(self) -> list[str]:
-        return [uid for uid, _ in self.items]
+
+def uid_ranks(uids: Sequence[str]) -> np.ndarray:
+    """Each uid's position in ascending uid order: the tie-break sort key."""
+    return np.argsort(np.argsort(np.array(uids, dtype=object)))
+
+
+@dataclass(frozen=True, eq=False)
+class RelevanceTable:
+    """Relevance scores: scores[i, j] is fact uids[j]'s score for question
+    qids[i]. Columns follow the corpus fact order."""
+
+    qids: tuple[str, ...]
+    uids: tuple[str, ...]
+    scores: np.ndarray
+
+    @cached_property
+    def _uid_ranks(self) -> np.ndarray:
+        return uid_ranks(self.uids)
+
+    @cached_property
+    def _uid_array(self) -> np.ndarray:
+        return np.array(self.uids, dtype=object)
+
+    def order(self, i: int) -> np.ndarray:
+        """Row i's columns by score descending, ties by uid ascending."""
+        return np.lexsort((self._uid_ranks, -self.scores[i]))
+
+    def ranking(self, i: int, order: np.ndarray) -> Ranking:
+        """Row i's question with its facts in the given column order."""
+        return Ranking(self.qids[i], self._uid_array[order].tolist())
 
 
 def score_lexical(corpus: Corpus, provider, method: str = TFIDF_COSINE) -> RelevanceTable:
@@ -50,30 +81,26 @@ def score_lexical(corpus: Corpus, provider, method: str = TFIDF_COSINE) -> Relev
     """
     if method not in (TFIDF_COSINE, OVERLAP):
         raise ValueError(f"unknown scoring method {method!r}")
-    table: RelevanceTable = {}
-    if method == OVERLAP:
-        fact_tokens = {
-            uid: set(tokenize(fact.text, drop_stopwords=True))
-            for uid, fact in corpus.facts.items()
-        }
-    else:
-        fact_vecs = {uid: provider.vector(fact.text) for uid, fact in corpus.facts.items()}
+    qids, qa_texts = [], []
     for question in corpus.questions:
         try:
-            qa = qa_text(question)
+            qa_texts.append(qa_text(question))
         except DataError:
             log.warning("question %s: answer key unresolvable, not scored", question.qid)
             continue
-        if method == TFIDF_COSINE:
-            qa_vec = provider.vector(qa)
-            table[question.qid] = {uid: cosine(qa_vec, vec) for uid, vec in fact_vecs.items()}
-        else:
+        qids.append(question.qid)
+    if method == TFIDF_COSINE:
+        fact_rows, qa_rows = fact_vectors(corpus, provider), provider.rows(qa_texts)
+        scores = [fact_rows.cosines(i, qa_rows) for i in range(len(qids))]
+    else:
+        fact_tokens = [set(tokenize(f.text, drop_stopwords=True)) for f in corpus.facts.values()]
+        scores = []
+        for qa in qa_texts:
             qa_tokens = set(tokenize(qa, drop_stopwords=True))
-            table[question.qid] = {
-                uid: (len(qa_tokens & toks) / len(toks) if toks else 0.0)
-                for uid, toks in fact_tokens.items()
-            }
-    return table
+            scores.append([len(qa_tokens & t) / len(t) if t else 0.0 for t in fact_tokens])
+    uids = tuple(corpus.facts)
+    matrix = np.array(scores, dtype=float).reshape(len(qids), len(uids))
+    return RelevanceTable(tuple(qids), uids, matrix)
 
 
 def write_scores(table: RelevanceTable, path: str | Path) -> None:
@@ -82,9 +109,10 @@ def write_scores(table: RelevanceTable, path: str | Path) -> None:
     Scores are written with repr so reading the file back reproduces the
     exact floats (and therefore the exact ranking)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for qid, scores in table.items():
-            for uid, score in scores.items():
-                fh.write(f"{qid}\t{uid}\t{score!r}\n")
+        for qid, row in zip(table.qids, table.scores):
+            fh.writelines(
+                f"{qid}\t{uid}\t{score!r}\n" for uid, score in zip(table.uids, row.tolist())
+            )
 
 
 def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
@@ -96,11 +124,13 @@ def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
     hard error; qids not in the corpus are dropped with a warning.
     """
     path = Path(path)
-    known_qids = {q.qid for q in corpus.questions}
-    raw: dict[str, dict[str, float]] = {}
+    uids = tuple(corpus.facts)
+    column = {uid: j for j, uid in enumerate(uids)}
+    row = {q.qid: i for i, q in enumerate(corpus.questions)}
+    # flat matrix index and value of each accepted line, in file order
+    cells, values = array("q"), array("d")
     unknown_uids: dict[str, int] = {}
     unknown_qids: set[str] = set()
-    duplicates = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -118,80 +148,65 @@ def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
                 ) from None
             if not math.isfinite(score):
                 raise FormatError(f"{path} line {lineno}: non-finite score {score_text!r}")
-            if uid not in corpus.facts:
+            if uid not in column:
                 unknown_uids.setdefault(uid, lineno)
                 continue
-            if qid not in known_qids:
+            if qid not in row:
                 unknown_qids.add(qid)
                 continue
-            per_q = raw.setdefault(qid, {})
-            if uid in per_q:
-                duplicates += 1
-            per_q[uid] = score
+            cells.append(row[qid] * len(uids) + column[uid])
+            values.append(score)
     if unknown_uids:
         shown = sorted(unknown_uids.items(), key=lambda item: item[1])[:10]
         listing = ", ".join(f"{uid!r} (line {ln})" for uid, ln in shown)
         more = "" if len(unknown_uids) <= 10 else f" and {len(unknown_uids) - 10} more"
         raise DataError(f"{path}: {len(unknown_uids)} unknown fact uid(s): {listing}{more}")
+    # a repeated (qid, fact) pair keeps its last value: unique over the reversed lines
+    kept, last = np.unique(np.frombuffer(cells, dtype=np.int64)[::-1], return_index=True)
+    duplicates = len(cells) - len(kept)
     if duplicates:
         log.warning("%s: %d duplicate (qid, fact) pair(s), last value kept", path, duplicates)
     if unknown_qids:
         log.warning("%s: %d qid(s) not in the corpus, dropped", path, len(unknown_qids))
 
-    table: RelevanceTable = {}
-    missing_pairs = 0
-    for question in corpus.questions:
-        per_q = raw.get(question.qid)
-        if per_q is None:
-            continue
-        floor = min(per_q.values()) - 1.0
-        filled: dict[str, float] = {}
-        for uid in corpus.facts:
-            if uid in per_q:
-                filled[uid] = per_q[uid]
-            else:
-                filled[uid] = floor
-                missing_pairs += 1
-        table[question.qid] = filled
-    if len(table) < len(known_qids):
-        log.warning("%s: scores cover %d of %d questions", path, len(table), len(known_qids))
-    if missing_pairs:
-        log.warning("%s: %d missing (qid, fact) pair(s) filled to rank last", path, missing_pairs)
-    return table
+    scores = np.full(len(corpus.questions) * len(uids), np.nan)
+    scores[kept] = np.frombuffer(values)[::-1][last]
+    scores = scores.reshape(len(corpus.questions), len(uids))
+    covered = ~np.isnan(scores).all(axis=1)
+    qids = tuple(q.qid for q, ok in zip(corpus.questions, covered) if ok)
+    missing = np.isnan(scores[covered])
+    scores = np.where(missing, np.nanmin(scores[covered], axis=1, keepdims=True) - 1.0, scores[covered])
+    if len(qids) < len(row):
+        log.warning("%s: scores cover %d of %d questions", path, len(qids), len(row))
+    if missing.any():
+        log.warning("%s: %d missing (qid, fact) pair(s) filled to rank last", path, missing.sum())
+    return RelevanceTable(qids, uids, scores)
 
 
 def initial_ranking(table: RelevanceTable, qid: str) -> Ranking:
     """Facts sorted by score descending, ties broken by uid ascending."""
-    try:
-        scores = table[qid]
-    except KeyError:
-        raise DataError(f"no relevance scores for question {qid!r}") from None
-    items = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return Ranking(qid=qid, items=tuple(items))
+    if qid not in table.qids:
+        raise DataError(f"no relevance scores for question {qid!r}")
+    i = table.qids.index(qid)
+    return table.ranking(i, table.order(i))
 
 
 def all_rankings(table: RelevanceTable) -> list[Ranking]:
-    return [initial_ranking(table, qid) for qid in table]
+    return [table.ranking(i, table.order(i)) for i in range(len(table.qids))]
 
 
 def normalize(table: RelevanceTable) -> RelevanceTable:
     """Min-max rescale each question's scores into [NORM_FLOOR, 1].
 
-    A strictly increasing map, so ranking order is unchanged, while the
-    weighted re-ranking average gets the strictly positive weights it divides
-    by even when external scores are negative. Constant score vectors map to
-    all ones.
+    A non-decreasing map: it never reorders scores but can merge two that
+    differ in the last bits, so rankings come from the raw scores, while the
+    weighted re-ranking average gets the strictly positive weights it
+    divides by even when external scores are negative. Constant score
+    vectors map to all ones.
     """
-    normalized: RelevanceTable = {}
-    for qid, scores in table.items():
-        lo = min(scores.values())
-        hi = max(scores.values())
-        if hi == lo:
-            normalized[qid] = {uid: 1.0 for uid in scores}
-        else:
-            span = hi - lo
-            scale = 1.0 - NORM_FLOOR
-            normalized[qid] = {
-                uid: NORM_FLOOR + (score - lo) / span * scale for uid, score in scores.items()
-            }
-    return normalized
+    lo = table.scores.min(axis=1, keepdims=True)
+    span = table.scores.max(axis=1, keepdims=True) - lo
+    flat = span == 0.0
+    scaled = NORM_FLOOR + (table.scores - lo) / np.where(flat, 1.0, span) * (1.0 - NORM_FLOOR)
+    scaled[flat[:, 0]] = 1.0
+    return RelevanceTable(table.qids, table.uids, scaled)

@@ -1,9 +1,10 @@
-"""Tokenization, sentence vectors, and the cosine similarity used everywhere.
+"""Tokenization, sentence vectors as matrix rows, and the cosine similarity
+used everywhere.
 
-Two vector backends share one interface: TF-IDF built over the corpus at
-hand (the self-contained default) and externally trained word vectors
-loaded from a word2vec-style text file. Both are deterministic and
-immutable once built, so they are safe to share across worker threads.
+Two vector backends share one interface, provider.rows(texts): TF-IDF built
+over the corpus at hand (the self-contained default) and externally trained
+word vectors loaded from a word2vec-style text file. Both are deterministic
+and immutable once built.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,9 +23,6 @@ from .corpus import Corpus, Question, answer_text
 from .errors import DataError, FormatError
 
 log = logging.getLogger(__name__)
-
-TFIDF = "tfidf"
-DENSE = "dense"
 
 # Fixed list, versioned in the README; reproducibility matters more here
 # than linguistic coverage.
@@ -45,49 +43,50 @@ def tokenize(text: str, *, drop_stopwords: bool = False) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    weights: Mapping[int, float]
-    norm: float
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Sentence vectors of a list of texts, one row per text, and their norms.
 
+    Dense rows (ids is None) hold the vectors themselves. TF-IDF rows hold
+    each text's term ids in ascending order, padded with the id dim, and
+    their weights, padded with 0.0; dim is the vocabulary size.
+    """
 
-@dataclass(frozen=True)
-class DenseVector:
     values: np.ndarray
-    norm: float
+    norms: np.ndarray
+    dim: int
+    ids: np.ndarray | None = None
+
+    def cosines(self, j: int, other: Rows | None = None, among=slice(None)) -> np.ndarray:
+        """Cosine similarity of row j of other (default: these rows) with each
+        of these rows, or with the rows indexed by among. A zero vector
+        compares as 0.0 so out-of-vocabulary sentences still rank.
+
+        A TF-IDF dot product adds the products of the common terms in
+        ascending term order, one column at a time, so a pair's cosine is
+        exactly the same whichever side is the query. A dense dot product is
+        one BLAS dot call per row.
+        """
+        other = self if other is None else other
+        if (self.ids is None) != (other.ids is None):
+            raise DataError("cannot compare sparse and dense sentence vectors")
+        if self.dim != other.dim:
+            raise DataError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        values, norms = self.values[among], self.norms[among]
+        if self.ids is None:
+            dots = np.fromiter(map(other.values[j].dot, values), float, len(values))
+        else:
+            query = np.zeros(self.dim + 1)  # the padding id's weight stays 0.0
+            query[other.ids[j]] = other.values[j]
+            dots = np.cumsum(values * query[self.ids[among]], axis=1)[:, -1]
+        denom = norms * other.norms[j]
+        return np.divide(dots, denom, out=np.zeros(len(dots)), where=denom != 0.0)
 
 
-SentenceVector = SparseVector | DenseVector
-
-
-def sparse_vector(weights: Mapping[int, float]) -> SparseVector:
-    return SparseVector(weights, math.sqrt(sum(w * w for w in weights.values())))
-
-
-def dense_vector(values) -> DenseVector:
-    arr = np.asarray(values, dtype=float)
-    return DenseVector(arr, float(np.linalg.norm(arr)))
-
-
-def cosine(u: SentenceVector, v: SentenceVector) -> float:
-    """Cosine similarity; a zero vector compares as 0.0 so out-of-vocabulary
-    sentences still rank instead of crashing."""
-    if isinstance(u, SparseVector) and isinstance(v, SparseVector):
-        if u.norm == 0.0 or v.norm == 0.0:
-            return 0.0
-        common = u.weights.keys() & v.weights.keys()
-        # summing in sorted term order keeps cosine(u, v) == cosine(v, u) exact
-        dot = sum(u.weights[t] * v.weights[t] for t in sorted(common))
-        return dot / (u.norm * v.norm)
-    if isinstance(u, DenseVector) and isinstance(v, DenseVector):
-        if u.values.shape != v.values.shape:
-            raise DataError(
-                f"dimension mismatch: {u.values.shape[0]} vs {v.values.shape[0]}"
-            )
-        if u.norm == 0.0 or v.norm == 0.0:
-            return 0.0
-        return float(np.dot(u.values, v.values)) / (u.norm * v.norm)
-    raise DataError("cannot compare sparse and dense sentence vectors")
+def dense_rows(vectors) -> Rows:
+    """Rows holding the given vectors, each norm one BLAS dot call."""
+    values = np.asarray(vectors, dtype=float)
+    return Rows(values, np.array([np.linalg.norm(v) for v in values]), values.shape[1])
 
 
 class TfidfProvider:
@@ -96,8 +95,6 @@ class TfidfProvider:
     idf(t) = ln((1 + N) / (1 + df(t))) + 1 over the N build texts; a sentence
     vector is raw term count times idf, restricted to the build vocabulary.
     """
-
-    mode = TFIDF
 
     def __init__(self, texts: Iterable[str], *, drop_stopwords: bool = True):
         self.drop_stopwords = drop_stopwords
@@ -119,11 +116,13 @@ class TfidfProvider:
         self.idf = {
             token: math.log((1 + n_texts) / (1 + df[token])) + 1.0 for token in self.term_ids
         }
-        self._cache: dict[str, SparseVector] = {}
 
-    def vector(self, text: str) -> SparseVector:
-        cached = self._cache.get(text)
-        if cached is None:
+    def rows(self, texts: Sequence[str]) -> Rows:
+        """Raw term count times idf per in-vocabulary term; each norm is summed
+        in the order the terms first occur in the text."""
+        terms = []
+        norms = []
+        for text in texts:
             weights: dict[int, float] = {}
             for token, count in Counter(
                 tokenize(text, drop_stopwords=self.drop_stopwords)
@@ -131,9 +130,15 @@ class TfidfProvider:
                 term_id = self.term_ids.get(token)
                 if term_id is not None:
                     weights[term_id] = count * self.idf[token]
-            cached = sparse_vector(weights)
-            self._cache[text] = cached
-        return cached
+            norms.append(math.sqrt(sum(w * w for w in weights.values())))
+            terms.append(sorted(weights.items()))
+        width = max(1, max(map(len, terms), default=0))
+        ids = np.full((len(terms), width), len(self.term_ids), dtype=np.intp)
+        values = np.zeros((len(terms), width))
+        for i, row in enumerate(terms):
+            if row:
+                ids[i, : len(row)], values[i, : len(row)] = zip(*row)
+        return Rows(values, np.array(norms), len(self.term_ids), ids)
 
 
 def build_tfidf(texts: Iterable[str], *, drop_stopwords: bool = True) -> TfidfProvider:
@@ -144,28 +149,24 @@ class DenseWordVectors:
     """Word-vector table; a sentence vector is the mean of the vectors of its
     in-vocabulary tokens, the zero vector if none are in vocabulary."""
 
-    mode = DENSE
-
     def __init__(
         self, vectors: dict[str, np.ndarray], dim: int, *, drop_stopwords: bool = False
     ):
         self.vectors = vectors
         self.dim = dim
         self.drop_stopwords = drop_stopwords
-        self._zero = dense_vector(np.zeros(dim))
-        self._cache: dict[str, DenseVector] = {}
 
-    def vector(self, text: str) -> DenseVector:
-        cached = self._cache.get(text)
-        if cached is None:
-            rows = [
+    def rows(self, texts: Sequence[str]) -> Rows:
+        values = np.zeros((len(texts), self.dim))
+        for i, text in enumerate(texts):
+            found = [
                 self.vectors[t]
                 for t in tokenize(text, drop_stopwords=self.drop_stopwords)
                 if t in self.vectors
             ]
-            cached = dense_vector(np.mean(rows, axis=0)) if rows else self._zero
-            self._cache[text] = cached
-        return cached
+            if found:
+                values[i] = np.mean(found, axis=0)
+        return dense_rows(values)
 
 
 def load_dense(path: str | Path, *, drop_stopwords: bool = False) -> DenseWordVectors:
@@ -187,6 +188,8 @@ def load_dense(path: str | Path, *, drop_stopwords: bool = False) -> DenseWordVe
                 values = [float(x) for x in rest]
             except ValueError:
                 raise FormatError(f"{path} line {lineno}: non-numeric vector component") from None
+            if not all(map(math.isfinite, values)):
+                raise FormatError(f"{path} line {lineno}: non-finite vector component")
             if dim is None:
                 dim = len(values)
             if dim <= 0 or len(values) != dim:
@@ -214,9 +217,9 @@ def qa_text(question: Question) -> str:
     return " ".join(parts)
 
 
-def fact_vectors(corpus: Corpus, provider) -> dict[str, SentenceVector]:
-    """Vectorize every corpus fact once, keyed by uid."""
-    return {uid: provider.vector(fact.text) for uid, fact in corpus.facts.items()}
+def fact_vectors(corpus: Corpus, provider) -> Rows:
+    """Vectorize every corpus fact once, one row per fact in corpus order."""
+    return provider.rows([fact.text for fact in corpus.facts.values()])
 
 
 def default_provider(corpus: Corpus) -> TfidfProvider:

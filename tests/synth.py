@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+import numpy as np
+
 from explainrank.corpus import (
     CENTRAL,
     GROUNDING,
@@ -18,6 +20,8 @@ from explainrank.corpus import (
     Question,
     Role,
 )
+
+from explainrank.scorer import RelevanceTable
 
 WORD_POOL = [f"word{i:02d}" for i in range(40)]
 
@@ -136,3 +140,17 @@ def write_corpus_files(corpus: Corpus, directory: Path) -> tuple[list[Path], Pat
     questions_path = directory / "questions.tsv"
     write_questions(corpus.questions, questions_path)
     return [facts_path], questions_path
+
+
+def score_table(scores: dict[str, dict[str, float]]) -> RelevanceTable:
+    """A score table from qid -> uid -> score; every question must score the
+    same uids, which become the columns in the first question's order."""
+    qids = tuple(scores)
+    uids = tuple(scores[qids[0]]) if qids else ()
+    matrix = [[scores[qid][uid] for uid in uids] for qid in qids]
+    return RelevanceTable(qids, uids, np.array(matrix, dtype=float).reshape(len(qids), len(uids)))
+
+
+def table_scores(table: RelevanceTable) -> dict[str, dict[str, float]]:
+    """A score table as qid -> uid -> score."""
+    return {qid: dict(zip(table.uids, row.tolist())) for qid, row in zip(table.qids, table.scores)}

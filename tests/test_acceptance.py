@@ -14,7 +14,7 @@ from explainrank.corpus import CENTRAL, load_corpus
 from explainrank.dataprep import PrepConfig, REGRESSION, build_dataset
 from explainrank.errors import DataError
 from explainrank.evaluation import average_precision, map_by_length, map_overall
-from explainrank.rerank import DEFAULT_SWEEP, RerankConfig, depth_sweep, iterative_rerank, rerank_all
+from explainrank.rerank import DEFAULT_SWEEP, RerankConfig, depth_sweep, rerank_all
 from explainrank.scorer import all_rankings, load_scores, score_lexical, write_scores
 from explainrank.textsim import default_provider
 
@@ -28,6 +28,7 @@ from test_rerank import (
     brute_force_rerank,
     pinned_instance,
     random_instance,
+    rerank,
 )
 
 
@@ -78,10 +79,10 @@ def test_rerank_identity_at_depth_one():
 def test_rerank_matches_pinned_oracle():
     """The pinned 5-fact instance re-ranked at depth 3 matches the independent
     step-by-step simulation exactly."""
-    ranking, rel, vectors, qa = pinned_instance()
-    out, _ = iterative_rerank(ranking, rel, vectors, qa, RerankConfig(depth=3))
-    oracle = brute_force_rerank(ranking.uids, PINNED_REL, PINNED_VECTORS, PINNED_QA, 3)
-    assert out.uids == oracle == PINNED_EXPECTED
+    inst = pinned_instance()
+    out, _ = rerank(inst, depth=3)
+    oracle = brute_force_rerank(inst.initial, PINNED_REL, PINNED_VECTORS, PINNED_QA, 3)
+    assert out == oracle == PINNED_EXPECTED
     _pass("re-rank oracle (5-fact instance, depth 3)")
 
 
@@ -90,18 +91,16 @@ def test_rerank_invariants_randomized():
     argmax-invariance on 100 randomized instances."""
     rng = random.Random(103)
     for _ in range(100):
-        ranking, rel, vectors, qa = random_instance(rng)
-        depth = rng.randint(1, len(ranking.items) + 3)
-        out, _ = iterative_rerank(ranking, rel, vectors, qa, RerankConfig(depth=depth))
-        assert sorted(out.uids) == sorted(ranking.uids)
-        assert out.uids[0] == ranking.uids[0]
-        selected = set(out.uids[: min(depth, len(ranking.items))])
-        assert [u for u in ranking.uids if u not in selected] == [
-            u for u in out.uids if u not in selected
-        ]
-        scaled = {uid: 4.0 * value for uid, value in rel.items()}
-        again, _ = iterative_rerank(ranking, scaled, vectors, qa, RerankConfig(depth=depth))
-        assert again.uids == out.uids
+        inst = random_instance(rng)
+        initial = inst.initial
+        depth = rng.randint(1, len(initial) + 3)
+        out, _ = rerank(inst, depth)
+        assert sorted(out) == sorted(initial)
+        assert out[0] == initial[0]
+        selected = set(out[: min(depth, len(initial))])
+        assert [u for u in initial if u not in selected] == [u for u in out if u not in selected]
+        again, _ = rerank(inst, depth, rel=4.0 * inst.rel)
+        assert again == out
     _pass("re-rank invariants (100 randomized instances)")
 
 

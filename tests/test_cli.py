@@ -38,6 +38,20 @@ class TestValidateCommand:
         assert code == 1
         assert "zz9" in capsys.readouterr().out
 
+    def test_duplicate_question_id_exit_two(self, tmp_path, caplog):
+        facts_path = tmp_path / "facts.tsv"
+        write_fact_table(facts_path, [("f1", "a known fact")])
+        q_path = tmp_path / "q.tsv"
+        q_path.write_text(
+            "QuestionID\tquestion\tAnswerKey\texplanation\n"
+            "q1\tStem (A) x\tA\tf1|CENTRAL\n"
+            "q1\tStem (A) y\tA\tf1|CENTRAL\n",
+            encoding="utf-8",
+        )
+        code = run("validate", "--facts", facts_path, "--questions", q_path, "--out", tmp_path / "o")
+        assert code == 2
+        assert "line 3: duplicate QuestionID 'q1', first on line 2" in caplog.text
+
     def test_missing_questions_file_exit_two(self, tmp_path):
         facts_path = tmp_path / "facts.tsv"
         write_fact_table(facts_path, [("f1", "a known fact")])
@@ -209,22 +223,43 @@ class TestRerankCommand:
         traces = list((out / "traces").glob("*.trace.txt"))
         assert len(traces) == len(corpus.questions)
 
-    def test_jobs_flag_same_output(self, corpus_files, tmp_path):
+    def test_depth_one_keeps_raw_order_when_normalizing_merges_scores(self, tmp_path):
+        # normalization maps 1.0 and the next float up onto one value; the
+        # re-ranking base order must still be the raw scores' order
+        facts = tmp_path / "facts.tsv"
+        write_fact_table(facts, [(uid, f"fact {uid}") for uid in ("a", "b", "hi", "lo")])
+        questions = tmp_path / "q.tsv"
+        questions.write_text(
+            "QuestionID\tquestion\tAnswerKey\texplanation\n"
+            "q1\tWhich fact? (A) this one\tA\ta|CENTRAL\n",
+            encoding="utf-8",
+        )
+        scores = tmp_path / "ext.tsv"
+        scores.write_text(
+            "q1\thi\t1000000000.0\nq1\ta\t1.0\nq1\tb\t1.0000000000000002\nq1\tlo\t0.0\n",
+            encoding="utf-8",
+        )
+        base = ["--facts", facts, "--questions", questions, "--scores", scores]
+        assert run("rank", *base, "--method", "external", "--out", tmp_path / "rank") == 0
+        assert run("rerank", *base, "--depth", 1, "--out", tmp_path / "rerank") == 0
+        ranked = (tmp_path / "rank" / "predictions.tsv").read_text(encoding="utf-8")
+        assert ranked == "q1\thi\nq1\tb\nq1\ta\nq1\tlo\n"
+        assert (tmp_path / "rerank" / "reranked_predictions.tsv").read_text(encoding="utf-8") == ranked
+
+        predictions = tmp_path / "rank" / "predictions.tsv"
+        assert run("evaluate", *base, "--predictions", predictions, "--sweep", "1",
+                   "--out", tmp_path / "eval") == 0
+        kv = (tmp_path / "eval" / "eval_report.kv").read_text(encoding="utf-8")
+        assert "map_overall=0.3333333333333333" in kv
+        sweep = (tmp_path / "eval" / "depth_sweep.tsv").read_text(encoding="utf-8")
+        assert sweep == "depth\tmap\n1\t0.333333\n"
+
+    def test_jobs_flag_removed(self, corpus_files, tmp_path):
         _, facts, questions = corpus_files
-        outs = []
-        for name, jobs in (("j1", 1), ("j4", 4)):
-            out = tmp_path / name
-            code = run(
-                "rerank",
-                "--facts", *facts,
-                "--questions", questions,
-                "--depth", 6,
-                "--jobs", jobs,
-                "--out", out,
-            )
-            assert code == 0
-            outs.append((out / "reranked_predictions.tsv").read_bytes())
-        assert outs[0] == outs[1]
+        with pytest.raises(SystemExit) as exc:
+            run("rerank", "--facts", *facts, "--questions", questions, "--jobs", 2,
+                "--out", tmp_path / "o")
+        assert exc.value.code == 2
 
 
 class TestEvaluateCommand:

@@ -179,6 +179,20 @@ class TestLoadQuestions:
         with pytest.raises(FormatError, match="explanation"):
             load_questions(path)
 
+    def test_duplicate_question_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "q.tsv"
+        write_lines(
+            path,
+            [
+                "QuestionID\tquestion\tAnswerKey\texplanation",
+                "q1\tStem (A) x\tA\t",
+                "q2\tStem (A) y\tA\t",
+                "q1\tOther (A) z\tA\t",
+            ],
+        )
+        with pytest.raises(FormatError, match=r"q\.tsv line 4: duplicate QuestionID 'q1', first on line 2"):
+            load_questions(path)
+
 
 class TestAnswerText:
     def test_basic(self):

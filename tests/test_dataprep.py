@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import pytest
 
 from explainrank.corpus import (
@@ -23,7 +26,7 @@ from explainrank.dataprep import (
     write_dataset,
 )
 from explainrank.errors import DataError, FormatError
-from explainrank.textsim import default_provider
+from explainrank.textsim import default_provider, tokenize
 
 from synth import random_corpus
 
@@ -67,16 +70,24 @@ class TestSampleNegatives:
         provider = default_provider(corpus)
         q = corpus.questions[0]
         gold = q.gold_uid_set
+
+        def weights(text):
+            counts = Counter(tokenize(text, drop_stopwords=True))
+            return {t: n * provider.idf[t] for t, n in counts.items() if t in provider.idf}
+
+        def norm(vec):
+            return math.sqrt(sum(w * w for w in vec.values()))
+
         for anchor_uid in gold:
             # brute force: score every candidate by a direct dot/norm computation
-            anchor = provider.vector(corpus.facts[anchor_uid].text)
+            anchor = weights(corpus.facts[anchor_uid].text)
             scored = []
             for uid, fact in corpus.facts.items():
                 if uid in gold:
                     continue
-                vec = provider.vector(fact.text)
-                dot = sum(w * vec.weights.get(t, 0.0) for t, w in anchor.weights.items())
-                denom = anchor.norm * vec.norm
+                vec = weights(fact.text)
+                dot = sum(w * vec.get(t, 0.0) for t, w in anchor.items())
+                denom = norm(anchor) * norm(vec)
                 scored.append((-(dot / denom if denom else 0.0), uid))
             expected = [uid for _, uid in sorted(scored)[:6]]
             assert sample_negatives(anchor_uid, gold, corpus, provider, 6) == expected

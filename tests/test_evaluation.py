@@ -272,22 +272,20 @@ class TestEvalReport:
 
 class TestPredictions:
     def test_write_order_and_count(self, tmp_path):
-        rankings = [Ranking("q1", (("a", 0.9), ("b", 0.5), ("c", 0.1)))]
+        rankings = [Ranking("q1", ["a", "b", "c"])]
         path = tmp_path / "p.tsv"
         write_predictions(rankings, path)
         assert path.read_text(encoding="utf-8") == "q1\ta\nq1\tb\nq1\tc\n"
 
     def test_top_m_truncates(self, tmp_path):
-        items = tuple((f"f{i:03d}", 1.0 - i / 100) for i in range(60))
         path = tmp_path / "p.tsv"
-        write_predictions([Ranking("q1", items)], path, top_m=30)
+        write_predictions([Ranking("q1", [f"f{i:03d}" for i in range(60)])], path, top_m=30)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 30
 
     def test_round_trip_preserves_ap(self, tmp_path):
         corpus = make_corpus([Question("q1", "s", {"A": "a"}, "A", (("f2", CENTRAL),))])
-        items = tuple((f"f{i}", 1.0 - i / 10) for i in range(10))
-        ranking = Ranking("q1", items)
+        ranking = Ranking("q1", [f"f{i}" for i in range(10)])
         in_memory = map_overall({"q1": ranking.uids}, corpus)
         path = tmp_path / "p.tsv"
         write_predictions([ranking], path)

@@ -1,18 +1,14 @@
 import math
 import random
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from explainrank.errors import DataError
-from explainrank.rerank import (
-    RerankConfig,
-    iterative_rerank,
-    rerank_all,
-    rerank_score,
-    weighted_relevance,
-)
-from explainrank.scorer import Ranking, initial_ranking, normalize, score_lexical
-from explainrank.textsim import default_provider, dense_vector
+from explainrank.rerank import RerankConfig, iterative_rerank, rerank_all
+from explainrank.scorer import RelevanceTable, score_lexical, uid_ranks
+from explainrank.textsim import Rows, default_provider, dense_rows
 
 from synth import random_corpus
 
@@ -57,204 +53,297 @@ PINNED_REL = {"f1": 1.0, "f2": 0.9, "f3": 0.8, "f4": 0.7, "f5": 0.6}
 PINNED_EXPECTED = ["f1", "f2", "f5", "f3", "f4"]
 
 
-def pinned_instance():
-    vectors = {uid: dense_vector(values) for uid, values in PINNED_VECTORS.items()}
-    ranking = initial_ranking({"q": PINNED_REL}, "q")
-    return ranking, PINNED_REL, vectors, dense_vector(PINNED_QA)
+@dataclass
+class Instance:
+    """One question's re-ranking input: facts with dense vectors and raw
+    relevance weights, initially ranked by weight, ties by uid."""
+
+    uids: list[str]
+    rows: Rows
+    rel: np.ndarray
+    qa: list[float]
+
+    @property
+    def order(self) -> np.ndarray:
+        return np.lexsort((uid_ranks(self.uids), -self.rel))
+
+    @property
+    def initial(self) -> list[str]:
+        return [self.uids[i] for i in self.order]
+
+    @property
+    def rel_map(self) -> dict[str, float]:
+        return dict(zip(self.uids, self.rel.tolist()))
+
+    @property
+    def raw(self) -> dict[str, list[float]]:
+        return {uid: values.tolist() for uid, values in zip(self.uids, self.rows.values)}
 
 
-def random_instance(rng, n_facts=None):
+def make_instance(vectors: dict[str, list[float]], rel: dict[str, float], qa) -> Instance:
+    uids = list(vectors)
+    return Instance(uids, dense_rows([vectors[u] for u in uids]), np.array([rel[u] for u in uids]), qa)
+
+
+def rerank(inst: Instance, depth: int, rel: np.ndarray | None = None):
+    """Re-rank an instance the way rerank_all does one question: the initial
+    order's first 2 * depth facts with their weights and Q/A similarities."""
+    rel = inst.rel if rel is None else rel
+    order = inst.order
+    top = order[: 2 * depth]
+    qa_sims = inst.rows.cosines(0, dense_rows([inst.qa]), among=top)
+    new_order, rounds = iterative_rerank(
+        order, rel[top], qa_sims, inst.rows, inst.uids, RerankConfig(depth=depth), want_trace=True
+    )
+    return [inst.uids[i] for i in new_order], rounds
+
+
+def pinned_instance() -> Instance:
+    return make_instance(PINNED_VECTORS, PINNED_REL, PINNED_QA)
+
+
+def random_instance(rng, n_facts=None) -> Instance:
     n = n_facts if n_facts is not None else rng.randint(2, 25)
     dim = rng.randint(2, 5)
-    vectors = {
-        f"f{i:02d}": dense_vector([rng.uniform(-1.0, 2.0) for _ in range(dim)])
-        for i in range(n)
-    }
-    qa = dense_vector([rng.uniform(-1.0, 2.0) for _ in range(dim)])
+    vectors = {f"f{i:02d}": [rng.uniform(-1.0, 2.0) for _ in range(dim)] for i in range(n)}
+    qa = [rng.uniform(-1.0, 2.0) for _ in range(dim)]
     rel = {uid: rng.uniform(0.05, 1.0) for uid in vectors}
-    ranking = initial_ranking({"q": rel}, "q")
-    return ranking, rel, vectors, qa
+    return make_instance(vectors, rel, qa)
+
+
+def first_round(vectors, rel, qa, depth):
+    """Candidates of round 1 by uid."""
+    _, rounds = rerank(make_instance(vectors, rel, qa), depth)
+    return {c.uid: c for c in rounds[0].candidates}
+
+
+def convex_check(inst: Instance, depth: int) -> int:
+    """Every candidate's weighted relevance lies within the [min, max] of its
+    similarities to the facts selected before its round; returns the number
+    of candidates checked."""
+    selected = [inst.initial[0]]
+    _, rounds = rerank(inst, depth)
+    vectors = dict(zip(inst.uids, inst.rows.values))
+    checked = 0
+    for rnd in rounds:
+        for c in rnd.candidates:
+            sims = [
+                float(np.dot(vectors[c.uid], vectors[s]))
+                / (np.linalg.norm(vectors[c.uid]) * np.linalg.norm(vectors[s]))
+                for s in selected
+            ]
+            assert min(sims) - 1e-12 <= c.weighted_rel <= max(sims) + 1e-12
+            checked += 1
+        selected.append(rnd.selected)
+    return checked
 
 
 class TestWeightedRelevance:
+    """The weighted relevance each trace candidate carries: the weighted mean
+    of its similarities to the selected facts."""
+
     def test_single_selected_equals_similarity(self):
-        candidate = dense_vector([1.0, 1.0])
-        anchor = dense_vector([1.0, 0.0])
         expected = 1.0 / math.sqrt(2)
         for rel in (0.001, 0.4, 1.0, 250.0):
-            assert weighted_relevance(candidate, [(anchor, rel)]) == pytest.approx(
-                expected, abs=1e-12
+            by_uid = first_round(
+                {"anchor": [1.0, 0.0], "cand": [1.0, 1.0]},
+                {"anchor": rel, "cand": rel / 2},
+                [1.0, 0.0],
+                depth=2,
             )
+            assert by_uid["cand"].weighted_rel == pytest.approx(expected, abs=1e-12)
 
     def test_equal_similarities_collapse(self):
-        candidate = dense_vector([1.0, 0.0])
-        same = dense_vector([2.0, 0.0])  # cosine 1 regardless of length
-        selected = [(same, 0.9), (same, 0.1), (same, 0.5)]
-        assert weighted_relevance(candidate, selected) == pytest.approx(1.0, abs=1e-12)
+        # every fact points the same way (cosine 1 regardless of length), so
+        # every candidate of every round has weighted relevance 1
+        inst = make_instance(
+            {"a": [2.0, 0.0], "b": [1.0, 0.0], "c": [5.0, 0.0], "d": [0.5, 0.0]},
+            {"a": 0.9, "b": 0.1, "c": 0.5, "d": 0.05},
+            [1.0, 0.0],
+        )
+        _, rounds = rerank(inst, depth=4)
+        assert len(rounds) == 3
+        for rnd in rounds:
+            for c in rnd.candidates:
+                assert c.weighted_rel == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value(self):
-        # rel [0.8, 0.2], sims [0.5, 1.0] -> (0.8*0.5 + 0.2*1.0) / 1.0 = 0.6
-        candidate = dense_vector([1.0, 0.0])
-        half = dense_vector([1.0, math.sqrt(3)])  # cosine 0.5 with candidate
-        aligned = dense_vector([3.0, 0.0])  # cosine 1.0
-        value = weighted_relevance(candidate, [(half, 0.8), (aligned, 0.2)])
-        assert value == pytest.approx(0.6, abs=1e-12)
+        # rel [0.8, 0.2], sims [0.5, 1.0] -> (0.8*0.5 + 0.2*1.0) / 1.0 = 0.6;
+        # "aligned" wins round 1 over "cand" on its better initial rank
+        inst = make_instance(
+            {"half": [1.0, math.sqrt(3)], "aligned": [3.0, 0.0], "cand": [1.0, 0.0]},
+            {"half": 0.8, "aligned": 0.2, "cand": 0.1},
+            [1.0, 0.0],
+        )
+        _, rounds = rerank(inst, depth=3)
+        assert [rnd.selected for rnd in rounds] == ["aligned", "cand"]
+        (cand,) = rounds[1].candidates
+        assert cand.weighted_rel == pytest.approx(0.6, abs=1e-12)
 
     def test_convex_bound(self):
         rng = random.Random(41)
+        checked = 0
         for _ in range(100):
-            dim = rng.randint(2, 4)
-            candidate = dense_vector([rng.uniform(-1, 1) for _ in range(dim)])
-            selected = [
-                (dense_vector([rng.uniform(-1, 1) for _ in range(dim)]), rng.uniform(0.01, 1.0))
-                for _ in range(rng.randint(1, 6))
-            ]
-            from explainrank.textsim import cosine
-
-            sims = [cosine(candidate, vec) for vec, _ in selected]
-            value = weighted_relevance(candidate, selected)
-            assert min(sims) - 1e-12 <= value <= max(sims) + 1e-12
+            inst = random_instance(rng)
+            checked += convex_check(inst, rng.randint(2, 8))
+        assert checked > 100
 
     def test_empty_selected_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_relevance(dense_vector([1.0]), [])
+        # the anchor is always selected, so a weighted relevance is never an
+        # empty mean: a one-fact ranking has no round at any depth
+        inst = make_instance({"only": [1.0]}, {"only": 0.5}, [1.0])
+        out, rounds = rerank(inst, depth=5)
+        assert out == ["only"]
+        assert rounds == ()
 
     def test_nonpositive_weights_rejected(self):
-        candidate = dense_vector([1.0, 0.0])
+        inst = make_instance({"a": [1.0, 0.0], "b": [1.0, 0.0]}, {"a": 1.0, "b": 0.5}, [1.0, 0.0])
         with pytest.raises(DataError, match="normalize"):
-            weighted_relevance(candidate, [(dense_vector([1.0, 0.0]), 0.0)])
+            rerank(inst, depth=2, rel=np.array([0.0, 0.5]))
 
 
 class TestRerankScore:
+    """The round score each trace candidate carries: weighted relevance times
+    similarity to the question/answer text."""
+
     def test_zero_qa_similarity_zeroes_score(self):
-        candidate = dense_vector([0.0, 1.0])
-        qa = dense_vector([1.0, 0.0])
-        selected = [(dense_vector([0.0, 2.0]), 0.7)]
-        assert rerank_score(candidate, selected, qa) == 0.0
+        by_uid = first_round(
+            {"anchor": [0.0, 2.0], "cand": [0.0, 1.0]},
+            {"anchor": 0.7, "cand": 0.3},
+            [1.0, 0.0],
+            depth=2,
+        )
+        assert by_uid["cand"].qa_sim == 0.0
+        assert by_uid["cand"].score == 0.0
 
     def test_product(self):
         # W = 0.6 (hand instance above), qa similarity 0.5 -> 0.30
-        candidate = dense_vector([1.0, 0.0])
-        half = dense_vector([1.0, math.sqrt(3)])
-        aligned = dense_vector([3.0, 0.0])
-        qa = dense_vector([1.0, math.sqrt(3)])
-        value = rerank_score(candidate, [(half, 0.8), (aligned, 0.2)], qa)
-        assert value == pytest.approx(0.3, abs=1e-12)
+        inst = make_instance(
+            {"half": [1.0, math.sqrt(3)], "aligned": [3.0, 0.0], "cand": [1.0, 0.0]},
+            {"half": 0.8, "aligned": 0.2, "cand": 0.1},
+            [1.0, math.sqrt(3)],
+        )
+        _, rounds = rerank(inst, depth=3)
+        (cand,) = rounds[1].candidates
+        assert cand.qa_sim == pytest.approx(0.5, abs=1e-12)
+        assert cand.score == pytest.approx(0.3, abs=1e-12)
+        assert cand.score == cand.weighted_rel * cand.qa_sim
 
     def test_identical_everything_scores_one(self):
-        vec = dense_vector([0.3, 0.4])
-        assert rerank_score(vec, [(vec, 0.5), (vec, 0.2)], vec) == pytest.approx(1.0, abs=1e-12)
+        vec = [0.3, 0.4]
+        inst = make_instance({"a": vec, "b": vec, "c": vec}, {"a": 0.5, "b": 0.2, "c": 0.1}, vec)
+        _, rounds = rerank(inst, depth=3)
+        for rnd in rounds:
+            for c in rnd.candidates:
+                assert c.score == pytest.approx(1.0, abs=1e-12)
 
 
 class TestIterativeRerank:
     def test_depth_one_is_identity(self):
         rng = random.Random(42)
         for _ in range(20):
-            ranking, rel, vectors, qa = random_instance(rng)
-            out, trace = iterative_rerank(ranking, rel, vectors, qa, RerankConfig(depth=1))
-            assert out == ranking
-            assert trace.rounds == ()
+            inst = random_instance(rng)
+            out, rounds = rerank(inst, depth=1)
+            assert out == inst.initial
+            assert rounds == ()
 
     def test_pinned_instance_matches_oracle(self):
-        ranking, rel, vectors, qa = pinned_instance()
-        out, _ = iterative_rerank(ranking, rel, vectors, qa, RerankConfig(depth=3))
-        assert out.uids == PINNED_EXPECTED
-        oracle = brute_force_rerank(ranking.uids, PINNED_REL, PINNED_VECTORS, PINNED_QA, 3)
-        assert out.uids == oracle
+        inst = pinned_instance()
+        out, _ = rerank(inst, depth=3)
+        assert out == PINNED_EXPECTED
+        oracle = brute_force_rerank(inst.initial, PINNED_REL, PINNED_VECTORS, PINNED_QA, 3)
+        assert out == oracle
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(43)
         for _ in range(100):
-            ranking, rel, vectors, qa = random_instance(rng)
-            depth = rng.randint(1, len(ranking.items) + 3)
-            out, _ = iterative_rerank(ranking, rel, vectors, qa, RerankConfig(depth=depth))
-            raw = {uid: vec.values.tolist() for uid, vec in vectors.items()}
-            expected = brute_force_rerank(ranking.uids, rel, raw, qa.values.tolist(), depth)
-            assert out.uids == expected
+            inst = random_instance(rng)
+            depth = rng.randint(1, len(inst.uids) + 3)
+            out, _ = rerank(inst, depth)
+            assert out == brute_force_rerank(inst.initial, inst.rel_map, inst.raw, inst.qa, depth)
 
     def test_permutation(self):
         rng = random.Random(44)
         for _ in range(50):
-            ranking, rel, vectors, qa = random_instance(rng)
-            depth = rng.randint(1, len(ranking.items) + 2)
-            out, _ = iterative_rerank(ranking, rel, vectors, qa, RerankConfig(depth=depth))
-            assert sorted(out.uids) == sorted(ranking.uids)
+            inst = random_instance(rng)
+            out, _ = rerank(inst, rng.randint(1, len(inst.uids) + 2))
+            assert sorted(out) == sorted(inst.uids)
 
     def test_prefix_stability(self):
         rng = random.Random(45)
         for _ in range(50):
-            ranking, rel, vectors, qa = random_instance(rng)
-            out, _ = iterative_rerank(
-                ranking, rel, vectors, qa, RerankConfig(depth=rng.randint(1, 20))
-            )
-            assert out.uids[0] == ranking.uids[0]
+            inst = random_instance(rng)
+            out, _ = rerank(inst, rng.randint(1, 20))
+            assert out[0] == inst.initial[0]
 
     def test_tail_stability(self):
         rng = random.Random(46)
         for _ in range(50):
-            ranking, rel, vectors, qa = random_instance(rng)
+            inst = random_instance(rng)
             depth = rng.randint(1, 8)
-            out, trace = iterative_rerank(ranking, rel, vectors, qa, RerankConfig(depth=depth))
-            selected = set(out.uids[: max(1, min(depth, len(ranking.items)))])
-            remaining_in = [uid for uid in ranking.uids if uid not in selected]
-            remaining_out = [uid for uid in out.uids if uid not in selected]
+            out, _ = rerank(inst, depth)
+            selected = set(out[: max(1, min(depth, len(inst.uids)))])
+            remaining_in = [uid for uid in inst.initial if uid not in selected]
+            remaining_out = [uid for uid in out if uid not in selected]
             assert remaining_in == remaining_out
 
     def test_relevance_scale_invariance_of_selection(self):
         rng = random.Random(47)
         for _ in range(50):
-            ranking, rel, vectors, qa = random_instance(rng)
-            depth = rng.randint(1, len(ranking.items))
-            base, _ = iterative_rerank(ranking, rel, vectors, qa, RerankConfig(depth=depth))
+            inst = random_instance(rng)
+            depth = rng.randint(1, len(inst.uids))
+            base, _ = rerank(inst, depth)
             for c in (0.25, 2.0, 8.0):  # exact binary scalings
-                scaled = {uid: c * value for uid, value in rel.items()}
-                out, _ = iterative_rerank(ranking, scaled, vectors, qa, RerankConfig(depth=depth))
-                assert out.uids == base.uids
+                out, _ = rerank(inst, depth, rel=c * inst.rel)
+                assert out == base
 
     def test_window_excludes_deep_facts(self):
         # depth 2, one selection round: candidates are initial indices 1..3,
         # so a perfect fact parked at index 4 must not move.
-        vectors = {
-            "f0": dense_vector([1.0, 0.0]),
-            "f1": dense_vector([0.0, 1.0]),
-            "f2": dense_vector([0.0, 1.0]),
-            "f3": dense_vector([0.0, 1.0]),
-            "f4": dense_vector([1.0, 0.0]),
-        }
-        rel = {"f0": 1.0, "f1": 0.9, "f2": 0.8, "f3": 0.7, "f4": 0.6}
-        ranking = initial_ranking({"q": rel}, "q")
-        qa = dense_vector([1.0, 0.0])
-        out, _ = iterative_rerank(ranking, rel, vectors, qa, RerankConfig(depth=2))
+        inst = make_instance(
+            {
+                "f0": [1.0, 0.0],
+                "f1": [0.0, 1.0],
+                "f2": [0.0, 1.0],
+                "f3": [0.0, 1.0],
+                "f4": [1.0, 0.0],
+            },
+            {"f0": 1.0, "f1": 0.9, "f2": 0.8, "f3": 0.7, "f4": 0.6},
+            [1.0, 0.0],
+        )
+        out, _ = rerank(inst, depth=2)
         # all in-window candidates score 0, tie-break keeps initial order
-        assert out.uids == ["f0", "f1", "f2", "f3", "f4"]
+        assert out == ["f0", "f1", "f2", "f3", "f4"]
 
     def test_window_includes_boundary_index(self):
         # same setup but the perfect fact sits at index 3 = depth + |selected|
-        vectors = {
-            "f0": dense_vector([1.0, 0.0]),
-            "f1": dense_vector([0.0, 1.0]),
-            "f2": dense_vector([0.0, 1.0]),
-            "f3": dense_vector([1.0, 0.0]),
-            "f4": dense_vector([0.0, 1.0]),
-        }
-        rel = {"f0": 1.0, "f1": 0.9, "f2": 0.8, "f3": 0.7, "f4": 0.6}
-        ranking = initial_ranking({"q": rel}, "q")
-        qa = dense_vector([1.0, 0.0])
-        out, _ = iterative_rerank(ranking, rel, vectors, qa, RerankConfig(depth=2))
-        assert out.uids == ["f0", "f3", "f1", "f2", "f4"]
+        inst = make_instance(
+            {
+                "f0": [1.0, 0.0],
+                "f1": [0.0, 1.0],
+                "f2": [0.0, 1.0],
+                "f3": [1.0, 0.0],
+                "f4": [0.0, 1.0],
+            },
+            {"f0": 1.0, "f1": 0.9, "f2": 0.8, "f3": 0.7, "f4": 0.6},
+            [1.0, 0.0],
+        )
+        out, _ = rerank(inst, depth=2)
+        assert out == ["f0", "f3", "f1", "f2", "f4"]
 
     def test_depth_beyond_corpus_size(self):
         rng = random.Random(48)
-        ranking, rel, vectors, qa = random_instance(rng, n_facts=4)
-        out, _ = iterative_rerank(ranking, rel, vectors, qa, RerankConfig(depth=50))
-        assert sorted(out.uids) == sorted(ranking.uids)
+        inst = random_instance(rng, n_facts=4)
+        out, _ = rerank(inst, depth=50)
+        assert sorted(out) == sorted(inst.uids)
 
     def test_empty_ranking(self):
-        out, trace = iterative_rerank(
-            Ranking("q", ()), {}, {}, dense_vector([1.0]), RerankConfig(depth=5)
+        empty = np.array([], dtype=np.intp)
+        new_order, rounds = iterative_rerank(
+            empty, np.array([]), np.array([]), dense_rows([[1.0]]), [], RerankConfig(depth=5)
         )
-        assert out.items == ()
-        assert trace.rounds == ()
+        assert new_order.tolist() == []
+        assert rounds == ()
 
     def test_config_rejects_nonpositive_depth(self):
         with pytest.raises(ValueError):
@@ -265,17 +354,16 @@ class TestTrace:
     def test_rounds_bounded_and_distinct(self):
         rng = random.Random(49)
         for _ in range(30):
-            ranking, rel, vectors, qa = random_instance(rng)
-            depth = rng.randint(1, len(ranking.items) + 2)
-            _, trace = iterative_rerank(ranking, rel, vectors, qa, RerankConfig(depth=depth))
-            assert len(trace.rounds) <= depth - 1 if depth > 1 else not trace.rounds
-            chosen = [rnd.selected for rnd in trace.rounds]
+            inst = random_instance(rng)
+            depth = rng.randint(1, len(inst.uids) + 2)
+            _, rounds = rerank(inst, depth)
+            assert len(rounds) <= depth - 1 if depth > 1 else not rounds
+            chosen = [rnd.selected for rnd in rounds]
             assert len(chosen) == len(set(chosen))
 
     def test_candidates_recorded_with_scores(self):
-        ranking, rel, vectors, qa = pinned_instance()
-        _, trace = iterative_rerank(ranking, rel, vectors, qa, RerankConfig(depth=3))
-        first = trace.rounds[0]
+        _, rounds = rerank(pinned_instance(), depth=3)
+        first = rounds[0]
         assert first.selected == "f2"
         by_uid = {c.uid: c for c in first.candidates}
         assert set(by_uid) == {"f2", "f3", "f4", "f5"}
@@ -283,32 +371,75 @@ class TestTrace:
         assert by_uid["f2"].qa_sim == pytest.approx(0.8, abs=1e-12)
 
     def test_format_lines(self):
-        ranking, rel, vectors, qa = pinned_instance()
-        _, trace = iterative_rerank(ranking, rel, vectors, qa, RerankConfig(depth=3))
-        lines = trace.format_lines()
+        corpus, provider, table = pinned_corpus()
+        _, traces = rerank_all(corpus, provider, table, RerankConfig(depth=3), want_trace=True)
+        lines = traces["q"].format_lines()
         assert len(lines) == 2
         assert lines[0].startswith("round 1\tselected f2")
         assert "f2:0.64" in lines[0]
 
+    def test_no_trace_unless_wanted(self):
+        corpus, provider, table = pinned_corpus()
+        rankings, traces = rerank_all(corpus, provider, table, RerankConfig(depth=3))
+        assert traces == {}
+        assert rankings[0].uids == PINNED_EXPECTED
+
+
+def pinned_corpus():
+    """The pinned instance as a corpus: each fact's text is its own uid, the
+    question's text is "qa", and a provider maps those texts to the pinned
+    vectors. Relevance is the pinned weights, which normalize() rescales
+    without changing the selections."""
+    from explainrank.corpus import Corpus, ExplanationFact, Question
+
+    vectors = {**PINNED_VECTORS, "qa": PINNED_QA}
+
+    class Provider:
+        def rows(self, texts):
+            return dense_rows([vectors[t] for t in texts])
+
+    facts = {uid: ExplanationFact(uid, uid, "t") for uid in PINNED_VECTORS}
+    corpus = Corpus(facts=facts, questions=(Question("q", "qa", {"A": ""}, "A"),))
+    uids = tuple(facts)
+    table = RelevanceTable(("q",), uids, np.array([[PINNED_REL[u] for u in uids]]))
+    return corpus, Provider(), table
+
 
 class TestRerankAll:
-    def test_orders_follow_table_and_jobs_equivalent(self):
+    def test_orders_follow_table(self):
         corpus = random_corpus(n_questions=10, n_facts=40, seed=50)
         provider = default_provider(corpus)
         table = score_lexical(corpus, provider)
-        serial, _ = rerank_all(corpus, provider, table, RerankConfig(depth=5), jobs=1)
-        threaded, _ = rerank_all(corpus, provider, table, RerankConfig(depth=5), jobs=4)
-        assert [r.qid for r in serial] == list(table)
-        assert serial == threaded
+        rankings, _ = rerank_all(corpus, provider, table, RerankConfig(depth=5))
+        assert [r.qid for r in rankings] == list(table.qids)
+        assert all(sorted(r.uids) == sorted(corpus.facts) for r in rankings)
 
     def test_normalized_scores_used(self):
         # negative external scores still re-rank because of normalization
         corpus = random_corpus(n_questions=3, n_facts=10, seed=51)
         provider = default_provider(corpus)
-        table = {
-            q.qid: {uid: -float(i) for i, uid in enumerate(corpus.facts)}
-            for q in corpus.questions
-        }
+        uids = tuple(corpus.facts)
+        table = RelevanceTable(
+            tuple(q.qid for q in corpus.questions),
+            uids,
+            np.array([[-float(i) for i in range(len(uids))] for _ in corpus.questions]),
+        )
         rankings, _ = rerank_all(corpus, provider, table, RerankConfig(depth=4))
         for ranking in rankings:
             assert sorted(ranking.uids) == sorted(corpus.facts)
+
+    def test_base_order_from_raw_scores(self):
+        # min-max normalization maps 1.0 and the next float up to the same
+        # value; the base order must still rank "b" above "a"
+        corpus, provider, _ = pinned_corpus()
+        uids = tuple(corpus.facts)
+        raw = {"f1": 1e9, "f2": 1.0, "f3": 1.0000000000000002, "f4": 0.0, "f5": -1.0}
+        table = RelevanceTable(("q",), uids, np.array([[raw[u] for u in uids]]))
+        rankings, _ = rerank_all(corpus, provider, table, RerankConfig(depth=1))
+        assert rankings[0].uids == ["f1", "f3", "f2", "f4", "f5"]
+
+    def test_table_columns_must_match_corpus(self):
+        corpus, provider, table = pinned_corpus()
+        shuffled = RelevanceTable(table.qids, table.uids[::-1], table.scores)
+        with pytest.raises(DataError, match="columns"):
+            rerank_all(corpus, provider, shuffled, RerankConfig(depth=2))

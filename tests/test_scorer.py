@@ -19,6 +19,8 @@ from explainrank.scorer import (
 )
 from explainrank.textsim import STOPWORDS, default_provider, tokenize
 
+from synth import score_table, table_scores
+
 
 def toy_corpus():
     facts = {
@@ -75,7 +77,7 @@ class TestScoreLexical:
         }
         q = Question("q1", "sunlight warms the", {"A": "ground"}, "A")
         corpus = Corpus(facts=facts, questions=(q,))
-        table = score_lexical(corpus, default_provider(corpus), TFIDF_COSINE)
+        table = table_scores(score_lexical(corpus, default_provider(corpus), TFIDF_COSINE))
         assert table["q1"]["f1"] == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_vocabulary_zero_both_methods(self):
@@ -83,19 +85,19 @@ class TestScoreLexical:
         q = Question("q1", "completely different words", {"A": "here"}, "A")
         corpus = Corpus(facts=facts, questions=(q,))
         provider = default_provider(corpus)
-        assert score_lexical(corpus, provider, TFIDF_COSINE)["q1"]["f1"] == 0.0
-        assert score_lexical(corpus, provider, OVERLAP)["q1"]["f1"] == 0.0
+        assert score_lexical(corpus, provider, TFIDF_COSINE).scores.tolist() == [[0.0]]
+        assert score_lexical(corpus, provider, OVERLAP).scores.tolist() == [[0.0]]
 
     def test_tfidf_matches_independent_oracle(self):
         corpus = toy_corpus()
-        table = score_lexical(corpus, default_provider(corpus), TFIDF_COSINE)
+        table = table_scores(score_lexical(corpus, default_provider(corpus), TFIDF_COSINE))
         expected = oracle_tfidf_scores(corpus)
         for uid, value in expected.items():
             assert table["q1"][uid] == pytest.approx(value, abs=1e-12)
 
     def test_overlap_values(self):
         corpus = toy_corpus()
-        table = score_lexical(corpus, default_provider(corpus), OVERLAP)
+        table = table_scores(score_lexical(corpus, default_provider(corpus), OVERLAP))
         # qa tokens {frog, eat, insects}; f1 {frog, eats, insects}; f3 {frog, amphibian}
         assert table["q1"]["f1"] == pytest.approx(2 / 3, abs=1e-12)
         assert table["q1"]["f2"] == 0.0
@@ -104,7 +106,9 @@ class TestScoreLexical:
     def test_table_is_dense(self):
         corpus = toy_corpus()
         table = score_lexical(corpus, default_provider(corpus))
-        assert set(table["q1"]) == set(corpus.facts)
+        assert table.qids == ("q1",)
+        assert table.uids == tuple(corpus.facts)
+        assert table.scores.shape == (1, len(corpus.facts))
 
     def test_unknown_method(self):
         corpus = toy_corpus()
@@ -117,7 +121,8 @@ class TestScoreLexical:
         corpus = Corpus(facts=facts, questions=(q,))
         with caplog.at_level("WARNING"):
             table = score_lexical(corpus, default_provider(corpus))
-        assert table == {}
+        assert table.qids == ()
+        assert table.scores.shape == (0, 1)
 
 
 class TestLoadScores:
@@ -131,7 +136,8 @@ class TestLoadScores:
         with caplog.at_level("WARNING"):
             table = load_scores(path, corpus)
         assert not caplog.records
-        assert set(table["q1"]) == set(corpus.facts)
+        assert table.uids == tuple(corpus.facts)
+        assert table.scores.tolist() == [[0.1, 0.2, 0.3]]
 
     def test_missing_fact_ranks_last(self, tmp_path, caplog):
         corpus = toy_corpus()
@@ -139,7 +145,7 @@ class TestLoadScores:
         self.write(path, ["q1\tf1\t0.9", "q1\tf2\t0.2"])
         with caplog.at_level("WARNING"):
             table = load_scores(path, corpus)
-        assert table["q1"]["f3"] == pytest.approx(0.2 - 1.0)
+        assert table_scores(table)["q1"]["f3"] == pytest.approx(0.2 - 1.0)
         assert initial_ranking(table, "q1").uids[-1] == "f3"
         assert any("filled to rank last" in rec.message for rec in caplog.records)
 
@@ -169,7 +175,7 @@ class TestLoadScores:
         path = tmp_path / "s.tsv"
         self.write(path, ["q1\tf1\t0.1", "q1\tf1\t0.7", "q1\tf2\t0.2", "q1\tf3\t0.3"])
         with caplog.at_level("WARNING"):
-            table = load_scores(path, corpus)
+            table = table_scores(load_scores(path, corpus))
         assert table["q1"]["f1"] == 0.7
         assert any("duplicate" in rec.message for rec in caplog.records)
 
@@ -182,64 +188,77 @@ class TestLoadScores:
         )
         with caplog.at_level("WARNING"):
             table = load_scores(path, corpus)
-        assert "ghost" not in table
+        assert table.qids == ("q1",)
 
     def test_round_trip_exact(self, tmp_path):
         corpus = toy_corpus()
         table = score_lexical(corpus, default_provider(corpus))
         path = tmp_path / "s.tsv"
         write_scores(table, path)
-        assert load_scores(path, corpus) == table
+        loaded = load_scores(path, corpus)
+        assert (loaded.qids, loaded.uids) == (table.qids, table.uids)
+        assert loaded.scores.tolist() == table.scores.tolist()
 
 
 class TestInitialRanking:
     def test_descending_order(self):
-        ranking = initial_ranking({"q1": {"f1": 0.2, "f2": 0.9, "f3": 0.5}}, "q1")
+        ranking = initial_ranking(score_table({"q1": {"f1": 0.2, "f2": 0.9, "f3": 0.5}}), "q1")
         assert ranking.uids == ["f2", "f3", "f1"]
 
     def test_ties_break_by_uid(self):
-        ranking = initial_ranking({"q1": {"b": 1.0, "c": 1.0, "a": 1.0}}, "q1")
+        ranking = initial_ranking(score_table({"q1": {"b": 1.0, "c": 1.0, "a": 1.0}}), "q1")
         assert ranking.uids == ["a", "b", "c"]
 
     def test_permutation_property(self):
         rng = random.Random(21)
         for _ in range(50):
             scores = {f"f{i}": rng.choice([0.0, 0.5, rng.random()]) for i in range(30)}
-            ranking = initial_ranking({"q": scores}, "q")
+            ranking = initial_ranking(score_table({"q": scores}), "q")
             assert sorted(ranking.uids) == sorted(scores)
 
     def test_unknown_qid(self):
         with pytest.raises(DataError, match="q9"):
-            initial_ranking({"q1": {"f1": 1.0}}, "q9")
+            initial_ranking(score_table({"q1": {"f1": 1.0}}), "q9")
 
     def test_all_rankings_follows_table_order(self):
-        table = {"q2": {"f1": 1.0}, "q1": {"f1": 1.0}}
+        table = score_table({"q2": {"f1": 1.0}, "q1": {"f1": 1.0}})
         assert [r.qid for r in all_rankings(table)] == ["q2", "q1"]
 
 
 class TestNormalize:
     def test_min_max_values(self):
-        table = normalize({"q1": {"a": 0.0, "b": 5.0, "c": 10.0}})
+        table = table_scores(normalize(score_table({"q1": {"a": 0.0, "b": 5.0, "c": 10.0}})))
         assert table["q1"]["a"] == pytest.approx(NORM_FLOOR, abs=1e-15)
         assert table["q1"]["b"] == pytest.approx(0.5000005, abs=1e-12)
         assert table["q1"]["c"] == pytest.approx(1.0, abs=1e-15)
 
     def test_constant_scores_map_to_one(self):
-        table = normalize({"q1": {"a": 3.0, "b": 3.0, "c": 3.0}})
+        table = table_scores(normalize(score_table({"q1": {"a": 3.0, "b": 3.0, "c": 3.0}})))
         assert table["q1"] == {"a": 1.0, "b": 1.0, "c": 1.0}
 
     def test_all_values_in_range_and_positive(self):
         rng = random.Random(22)
         for _ in range(100):
             scores = {f"f{i}": rng.uniform(-50, 50) for i in range(20)}
-            for value in normalize({"q": scores})["q"].values():
+            for value in normalize(score_table({"q": scores})).scores[0].tolist():
                 assert NORM_FLOOR <= value <= 1.0
                 assert value > 0.0
+
+    def test_matches_scalar_formula_exactly(self):
+        rng = random.Random(24)
+        scores = {f"q{n}": {f"f{i}": rng.uniform(-50, 50) for i in range(20)} for n in range(5)}
+        scores["flat"] = {f"f{i}": 2.5 for i in range(20)}
+        got = table_scores(normalize(score_table(scores)))
+        for qid, row in scores.items():
+            lo, hi = min(row.values()), max(row.values())
+            for uid, value in row.items():
+                want = 1.0 if hi == lo else NORM_FLOOR + (value - lo) / (hi - lo) * (1.0 - NORM_FLOOR)
+                assert got[qid][uid] == want
 
     def test_order_preserved(self):
         rng = random.Random(23)
         for _ in range(100):
             scores = {f"f{i}": rng.choice([-2.0, 0.0, rng.uniform(-5, 5)]) for i in range(15)}
-            before = initial_ranking({"q": scores}, "q").uids
-            after = initial_ranking({"q": normalize({"q": scores})["q"]}, "q").uids
+            before = initial_ranking(score_table({"q": scores}), "q").uids
+            after = all_rankings(normalize(score_table({"q": scores})))[0].uids
             assert before == after

@@ -1,24 +1,47 @@
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from explainrank.corpus import Question
 from explainrank.errors import DataError, FormatError
 from explainrank.textsim import (
     STOPWORDS,
-    DenseWordVectors,
+    Rows,
     build_tfidf,
-    cosine,
     default_provider,
-    dense_vector,
+    dense_rows,
     load_dense,
     qa_text,
-    sparse_vector,
     tokenize,
 )
 
 from synth import random_corpus
+
+
+def sparse_rows(weight_maps, dim=12):
+    """TF-IDF-layout rows from term id -> weight maps: ids ascending, padded
+    with dim, norms summed in the maps' own order."""
+    width = max(1, max(map(len, weight_maps)))
+    ids = np.full((len(weight_maps), width), dim)
+    values = np.zeros((len(weight_maps), width))
+    for i, weights in enumerate(weight_maps):
+        for col, (term, weight) in enumerate(sorted(weights.items())):
+            ids[i, col], values[i, col] = term, weight
+    norms = [math.sqrt(sum(w * w for w in weights.values())) for weights in weight_maps]
+    return Rows(values, np.array(norms), dim, ids)
+
+
+def cos(rows, i, j, other=None):
+    """Cosine of row i of rows with row j of other (default rows) as a float."""
+    return float(rows.cosines(j, other, among=[i])[0])
+
+
+def row_weights(rows, i):
+    """Row i of TF-IDF rows as a term id -> weight map."""
+    return {int(t): float(w) for t, w in zip(rows.ids[i], rows.values[i]) if t < rows.dim}
 
 
 class TestTokenize:
@@ -69,14 +92,13 @@ class TestTfidf:
 
     def test_tf_is_raw_count(self):
         provider = build_tfidf(["cat cat dog", "dog"], drop_stopwords=False)
-        vec = provider.vector("cat cat dog")
+        weights = row_weights(provider.rows(["cat cat dog"]), 0)
         cat_id = provider.term_ids["cat"]
-        assert vec.weights[cat_id] == pytest.approx(2 * provider.idf["cat"], abs=1e-12)
+        assert weights[cat_id] == pytest.approx(2 * provider.idf["cat"], abs=1e-12)
 
     def test_oov_tokens_dropped(self):
         provider = build_tfidf(["cat dog"], drop_stopwords=False)
-        vec = provider.vector("cat zebra")
-        assert len(vec.weights) == 1
+        assert len(row_weights(provider.rows(["cat zebra"]), 0)) == 1
 
     def test_all_empty_texts_error(self):
         with pytest.raises(DataError):
@@ -87,9 +109,21 @@ class TestTfidf:
         a, b = build_tfidf(texts), build_tfidf(texts)
         assert a.term_ids == b.term_ids
         assert a.idf == b.idf
-        for text in texts:
-            assert a.vector(text).weights == b.vector(text).weights
-            assert a.vector(text).norm == b.vector(text).norm
+        rows_a, rows_b = a.rows(texts), b.rows(texts)
+        assert np.array_equal(rows_a.ids, rows_b.ids)
+        assert np.array_equal(rows_a.values, rows_b.values)
+        assert np.array_equal(rows_a.norms, rows_b.norms)
+
+    def test_rows_sorted_by_term_and_padded(self):
+        provider = build_tfidf(["zebra frog cat", "cat dog"], drop_stopwords=False)
+        rows = provider.rows(["zebra frog cat", "cat", ""])
+        dim = len(provider.term_ids)
+        assert rows.ids.shape == (3, 3)
+        assert rows.ids[0].tolist() == sorted(provider.term_ids[t] for t in ("zebra", "frog", "cat"))
+        assert rows.ids[1].tolist() == [provider.term_ids["cat"], dim, dim]
+        assert rows.ids[2].tolist() == [dim, dim, dim]
+        assert rows.values[1, 1:].tolist() == [0.0, 0.0]
+        assert rows.norms[2] == 0.0
 
 
 class TestDenseVectors:
@@ -100,22 +134,21 @@ class TestDenseVectors:
         path = tmp_path / "v.txt"
         self.write_vectors(path, ["a 1 0", "b 0 1"])
         provider = load_dense(path)
-        vec = provider.vector("a b")
-        assert vec.values.tolist() == [0.5, 0.5]
+        assert provider.rows(["a b"]).values[0].tolist() == [0.5, 0.5]
 
     def test_header_line_accepted(self, tmp_path):
         path = tmp_path / "v.txt"
         self.write_vectors(path, ["2 2", "a 1 0", "b 0 1"])
         provider = load_dense(path)
         assert provider.dim == 2
-        assert provider.vector("a").values.tolist() == [1.0, 0.0]
+        assert provider.rows(["a"]).values[0].tolist() == [1.0, 0.0]
 
     def test_oov_only_sentence_zero_vector(self, tmp_path):
         path = tmp_path / "v.txt"
         self.write_vectors(path, ["a 1 0"])
-        vec = load_dense(path).vector("zebra quark")
-        assert vec.norm == 0.0
-        assert vec.values.tolist() == [0.0, 0.0]
+        rows = load_dense(path).rows(["zebra quark"])
+        assert rows.norms[0] == 0.0
+        assert rows.values[0].tolist() == [0.0, 0.0]
 
     def test_inconsistent_dimension_names_line(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -129,6 +162,13 @@ class TestDenseVectors:
         with pytest.raises(FormatError, match="line 1"):
             load_dense(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_component_names_line(self, tmp_path, bad):
+        path = tmp_path / "v.txt"
+        self.write_vectors(path, ["2 2", "a 1 0", f"b 0 {bad}"])
+        with pytest.raises(FormatError, match=r"v\.txt line 3: non-finite"):
+            load_dense(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("", encoding="utf-8")
@@ -138,71 +178,111 @@ class TestDenseVectors:
 
 class TestCosine:
     def test_self_similarity(self):
-        v = sparse_vector({0: 1.5, 3: 2.0})
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
+        rows = sparse_rows([{0: 1.5, 3: 2.0}])
+        assert cos(rows, 0, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine(dense_vector([1, 0]), dense_vector([0, 1])) == 0.0
+        assert cos(dense_rows([[1, 0], [0, 1]]), 0, 1) == 0.0
 
     def test_hand_value(self):
         # dot = 1*2 + 2*1 = 4; norms sqrt(5) each; 4/5
-        assert cosine(dense_vector([1, 2]), dense_vector([2, 1])) == pytest.approx(0.8, abs=1e-12)
-        assert cosine(sparse_vector({0: 1, 1: 2}), sparse_vector({0: 2, 1: 1})) == pytest.approx(
-            0.8, abs=1e-12
-        )
+        assert cos(dense_rows([[1, 2], [2, 1]]), 0, 1) == pytest.approx(0.8, abs=1e-12)
+        rows = sparse_rows([{0: 1, 1: 2}, {0: 2, 1: 1}])
+        assert cos(rows, 0, 1) == pytest.approx(0.8, abs=1e-12)
 
     def test_zero_vector_is_zero_not_error(self):
-        assert cosine(sparse_vector({}), sparse_vector({0: 1.0})) == 0.0
-        assert cosine(dense_vector([0, 0]), dense_vector([1, 1])) == 0.0
+        assert cos(sparse_rows([{}, {0: 1.0}]), 0, 1) == 0.0
+        assert cos(sparse_rows([{}, {0: 1.0}]), 1, 0) == 0.0
+        assert cos(dense_rows([[0, 0], [1, 1]]), 0, 1) == 0.0
+        assert cos(dense_rows([[0, 0], [1, 1]]), 1, 0) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError, match="dimension"):
-            cosine(dense_vector([1, 0]), dense_vector([1, 0, 0]))
+            dense_rows([[1, 0]]).cosines(0, dense_rows([[1, 0, 0]]))
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(DataError):
-            cosine(sparse_vector({0: 1.0}), dense_vector([1.0]))
+            sparse_rows([{0: 1.0}], dim=1).cosines(0, dense_rows([[1.0]]))
 
     def _random_sparse(self, rng, signed=False):
         lo = -5.0 if signed else 0.1
-        return sparse_vector(
-            {t: rng.uniform(lo, 5.0) for t in rng.sample(range(12), rng.randint(1, 8))}
-        )
+        return {t: rng.uniform(lo, 5.0) for t in rng.sample(range(12), rng.randint(1, 8))}
 
     def test_symmetry_exact(self):
         rng = random.Random(11)
         for _ in range(200):
-            u, v = self._random_sparse(rng, signed=True), self._random_sparse(rng, signed=True)
-            assert cosine(u, v) == cosine(v, u)
+            rows = sparse_rows([self._random_sparse(rng, signed=True) for _ in range(2)])
+            assert cos(rows, 0, 1) == cos(rows, 1, 0)
 
     def test_scale_invariance(self):
         rng = random.Random(12)
         for _ in range(200):
             u, v = self._random_sparse(rng), self._random_sparse(rng)
             c = rng.uniform(0.01, 100.0)
-            scaled = sparse_vector({t: c * w for t, w in u.weights.items()})
-            assert cosine(scaled, v) == pytest.approx(cosine(u, v), abs=1e-9)
+            rows = sparse_rows([u, v, {t: c * w for t, w in u.items()}])
+            assert cos(rows, 2, 1) == pytest.approx(cos(rows, 0, 1), abs=1e-9)
 
     def test_range(self):
         rng = random.Random(13)
         for _ in range(200):
-            u, v = self._random_sparse(rng, signed=True), self._random_sparse(rng, signed=True)
-            value = cosine(u, v)
-            assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
+            rows = sparse_rows([self._random_sparse(rng, signed=True) for _ in range(2)])
+            assert -1.0 - 1e-12 <= cos(rows, 0, 1) <= 1.0 + 1e-12
 
     def test_nonnegative_for_tfidf_vectors(self):
         provider = build_tfidf(["a green frog", "green plants grow", "rocks are hard"])
         texts = ["a green frog", "green plants grow", "rocks are hard", "frog plants"]
-        for a in texts:
-            for b in texts:
-                assert cosine(provider.vector(a), provider.vector(b)) >= 0.0
+        rows = provider.rows(texts)
+        for j in range(len(texts)):
+            assert (rows.cosines(j) >= 0.0).all()
 
     def test_cached_norm_matches_recomputed(self):
         rng = random.Random(14)
-        for _ in range(100):
-            vec = self._random_sparse(rng, signed=True)
-            recomputed = math.sqrt(sum(w * w for w in vec.weights.values()))
-            assert vec.norm == pytest.approx(recomputed, abs=1e-9)
+        words = ["frog", "green", "plant", "rock", "sun", "water", "grow"]
+        texts = [" ".join(rng.choices(words, k=rng.randint(0, 9))) for _ in range(100)]
+        provider = build_tfidf(texts)
+        rows = provider.rows(texts)
+        for i in range(len(texts)):
+            recomputed = math.sqrt(sum(w * w for w in row_weights(rows, i).values()))
+            assert rows.norms[i] == pytest.approx(recomputed, abs=1e-9)
+        dense = dense_rows([[rng.uniform(-1, 1) for _ in range(5)] for _ in range(100)])
+        for values, norm in zip(dense.values, dense.norms):
+            assert norm == pytest.approx(math.sqrt(sum(x * x for x in values)), abs=1e-9)
+
+    def test_tfidf_sums_common_terms_in_term_order(self):
+        # the reference: products of common terms added left to right in
+        # ascending term order, then divided by the product of the norms
+        rng = random.Random(15)
+        words = [f"w{i}" for i in range(30)]
+        texts = [" ".join(rng.choices(words, k=rng.randint(1, 12))) for _ in range(60)]
+        provider = build_tfidf(texts)
+        rows = provider.rows(texts)
+        for j in range(len(texts)):
+            v = row_weights(rows, j)
+            expected = []
+            for i in range(len(texts)):
+                u = row_weights(rows, i)
+                dot = sum(u[t] * v[t] for t in sorted(u.keys() & v.keys()))
+                norms = rows.norms[i] * rows.norms[j]
+                expected.append(dot / norms if norms else 0.0)
+            assert rows.cosines(j).tolist() == expected
+
+    def test_dense_is_one_dot_per_pair(self):
+        rng = np.random.default_rng(16)
+        rows = dense_rows(rng.normal(size=(40, 7)))
+        for j in range(40):
+            expected = [
+                float(np.dot(rows.values[j], v)) / (rows.norms[j] * norm)
+                for v, norm in zip(rows.values, rows.norms)
+            ]
+            assert rows.cosines(j).tolist() == expected
+
+    def test_among_and_other_select_rows(self):
+        rows = dense_rows([[1, 0], [0, 1], [1, 1]])
+        query = dense_rows([[1, 0]])
+        assert rows.cosines(0, query).tolist() == pytest.approx([1.0, 0.0, math.sqrt(0.5)])
+        assert rows.cosines(0, query, among=[2, 0]).tolist() == pytest.approx(
+            [math.sqrt(0.5), 1.0]
+        )
 
 
 class TestQaText:
@@ -232,7 +312,7 @@ class TestDefaultProvider:
         corpus = random_corpus(n_questions=5, n_facts=10, seed=3)
         provider = default_provider(corpus)
         some_fact = next(iter(corpus.facts.values()))
-        assert provider.vector(some_fact.text).norm > 0.0
+        assert provider.rows([some_fact.text]).norms[0] > 0.0
 
     def test_stopword_list_is_fixed(self):
         assert "the" in STOPWORDS and "frog" not in STOPWORDS
