@@ -28,6 +28,7 @@ from .corpus import (
 from .dataprep import (
     CLASSIFICATION,
     REGRESSION,
+    NegativeSampler,
     PrepConfig,
     TrainingExample,
     build_dataset,

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import dataprep, evaluation, rerank, scorer
 from .corpus import Corpus, load_corpus, validate
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, read_utf8
 from .textsim import default_provider, load_dense
 
 log = logging.getLogger(__name__)
@@ -71,7 +71,7 @@ def read_config(path: str | Path) -> dict[str, object]:
     """Flat key=value configuration; keys mirror the flag names."""
     path = Path(path)
     values: dict[str, object] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -167,7 +167,8 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def cmd_prepare(cfg: RunConfig) -> int:
     corpus = _load(cfg)
-    provider = _provider(cfg, corpus)
+    # one sampler for every variant: fact rows and negatives computed once
+    sampler = dataprep.NegativeSampler(corpus, _provider(cfg, corpus))
     if cfg.task == "all":
         variants = [
             (task, ctx)
@@ -181,7 +182,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
         prep = dataprep.PrepConfig(
             k=cfg.k, m=cfg.m, seed=cfg.seed, with_context=with_context, task=task
         )
-        examples = dataprep.build_dataset(corpus, provider, prep)
+        examples = dataprep.build_dataset(corpus, sampler, prep)
         name = f"dataset_{task}{'_context' if with_context else ''}.tsv"
         out_path = cfg.out / name
         dataprep.write_dataset(examples, out_path)

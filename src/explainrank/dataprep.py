@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, Question, Role
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, read_utf8
 from .scorer import uid_ranks
 from .textsim import fact_vectors, qa_text
 
@@ -66,28 +66,43 @@ class TrainingExample:
     role: Role | None  # None for sampled negatives
 
 
-class _Sampler:
-    """Fact rows and the uid tie-break order, built once per corpus."""
+class NegativeSampler:
+    """Hard negatives over one corpus, shared by every dataset variant.
+
+    The fact rows are built once. Each (gold fact, gold set, k) result is
+    computed on first use and kept, so the four prepare variants sample
+    every question's negatives once.
+    """
 
     def __init__(self, corpus: Corpus, provider):
-        self.uids = list(corpus.facts)
+        self.uids = tuple(corpus.facts)
+        self.column = {uid: j for j, uid in enumerate(self.uids)}
         self.uid_ranks = uid_ranks(self.uids)
         self.rows = fact_vectors(corpus, provider)
+        self._memo: dict[tuple[str, frozenset[str], int], tuple[str, ...]] = {}
 
     def negatives(self, gold_uid: str, gold_uids: frozenset[str] | set[str], k: int) -> list[str]:
-        if gold_uid not in self.uids:
-            raise DataError(f"gold fact {gold_uid!r} not in corpus")
-        candidates = np.flatnonzero([uid not in gold_uids for uid in self.uids])
-        if len(candidates) < k:
+        key = (gold_uid, frozenset(gold_uids), k)
+        best = self._memo.get(key)
+        if best is None:
+            best = self._memo[key] = self._negatives(*key)
+        if len(best) < k:
             log.warning(
                 "gold fact %s: only %d non-gold fact(s) available for k=%d",
                 gold_uid,
-                len(candidates),
+                len(best),
                 k,
             )
-        sims = self.rows.cosines(self.uids.index(gold_uid), among=candidates)
+        return list(best)
+
+    def _negatives(self, gold_uid: str, gold_uids: frozenset[str], k: int) -> tuple[str, ...]:
+        j = self.column.get(gold_uid)
+        if j is None:
+            raise DataError(f"gold fact {gold_uid!r} not in corpus")
+        candidates = np.flatnonzero([uid not in gold_uids for uid in self.uids])
+        sims = self.rows.cosines(j, among=candidates)
         best = candidates[np.lexsort((self.uid_ranks[candidates], -sims))[:k]]
-        return [self.uids[i] for i in best]
+        return tuple(self.uids[i] for i in best)
 
 
 def sample_negatives(
@@ -101,24 +116,32 @@ def sample_negatives(
     the question's gold set, similarity descending, ties by uid ascending.
 
     Returns fewer than k (with a warning) when the corpus is that small.
-    build_dataset vectorizes the corpus once for all its gold facts; this
-    vectorizes it on every call.
+    This vectorizes the corpus on every call; to sample for many gold facts,
+    build one NegativeSampler and call its negatives method, which vectorizes
+    once and keeps each result.
     """
-    return _Sampler(corpus, provider).negatives(gold_uid, gold_uids, k)
+    return NegativeSampler(corpus, provider).negatives(gold_uid, gold_uids, k)
 
 
 def build_dataset(corpus: Corpus, provider, cfg: PrepConfig) -> list[TrainingExample]:
     """Generate one dataset variant over all annotated questions.
 
+    provider is a vector provider, or a NegativeSampler built over this
+    corpus so that several variants share its fact rows and negatives.
     Without context, each gold fact contributes one balanced block of
     positives and negatives. With context, blocks are repeated for m sampled
     gold subsets of every size from 1 to |gold| - 1, the candidate always
     outside its context. Per-question RNG streams are derived from
     (seed, qid), so output does not depend on question processing order.
     """
+    if isinstance(provider, NegativeSampler):
+        sampler = provider
+        if sampler.uids != tuple(corpus.facts):
+            raise ValueError("the negative sampler was built over a different corpus")
+    else:
+        sampler = NegativeSampler(corpus, provider)
     examples: list[TrainingExample] = []
     warned_roles: set[str] = set()
-    sampler = _Sampler(corpus, provider)
     for question in corpus.questions:
         if not question.gold:
             continue
@@ -129,7 +152,7 @@ def build_dataset(corpus: Corpus, provider, cfg: PrepConfig) -> list[TrainingExa
 def _question_examples(
     question: Question,
     corpus: Corpus,
-    sampler: _Sampler,
+    sampler: NegativeSampler,
     cfg: PrepConfig,
     warned_roles: set[str],
 ) -> list[TrainingExample]:
@@ -232,7 +255,7 @@ def write_dataset(examples: Sequence[TrainingExample], path: str | Path) -> None
 
 def read_dataset(path: str | Path) -> list[TrainingExample]:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines or lines[0].split("\t") != list(_COLUMNS):
         raise FormatError(f"{path}: missing or wrong dataset header")
     examples: list[TrainingExample] = []

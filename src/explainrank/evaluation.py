@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import KNOWN_ROLES, Corpus, Question, Role
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, utf8_lines
 from .scorer import Ranking
 
 log = logging.getLogger(__name__)
@@ -26,20 +26,20 @@ RankedUids = Mapping[str, Sequence[str]]
 
 def average_precision(ranked: Sequence[str], relevant: Iterable[str]) -> float:
     """Precision accumulated at each rank position holding a relevant item,
-    divided by the number of relevant items."""
-    relevant = set(relevant)
-    if not relevant:
+    divided by the number of relevant items. The scan stops at the last
+    relevant item."""
+    remaining = set(relevant)
+    n_relevant = len(remaining)
+    if not n_relevant:
         raise ValueError("average_precision needs a nonempty relevant set")
-    missing = relevant.difference(ranked)
-    if missing:
-        raise DataError(f"relevant uid(s) missing from ranking: {sorted(missing)[:5]}")
-    hits = 0
     acc = 0.0
     for position, uid in enumerate(ranked, start=1):
-        if uid in relevant:
-            hits += 1
-            acc += hits / position
-    return acc / len(relevant)
+        if uid in remaining:
+            remaining.remove(uid)
+            acc += (n_relevant - len(remaining)) / position
+            if not remaining:
+                return acc / n_relevant
+    raise DataError(f"relevant uid(s) missing from ranking: {sorted(remaining)[:5]}")
 
 
 def _evaluable(ranked_by_qid: RankedUids, corpus: Corpus) -> list[Question]:
@@ -184,18 +184,17 @@ def read_predictions(path: str | Path) -> dict[str, list[str]]:
     path = Path(path)
     ranked: dict[str, list[str]] = {}
     seen: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise FormatError(f"{path} line {lineno}: expected qid<TAB>fact_uid")
-            qid, uid = fields
-            bucket = seen.setdefault(qid, set())
-            if uid in bucket:
-                raise DataError(f"{path} line {lineno}: duplicate prediction {uid!r} for {qid!r}")
-            bucket.add(uid)
-            ranked.setdefault(qid, []).append(uid)
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise FormatError(f"{path} line {lineno}: expected qid<TAB>fact_uid")
+        qid, uid = fields
+        bucket = seen.setdefault(qid, set())
+        if uid in bucket:
+            raise DataError(f"{path} line {lineno}: duplicate prediction {uid!r} for {qid!r}")
+        bucket.add(uid)
+        ranked.setdefault(qid, []).append(uid)
     return ranked

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, utf8_lines
 from .textsim import fact_vectors, qa_text, tokenize
 
 log = logging.getLogger(__name__)
@@ -131,31 +131,30 @@ def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
     cells, values = array("q"), array("d")
     unknown_uids: dict[str, int] = {}
     unknown_qids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise FormatError(f"{path} line {lineno}: expected qid<TAB>fact_uid<TAB>score")
-            qid, uid, score_text = fields
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise FormatError(
-                    f"{path} line {lineno}: unparseable score {score_text!r}"
-                ) from None
-            if not math.isfinite(score):
-                raise FormatError(f"{path} line {lineno}: non-finite score {score_text!r}")
-            if uid not in column:
-                unknown_uids.setdefault(uid, lineno)
-                continue
-            if qid not in row:
-                unknown_qids.add(qid)
-                continue
-            cells.append(row[qid] * len(uids) + column[uid])
-            values.append(score)
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise FormatError(f"{path} line {lineno}: expected qid<TAB>fact_uid<TAB>score")
+        qid, uid, score_text = fields
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise FormatError(
+                f"{path} line {lineno}: unparseable score {score_text!r}"
+            ) from None
+        if not math.isfinite(score):
+            raise FormatError(f"{path} line {lineno}: non-finite score {score_text!r}")
+        if uid not in column:
+            unknown_uids.setdefault(uid, lineno)
+            continue
+        if qid not in row:
+            unknown_qids.add(qid)
+            continue
+        cells.append(row[qid] * len(uids) + column[uid])
+        values.append(score)
     if unknown_uids:
         shown = sorted(unknown_uids.items(), key=lambda item: item[1])[:10]
         listing = ", ".join(f"{uid!r} (line {ln})" for uid, ln in shown)

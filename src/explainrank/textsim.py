@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, Question, answer_text
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, utf8_lines
 
 log = logging.getLogger(__name__)
 
@@ -175,28 +175,27 @@ def load_dense(path: str | Path, *, drop_stopwords: bool = False) -> DenseWordVe
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if lineno == 1 and len(fields) == 2 and all(_is_int(f) for f in fields):
-                dim = int(fields[1])
-                continue
-            token, *rest = fields
-            try:
-                values = [float(x) for x in rest]
-            except ValueError:
-                raise FormatError(f"{path} line {lineno}: non-numeric vector component") from None
-            if not all(map(math.isfinite, values)):
-                raise FormatError(f"{path} line {lineno}: non-finite vector component")
-            if dim is None:
-                dim = len(values)
-            if dim <= 0 or len(values) != dim:
-                raise FormatError(
-                    f"{path} line {lineno}: expected {dim} components, found {len(values)}"
-                )
-            vectors[token] = np.asarray(values, dtype=float)
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if lineno == 1 and len(fields) == 2 and all(_is_int(f) for f in fields):
+            dim = int(fields[1])
+            continue
+        token, *rest = fields
+        try:
+            values = [float(x) for x in rest]
+        except ValueError:
+            raise FormatError(f"{path} line {lineno}: non-numeric vector component") from None
+        if not all(map(math.isfinite, values)):
+            raise FormatError(f"{path} line {lineno}: non-finite vector component")
+        if dim is None:
+            dim = len(values)
+        if dim <= 0 or len(values) != dim:
+            raise FormatError(
+                f"{path} line {lineno}: expected {dim} components, found {len(values)}"
+            )
+        vectors[token] = np.asarray(values, dtype=float)
     if dim is None or not vectors:
         raise FormatError(f"{path}: no word vectors found")
     return DenseWordVectors(vectors, dim, drop_stopwords=drop_stopwords)

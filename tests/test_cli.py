@@ -1,8 +1,12 @@
 import pytest
 
 from explainrank.cli import main, read_config
-from explainrank.corpus import BACKGROUND, CENTRAL, GROUNDING, NEG, load_questions
+from explainrank.corpus import BACKGROUND, CENTRAL, GROUNDING, NEG, load_facts, load_questions
+from explainrank.dataprep import read_dataset
 from explainrank.errors import FormatError
+from explainrank.evaluation import read_predictions
+from explainrank.scorer import load_scores
+from explainrank.textsim import load_dense
 
 from synth import random_corpus, write_corpus_files, write_fact_table
 
@@ -411,3 +415,49 @@ class TestConfigFile:
         # the question file written for these tests parses back identically
         corpus, _, questions = corpus_files
         assert tuple(load_questions(questions)) == corpus.questions
+
+
+# loader name -> (header line or None, well-formed line i, loader call)
+_LOADERS = {
+    "facts": ("text\tUID", "fact number {i}\tu{i}", lambda path: load_facts([path])),
+    "questions": (
+        "QuestionID\tquestion\tAnswerKey\texplanation",
+        "q{i}\tStem (A) x\tA\tu{i}|CENTRAL",
+        load_questions,
+    ),
+    "scores": (
+        None,
+        "Q000\tF{i}\t0.5",
+        lambda path: load_scores(path, random_corpus(n_questions=1, n_facts=3, seed=1)),
+    ),
+    "predictions": (None, "q{i}\tu{i}", read_predictions),
+    "vectors": (None, "w{i} 1.0 2.0", load_dense),
+    "config": (None, "key{i}=value", read_config),
+    "dataset": (
+        "qid\tquestion_text\tcontext\tcandidate_text\tlabel_or_target\trole",
+        "q{i}\tqt\t\tcand\t1.0\tCENTRAL",
+        read_dataset,
+    ),
+}
+
+
+class TestInvalidUtf8:
+    @pytest.mark.parametrize("loader", sorted(_LOADERS))
+    def test_located_format_error(self, loader, tmp_path):
+        # the bad line comes after more than a text stream decodes at once
+        header, line, load = _LOADERS[loader]
+        lines = [header] if header else []
+        lines += [line.format(i=i) for i in range(2000)]
+        path = tmp_path / f"{loader}.txt"
+        path.write_bytes(("\n".join(lines) + "\n").encode() + b"caf\xe9 bad\n")
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert f"{path} line {len(lines) + 1}: not valid UTF-8 (byte 4:" in str(err.value)
+
+    def test_cli_exits_two_naming_the_file(self, corpus_files, tmp_path, caplog):
+        _, _, questions = corpus_files
+        facts_path = tmp_path / "facts.tsv"
+        facts_path.write_bytes(b"text\tUID\nna\xefve fact\tf1\n")
+        code = run("validate", "--facts", facts_path, "--questions", questions, "--out", tmp_path / "o")
+        assert code == 2
+        assert f"{facts_path} line 2: not valid UTF-8" in caplog.text

@@ -1,6 +1,8 @@
 import math
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from explainrank.corpus import (
@@ -13,10 +15,12 @@ from explainrank.corpus import (
     Question,
     Role,
 )
+from explainrank.cli import main
 from explainrank.dataprep import (
     CLASSIFICATION,
     CONTEXT_SEPARATOR,
     REGRESSION,
+    NegativeSampler,
     PrepConfig,
     TrainingExample,
     build_dataset,
@@ -26,9 +30,16 @@ from explainrank.dataprep import (
     write_dataset,
 )
 from explainrank.errors import DataError, FormatError
-from explainrank.textsim import default_provider, tokenize
+from explainrank.textsim import (
+    DenseWordVectors,
+    Rows,
+    TfidfProvider,
+    default_provider,
+    fact_vectors,
+    tokenize,
+)
 
-from synth import random_corpus
+from synth import WORD_POOL, random_corpus, write_corpus_files
 
 
 def two_gold_corpus(n_facts=12):
@@ -96,6 +107,126 @@ class TestSampleNegatives:
         corpus = two_gold_corpus()
         with pytest.raises(DataError, match="ghost"):
             sample_negatives("ghost", {"ghost"}, corpus, default_provider(corpus), 3)
+
+
+def shared_gold_corpus(seed):
+    """A random corpus whose questions share gold facts under different gold
+    sets, with some facts repeating another fact's text under a new uid."""
+    rng = random.Random(seed)
+    base = random_corpus(n_questions=0, n_facts=rng.randint(8, 30), seed=seed)
+    facts = dict(base.facts)
+    for i, uid in enumerate(rng.sample(list(base.facts), 3)):
+        twin = f"{'D' if i % 2 else 'G'}{i:04d}"  # sorts before or after the F uids
+        facts[twin] = ExplanationFact(twin, base.facts[uid].text, "synth")
+    uids = list(facts)
+    hubs = rng.sample(uids, 2)
+    questions = []
+    for i in range(rng.randint(3, 8)):
+        gold = set(rng.sample(uids, rng.randint(0, 4))) | {rng.choice(hubs)}
+        questions.append(
+            Question(f"Q{i:03d}", "stem", {"A": "word00"}, "A", tuple((u, CENTRAL) for u in sorted(gold)))
+        )
+    return Corpus(facts=facts, questions=tuple(questions))
+
+
+def dense_provider(seed):
+    """Small integer word vectors: many sentence pairs tie on cosine."""
+    rng = random.Random(seed)
+    vectors = {w: np.array([rng.randint(-1, 1) for _ in range(3)], dtype=float) for w in WORD_POOL}
+    return DenseWordVectors(vectors, 3)
+
+
+def exhaustive_negatives(corpus, provider, gold_uid, gold_uids, k):
+    """Every non-gold fact sorted by (-cosine, uid), the first k kept."""
+    uids = list(corpus.facts)
+    sims = fact_vectors(corpus, provider).cosines(uids.index(gold_uid))
+    scored = sorted((-sim, uid) for uid, sim in zip(uids, sims.tolist()) if uid not in gold_uids)
+    return [uid for _, uid in scored[:k]]
+
+
+class TestNegativeSampler:
+    @pytest.mark.parametrize("backend", ["tfidf", "dense"])
+    def test_equals_exhaustive_per_question_sort(self, backend, caplog):
+        for seed in range(25):
+            corpus = shared_gold_corpus(seed)
+            provider = default_provider(corpus) if backend == "tfidf" else dense_provider(seed)
+            sampler = NegativeSampler(corpus, provider)
+            k = random.Random(seed).randint(1, 6)
+            # the corpus questions at two k; every gold fact is asked at least four times
+            for kk in (k, k + 3, k, k + 3):
+                for q in corpus.questions:
+                    for uid in q.gold_uid_set:
+                        expected = exhaustive_negatives(corpus, provider, uid, q.gold_uid_set, kk)
+                        assert sampler.negatives(uid, q.gold_uid_set, kk) == expected
+            # a gold set holding the anchor's nearest neighbours, larger than any question's
+            anchor = corpus.questions[0].gold[0][0]
+            max_gold = max(len(q.gold_uid_set) for q in corpus.questions)
+            nearest = exhaustive_negatives(corpus, provider, anchor, {anchor}, max_gold + 2)
+            big = {anchor, *nearest}
+            assert len(big) > max_gold
+            expected = exhaustive_negatives(corpus, provider, anchor, big, k)
+            assert sampler.negatives(anchor, big, k) == expected
+            # k above the non-gold count: all of them, with a warning
+            gold = corpus.questions[-1].gold_uid_set
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                negs = sampler.negatives(anchor, gold, len(corpus.facts))
+            assert negs == exhaustive_negatives(corpus, provider, anchor, gold, len(corpus.facts))
+            assert len(negs) == len(corpus.facts) - len(gold) < len(corpus.facts)
+            assert any("non-gold fact(s) available" in rec.message for rec in caplog.records)
+
+    def test_identical_texts_tie_by_uid(self):
+        facts = {
+            uid: ExplanationFact(uid, text, "t")
+            for uid, text in [("b", "anchor words"), ("z", "same text"), ("a", "same text"), ("m", "same text")]
+        }
+        q = Question("q1", "stem", {"A": "x"}, "A", (("b", CENTRAL),))
+        corpus = Corpus(facts=facts, questions=(q,))
+        sampler = NegativeSampler(corpus, default_provider(corpus))
+        assert sampler.negatives("b", {"b"}, 3) == ["a", "m", "z"]
+
+    def test_shared_sampler_matches_per_variant_provider(self):
+        corpus = random_corpus(n_questions=8, n_facts=40, seed=37, gold_range=(1, 5))
+        provider = default_provider(corpus)
+        sampler = NegativeSampler(corpus, provider)
+        for task in (CLASSIFICATION, REGRESSION):
+            for with_context in (False, True):
+                cfg = PrepConfig(k=3, m=2, task=task, with_context=with_context)
+                assert build_dataset(corpus, sampler, cfg) == build_dataset(corpus, provider, cfg)
+
+    def test_sampler_of_another_corpus_rejected(self):
+        corpus = random_corpus(n_questions=3, n_facts=20, seed=38)
+        other = random_corpus(n_questions=3, n_facts=21, seed=38)
+        sampler = NegativeSampler(other, default_provider(other))
+        with pytest.raises(ValueError, match="different corpus"):
+            build_dataset(corpus, sampler, PrepConfig(k=2))
+
+    def test_prepare_all_vectorizes_once_and_one_cosine_row_per_question_gold_fact(
+        self, tmp_path, monkeypatch
+    ):
+        corpus = random_corpus(n_questions=10, n_facts=40, seed=39, gold_range=(1, 5))
+        fact_paths, question_path = write_corpus_files(corpus, tmp_path / "data")
+        row_calls, cosine_rows = [], []
+        rows, cosines = TfidfProvider.rows, Rows.cosines
+
+        def counting_rows(self, texts):
+            row_calls.append(len(texts))
+            return rows(self, texts)
+
+        def counting_cosines(self, j, *args, **kwargs):
+            cosine_rows.append(j)
+            return cosines(self, j, *args, **kwargs)
+
+        monkeypatch.setattr(TfidfProvider, "rows", counting_rows)
+        monkeypatch.setattr(Rows, "cosines", counting_cosines)
+        argv = ["prepare", "--facts", *map(str, fact_paths), "--questions", str(question_path)]
+        assert main([*argv, "--task", "all", "--k", "3", "--out", str(tmp_path / "out")]) == 0
+        assert len(list((tmp_path / "out").glob("dataset_*.tsv"))) == 4
+        assert row_calls == [len(corpus.facts)]
+        # one row per (gold fact, gold set), not one per variant
+        uids = list(corpus.facts)
+        keys = {(uid, q.gold_uid_set) for q in corpus.questions for uid, _ in q.gold}
+        assert sorted(cosine_rows) == sorted(uids.index(uid) for uid, _ in keys)
 
 
 class TestBuildDataset:

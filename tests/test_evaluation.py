@@ -60,6 +60,26 @@ class TestAveragePrecision:
         with pytest.raises(DataError, match="ghost"):
             average_precision(["a", "b"], {"a", "ghost"})
 
+    def test_missing_lists_only_unseen_uids(self):
+        with pytest.raises(DataError) as err:
+            average_precision(["a", "b", "c"], {"c", "ghost", "zzz"})
+        assert "['ghost', 'zzz']" in str(err.value)
+
+    def test_bit_identical_to_full_scan_on_long_rankings(self):
+        # the scan stops at the last relevant uid; the sum and its order are
+        # those of a scan over the whole ranking
+        rng = random.Random(64)
+        for _ in range(50):
+            ranked = [f"u{i}" for i in range(2000)]
+            rng.shuffle(ranked)
+            relevant = set(rng.sample(ranked, rng.randint(1, 16)))
+            hits, acc = 0, 0.0
+            for position, uid in enumerate(ranked, start=1):
+                if uid in relevant:
+                    hits += 1
+                    acc += hits / position
+            assert average_precision(ranked, relevant) == acc / len(relevant)
+
     def test_oracle_equivalence_200_random(self):
         rng = random.Random(61)
         for _ in range(200):
