@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import dataprep, evaluation, rerank, scorer
 from .corpus import Corpus, load_corpus, validate
-from .errors import DataError, FormatError, read_utf8
+from .errors import DataError, FormatError, read_utf8, text_lines
 from .textsim import default_provider, load_dense
 
 log = logging.getLogger(__name__)
@@ -71,7 +71,7 @@ def read_config(path: str | Path) -> dict[str, object]:
     """Flat key=value configuration; keys mirror the flag names."""
     path = Path(path)
     values: dict[str, object] = {}
-    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
+    for lineno, line in enumerate(text_lines(read_utf8(path)), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DataError, FormatError, read_utf8
+from .errors import DataError, FormatError, read_utf8, text_lines
 
 log = logging.getLogger(__name__)
 
@@ -111,7 +111,7 @@ def load_facts(paths: Iterable[str | Path]) -> dict[str, ExplanationFact]:
     for path in paths:
         path = Path(path)
         table = path.stem
-        lines = read_utf8(path).splitlines()
+        lines = text_lines(read_utf8(path))
         if not lines:
             raise FormatError(f"{path}: empty fact table")
         headers = lines[0].split("\t")
@@ -195,7 +195,7 @@ def load_questions(
     issue by validate().
     """
     path = Path(path)
-    lines = read_utf8(path).splitlines()
+    lines = text_lines(read_utf8(path))
     if not lines:
         raise FormatError(f"{path}: empty question file")
     headers = lines[0].split("\t")

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, Question, Role
-from .errors import DataError, FormatError, read_utf8
+from .errors import DataError, FormatError, read_utf8, text_lines
 from .scorer import uid_ranks
 from .textsim import fact_vectors, qa_text
 
@@ -255,7 +255,7 @@ def write_dataset(examples: Sequence[TrainingExample], path: str | Path) -> None
 
 def read_dataset(path: str | Path) -> list[TrainingExample]:
     path = Path(path)
-    lines = read_utf8(path).splitlines()
+    lines = text_lines(read_utf8(path))
     if not lines or lines[0].split("\t") != list(_COLUMNS):
         raise FormatError(f"{path}: missing or wrong dataset header")
     examples: list[TrainingExample] = []

@@ -1,10 +1,26 @@
 """Exception types shared across the pipeline, and the UTF-8 readers that
-turn an undecodable input into a located FormatError."""
+turn an undecodable input into a located FormatError.
+
+Lines end at "\n" only. Text mode has already turned "\r\n" and "\r" into
+"\n"; str.splitlines would also break lines at U+2028, U+0085, form feeds
+and other separators that a cell may hold.
+"""
 
 from __future__ import annotations
 
+import operator
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
+
+import numpy as np
+
+# characters a block reader takes from a file at a time: larger blocks leave
+# more freed memory behind (32 K raised the peak of `rerank` by 0.3 MB),
+# smaller ones pay the per-block calls more often
+_BLOCK_CHARS = 1 << 14
+
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b"\t\n")
 
 
 class PipelineError(Exception):
@@ -27,6 +43,14 @@ def read_utf8(path: str | Path) -> str:
         raise _decode_error(path) from None
 
 
+def text_lines(text: str) -> list[str]:
+    """The lines of a text from read_utf8, without their "\n"."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def utf8_lines(path: str | Path) -> Iterator[str]:
     """The file's lines, newline kept; invalid UTF-8 is a FormatError."""
     with open(path, encoding="utf-8") as fh:
@@ -34,6 +58,100 @@ def utf8_lines(path: str | Path) -> Iterator[str]:
             yield from fh
         except UnicodeDecodeError:
             raise _decode_error(path) from None
+
+
+def utf8_blocks(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The file a block of whole lines at a time, each block with the number
+    of its first line. Every line ends in "\n", a last line without one
+    too; invalid UTF-8 is a FormatError, raised after the same lines as
+    utf8_lines raises it."""
+    lineno, pending = 1, []
+    with open(path, encoding="utf-8") as fh:
+        try:
+            while chunk := fh.read(_BLOCK_CHARS):
+                cut = chunk.rfind("\n") + 1
+                if not cut:
+                    pending.append(chunk)
+                    continue
+                text = "".join((*pending, chunk[:cut]))
+                pending = [chunk[cut:]]
+                yield lineno, text
+                lineno += text.count("\n")
+        except UnicodeDecodeError:
+            pass
+        else:
+            tail = "".join(pending)
+            if tail:
+                yield lineno, tail + "\n"
+            return
+    # read() decodes further ahead than iterating over lines does; hand on
+    # the lines that utf8_lines returns before its error, so that an error
+    # on one of them is still the one the caller raises
+    lines = []
+    try:
+        for line in islice(utf8_lines(path), lineno - 1, None):
+            lines.append(line)
+    except FormatError:
+        if lines:
+            yield lineno, "".join(lines)
+        raise
+
+
+class TsvBlock(NamedTuple):
+    """A block of a headerless TSV file's non-blank lines."""
+
+    linenos: np.ndarray  # each line's number in the file
+    columns: list[list[str]]  # the lines' fields, one list per column
+    runs: list[int]  # where each run of equal first fields starts, then the line count
+    wrong_line: int | None  # first line with another field count; the file ends before it
+
+
+def tsv_blocks(path: str | Path, n_fields: int) -> Iterator[TsvBlock]:
+    """A headerless TSV file read a block at a time. Blank lines (empty or
+    all whitespace) are skipped. The first non-blank line without exactly
+    n_fields fields ends the reading: its block stops before it and names
+    it in wrong_line."""
+    line_end = b"\t" * (n_fields - 1) + b"\n"
+    for first, text in utf8_blocks(path):
+        # the block's tabs and newlines in order: every line has its fields
+        # when they are line_end repeated
+        seps = text.encode("utf-8").translate(None, _NOT_SEPARATORS)
+        n_lines = seps.count(b"\n")
+        if len(seps) == len(line_end) * n_lines and seps.count(line_end) == n_lines:
+            # the usual block: one split gives every field, and a line can
+            # be blank only where the first field of its run is
+            fields = text.replace("\n", "\t").split("\t")
+            fields.pop()
+            block = _block(first + np.arange(n_lines), fields, n_fields, None)
+            run_keys = map(block.columns[0].__getitem__, block.runs[:-1])
+            if all(map(str.strip, run_keys)):
+                yield block
+                continue
+        # blank lines or a wrong field count: find them line by line
+        lines = text.split("\n")
+        lines.pop()
+        tabs = np.diff(np.flatnonzero(np.frombuffer(seps, np.uint8) == 10), prepend=-1) - 1
+        filled = np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
+        wrong = np.flatnonzero(filled & (tabs != n_fields - 1))
+        end = int(wrong[0]) if len(wrong) else len(lines)
+        keep = np.flatnonzero(filled[:end])
+        fields = "\t".join(map(lines.__getitem__, keep.tolist())).split("\t") if len(keep) else []
+        yield _block(first + keep, fields, n_fields, first + end if len(wrong) else None)
+        if len(wrong):
+            return
+
+
+def _block(
+    linenos: np.ndarray, fields: list[str], n_fields: int, wrong_line: int | None
+) -> TsvBlock:
+    columns = [fields[i::n_fields] for i in range(n_fields)]
+    keys = columns[0]
+    if keys and keys.count(keys[0]) == len(keys):
+        starts = [0]  # the usual block: lines of one question
+    else:
+        changes = np.fromiter(map(operator.ne, keys, chain((None,), keys)), bool, len(keys))
+        starts = np.flatnonzero(changes).tolist()
+    return TsvBlock(linenos, columns, [*starts, len(keys)], wrong_line)
 
 
 def _decode_error(path: str | Path) -> FormatError:

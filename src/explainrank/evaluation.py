@@ -3,9 +3,11 @@
 All metrics operate on ordered uid lists per question against the gold
 annotation. Questions without gold are never scored; questions annotated
 but absent from the supplied rankings are skipped with a warning so score
-files covering a subset of the corpus still evaluate. A gold fact missing
-from a ranking is a hard error: the rankings upstream are permutations of
-the corpus, so a miss means mismatched files.
+files covering a subset of the corpus still evaluate. A ranking may be
+truncated (`--top-m`): a gold fact it does not retrieve adds nothing to the
+question's AP, whose denominator stays the gold set size, and the report
+counts such facts. A ranked uid that is not a corpus fact is a hard error,
+since it means mismatched files.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .corpus import KNOWN_ROLES, Corpus, Question, Role
-from .errors import DataError, FormatError, utf8_lines
+from .errors import DataError, FormatError, tsv_blocks
 from .scorer import Ranking
 
 log = logging.getLogger(__name__)
@@ -26,8 +30,13 @@ RankedUids = Mapping[str, Sequence[str]]
 
 def average_precision(ranked: Sequence[str], relevant: Iterable[str]) -> float:
     """Precision accumulated at each rank position holding a relevant item,
-    divided by the number of relevant items. The scan stops at the last
-    relevant item."""
+    divided by the number of relevant items; a relevant item the ranking
+    does not hold adds nothing. The scan stops at the last relevant item."""
+    return _scan(ranked, relevant)[0]
+
+
+def _scan(ranked: Sequence[str], relevant: Iterable[str]) -> tuple[float, int]:
+    """Average precision, and how many relevant items the ranking lacks."""
     remaining = set(relevant)
     n_relevant = len(remaining)
     if not n_relevant:
@@ -38,8 +47,8 @@ def average_precision(ranked: Sequence[str], relevant: Iterable[str]) -> float:
             remaining.remove(uid)
             acc += (n_relevant - len(remaining)) / position
             if not remaining:
-                return acc / n_relevant
-    raise DataError(f"relevant uid(s) missing from ranking: {sorted(remaining)[:5]}")
+                break
+    return acc / n_relevant, len(remaining)
 
 
 def _evaluable(ranked_by_qid: RankedUids, corpus: Corpus) -> list[Question]:
@@ -56,16 +65,19 @@ def _evaluable(ranked_by_qid: RankedUids, corpus: Corpus) -> list[Question]:
     return questions
 
 
-def _mean_ap(questions: Sequence[Question], ranked_by_qid: RankedUids) -> float:
-    total = 0.0
+def _mean_ap(questions: Sequence[Question], ranked_by_qid: RankedUids) -> tuple[float, int]:
+    """MAP, and the number of gold facts the rankings lack."""
+    total, unretrieved = 0.0, 0
     for q in questions:
-        total += average_precision(ranked_by_qid[q.qid], q.gold_uid_set)
-    return total / len(questions)
+        ap, lacking = _scan(ranked_by_qid[q.qid], q.gold_uid_set)
+        total += ap
+        unretrieved += lacking
+    return total / len(questions), unretrieved
 
 
 def map_overall(ranked_by_qid: RankedUids, corpus: Corpus) -> float:
     """Mean AP over annotated questions, every gold fact relevant."""
-    return _mean_ap(_evaluable(ranked_by_qid, corpus), ranked_by_qid)
+    return _mean_ap(_evaluable(ranked_by_qid, corpus), ranked_by_qid)[0]
 
 
 def map_per_role(ranked_by_qid: RankedUids, corpus: Corpus) -> dict[Role, float]:
@@ -113,17 +125,23 @@ class EvalReport:
     per_length: dict[int, tuple[int, float]]
     n_questions: int
     skipped: int  # questions in scope without gold annotation
+    unretrieved: int = 0  # gold facts of evaluated questions missing from their rankings
 
 
 def evaluate_rankings(ranked_by_qid: RankedUids, corpus: Corpus) -> EvalReport:
     questions = _evaluable(ranked_by_qid, corpus)
+    unknown = set().union(*ranked_by_qid.values()).difference(corpus.facts)
+    if unknown:
+        raise DataError(f"rankings reference unknown fact uid(s): {sorted(unknown)[:5]}")
     skipped = sum(1 for q in corpus.questions if q.qid in ranked_by_qid and not q.gold)
+    map_value, unretrieved = _mean_ap(questions, ranked_by_qid)
     return EvalReport(
-        map_overall=_mean_ap(questions, ranked_by_qid),
+        map_overall=map_value,
         per_role=_per_role(questions, ranked_by_qid),
         per_length=_per_length(questions, ranked_by_qid),
         n_questions=len(questions),
         skipped=skipped,
+        unretrieved=unretrieved,
     )
 
 
@@ -137,6 +155,10 @@ def format_report(report: EvalReport) -> str:
     lines = [
         f"questions evaluated: {report.n_questions} "
         f"(skipped {report.skipped} without gold annotation)",
+    ]
+    if report.unretrieved:
+        lines.append(f"gold facts not retrieved: {report.unretrieved} (each adds 0 to its AP)")
+    lines += [
         f"MAP overall: {report.map_overall:.6f}",
         "",
         "MAP by explanation role:",
@@ -157,6 +179,8 @@ def report_keyvalues(report: EvalReport) -> str:
         f"n_questions={report.n_questions}",
         f"skipped={report.skipped}",
     ]
+    if report.unretrieved:
+        lines.append(f"unretrieved={report.unretrieved}")
     for role in sorted(report.per_role, key=_role_order):
         lines.append(f"per_role.{role.label}={report.per_role[role]!r}")
     for size, (count, value) in report.per_length.items():
@@ -169,32 +193,57 @@ def write_predictions(
     rankings: Iterable[Ranking], path: str | Path, top_m: int | None = None
 ) -> None:
     """One "qid<TAB>fact_uid" line per kept position, questions in input order,
-    best fact first within each question."""
+    best fact first within each question; a question's lines are written as
+    one string."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for ranking in rankings:
-            uids = ranking.uids
-            if top_m is not None:
-                uids = uids[:top_m]
-            for uid in uids:
-                fh.write(f"{ranking.qid}\t{uid}\n")
+            uids = ranking.uids if top_m is None else ranking.uids[:top_m]
+            if uids:
+                lines = f"\n{ranking.qid}\t".join(uids)
+                fh.write(f"{ranking.qid}\t{lines}\n")
 
 
 def read_predictions(path: str | Path) -> dict[str, list[str]]:
-    """Read a predictions file back into ordered uid lists per question."""
+    """Read a predictions file back into ordered uid lists per question.
+
+    The file is parsed a block of lines at a time. A question's lines need
+    not be contiguous. Equal uids share one string object across questions.
+    A (qid, uid) pair that repeats is a DataError naming its line.
+    """
     path = Path(path)
     ranked: dict[str, list[str]] = {}
-    seen: dict[str, set[str]] = {}
-    for lineno, line in enumerate(utf8_lines(path), start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise FormatError(f"{path} line {lineno}: expected qid<TAB>fact_uid")
-        qid, uid = fields
-        bucket = seen.setdefault(qid, set())
-        if uid in bucket:
-            raise DataError(f"{path} line {lineno}: duplicate prediction {uid!r} for {qid!r}")
-        bucket.add(uid)
-        ranked.setdefault(qid, []).append(uid)
+    canon: dict[str, str] = {}
+    try:
+        for block in tsv_blocks(path, 2):
+            qids, uids = block.columns
+            uids = list(map(canon.setdefault, uids, uids))
+            for start, end in zip(block.runs, block.runs[1:]):
+                ranked.setdefault(qids[start], []).extend(uids[start:end])
+            if block.wrong_line is not None:
+                raise FormatError(f"{path} line {block.wrong_line}: expected qid<TAB>fact_uid")
+    except FormatError:
+        _check_repeats(path, ranked)  # a repeat on an earlier line is raised first
+        raise
+    _check_repeats(path, ranked)
     return ranked
+
+
+def _check_repeats(path: Path, ranked: Mapping[str, list[str]]) -> None:
+    """A DataError at the first line that repeats a (qid, uid) pair. Each
+    question is checked with one temporary set; the file is read again only
+    to locate a repeat."""
+    if all(len(set(uids)) == len(uids) for uids in ranked.values()):
+        return
+    first_index: dict[tuple[str, str], int] = {}
+    offset = 0
+    for block in tsv_blocks(path, 2):
+        n = len(block.linenos)
+        pairs = list(zip(*block.columns))
+        indexes = range(offset, offset + n)
+        firsts = np.fromiter(map(first_index.setdefault, pairs, indexes), np.int64, n)
+        repeats = np.flatnonzero(firsts != indexes)
+        if len(repeats):
+            qid, uid = pairs[repeats[0]]
+            lineno = block.linenos[repeats[0]]
+            raise DataError(f"{path} line {lineno}: duplicate prediction {uid!r} for {qid!r}")
+        offset += n

@@ -10,17 +10,18 @@ the tie-break, so the same table always yields the same ranking.
 from __future__ import annotations
 
 import logging
-import math
+import operator
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Corpus
-from .errors import DataError, FormatError, utf8_lines
+from .errors import DataError, FormatError, tsv_blocks
 from .textsim import fact_vectors, qa_text, tokenize
 
 log = logging.getLogger(__name__)
@@ -107,12 +108,14 @@ def write_scores(table: RelevanceTable, path: str | Path) -> None:
     """Interchange format: one "qid<TAB>fact_uid<TAB>score" line per pair.
 
     Scores are written with repr so reading the file back reproduces the
-    exact floats (and therefore the exact ranking)."""
+    exact floats (and therefore the exact ranking). Each question's lines
+    are joined into one string, one matrix row converted at a time."""
+    uid_tabs = [f"{uid}\t" for uid in table.uids]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for qid, row in zip(table.qids, table.scores):
-            fh.writelines(
-                f"{qid}\t{uid}\t{score!r}\n" for uid, score in zip(table.uids, row.tolist())
-            )
+            if uid_tabs:
+                lines = f"\n{qid}\t".join(map(operator.add, uid_tabs, map(repr, row.tolist())))
+                fh.write(f"{qid}\t{lines}\n")
 
 
 def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
@@ -121,7 +124,8 @@ def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
     Facts missing for a covered question are filled with that question's
     minimum score minus one so they rank last (with a coverage warning);
     duplicate (qid, fact) pairs keep the last value. Unknown fact uids are a
-    hard error; qids not in the corpus are dropped with a warning.
+    hard error; qids not in the corpus are dropped with a warning. The file
+    is parsed a block of lines at a time.
     """
     path = Path(path)
     uids = tuple(corpus.facts)
@@ -131,30 +135,39 @@ def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
     cells, values = array("q"), array("d")
     unknown_uids: dict[str, int] = {}
     unknown_qids: set[str] = set()
-    for lineno, line in enumerate(utf8_lines(path), start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise FormatError(f"{path} line {lineno}: expected qid<TAB>fact_uid<TAB>score")
-        qid, uid, score_text = fields
+    for block in tsv_blocks(path, 3):
+        qids, block_uids, score_texts = block.columns
+        parsed = array("d")
         try:
-            score = float(score_text)
+            parsed.extend(map(float, score_texts))
         except ValueError:
+            pass  # parsed stops before the first unparseable score
+        scores = np.frombuffer(parsed)
+        if not np.isfinite(scores).all():
+            i = np.flatnonzero(~np.isfinite(scores))[0]
             raise FormatError(
-                f"{path} line {lineno}: unparseable score {score_text!r}"
-            ) from None
-        if not math.isfinite(score):
-            raise FormatError(f"{path} line {lineno}: non-finite score {score_text!r}")
-        if uid not in column:
-            unknown_uids.setdefault(uid, lineno)
-            continue
-        if qid not in row:
-            unknown_qids.add(qid)
-            continue
-        cells.append(row[qid] * len(uids) + column[uid])
-        values.append(score)
+                f"{path} line {block.linenos[i]}: non-finite score {score_texts[i]!r}"
+            )
+        if len(scores) < len(score_texts):
+            i = len(scores)
+            raise FormatError(
+                f"{path} line {block.linenos[i]}: unparseable score {score_texts[i]!r}"
+            )
+        if block.wrong_line is not None:
+            raise FormatError(f"{path} line {block.wrong_line}: expected qid<TAB>fact_uid<TAB>score")
+        cols = np.fromiter(map(column.get, block_uids, repeat(-1)), np.int64, len(block_uids))
+        run_qids = list(map(qids.__getitem__, block.runs[:-1]))
+        run_rows = np.fromiter(map(row.get, run_qids, repeat(-1)), np.int64, len(run_qids))
+        rows = np.repeat(run_rows, np.diff(block.runs))
+        unknown_qids.update(set(run_qids).difference(row))
+        unknown = np.flatnonzero(cols < 0)[::-1]
+        if len(unknown):
+            # reversed, so each uid keeps its first line; earlier blocks' lines win
+            found = zip(map(block_uids.__getitem__, unknown.tolist()), block.linenos[unknown].tolist())
+            unknown_uids = dict(found) | unknown_uids
+        accepted = (cols >= 0) & (rows >= 0)
+        cells.frombytes((rows[accepted] * len(uids) + cols[accepted]).tobytes())
+        values.frombytes(scores[accepted].tobytes())
     if unknown_uids:
         shown = sorted(unknown_uids.items(), key=lambda item: item[1])[:10]
         listing = ", ".join(f"{uid!r} (line {ln})" for uid, ln in shown)

@@ -1,0 +1,99 @@
+"""Per-line scores and predictions readers: the reference the block readers
+in explainrank.scorer and explainrank.evaluation are tested against.
+
+These read one line per Python iteration, keep every check in file order,
+and log under the same logger names as the package readers.
+"""
+
+from __future__ import annotations
+
+import logging
+import math
+from array import array
+from pathlib import Path
+
+import numpy as np
+
+from explainrank.corpus import Corpus
+from explainrank.errors import DataError, FormatError, utf8_lines
+from explainrank.scorer import RelevanceTable
+
+scorer_log = logging.getLogger("explainrank.scorer")
+
+
+def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
+    path = Path(path)
+    uids = tuple(corpus.facts)
+    column = {uid: j for j, uid in enumerate(uids)}
+    row = {q.qid: i for i, q in enumerate(corpus.questions)}
+    cells, values = array("q"), array("d")
+    unknown_uids: dict[str, int] = {}
+    unknown_qids: set[str] = set()
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise FormatError(f"{path} line {lineno}: expected qid<TAB>fact_uid<TAB>score")
+        qid, uid, score_text = fields
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise FormatError(
+                f"{path} line {lineno}: unparseable score {score_text!r}"
+            ) from None
+        if not math.isfinite(score):
+            raise FormatError(f"{path} line {lineno}: non-finite score {score_text!r}")
+        if uid not in column:
+            unknown_uids.setdefault(uid, lineno)
+            continue
+        if qid not in row:
+            unknown_qids.add(qid)
+            continue
+        cells.append(row[qid] * len(uids) + column[uid])
+        values.append(score)
+    if unknown_uids:
+        shown = sorted(unknown_uids.items(), key=lambda item: item[1])[:10]
+        listing = ", ".join(f"{uid!r} (line {ln})" for uid, ln in shown)
+        more = "" if len(unknown_uids) <= 10 else f" and {len(unknown_uids) - 10} more"
+        raise DataError(f"{path}: {len(unknown_uids)} unknown fact uid(s): {listing}{more}")
+    kept, last = np.unique(np.frombuffer(cells, dtype=np.int64)[::-1], return_index=True)
+    duplicates = len(cells) - len(kept)
+    if duplicates:
+        scorer_log.warning("%s: %d duplicate (qid, fact) pair(s), last value kept", path, duplicates)
+    if unknown_qids:
+        scorer_log.warning("%s: %d qid(s) not in the corpus, dropped", path, len(unknown_qids))
+
+    scores = np.full(len(corpus.questions) * len(uids), np.nan)
+    scores[kept] = np.frombuffer(values)[::-1][last]
+    scores = scores.reshape(len(corpus.questions), len(uids))
+    covered = ~np.isnan(scores).all(axis=1)
+    qids = tuple(q.qid for q, ok in zip(corpus.questions, covered) if ok)
+    missing = np.isnan(scores[covered])
+    scores = np.where(missing, np.nanmin(scores[covered], axis=1, keepdims=True) - 1.0, scores[covered])
+    if len(qids) < len(row):
+        scorer_log.warning("%s: scores cover %d of %d questions", path, len(qids), len(row))
+    if missing.any():
+        scorer_log.warning("%s: %d missing (qid, fact) pair(s) filled to rank last", path, missing.sum())
+    return RelevanceTable(qids, uids, scores)
+
+
+def read_predictions(path: str | Path) -> dict[str, list[str]]:
+    path = Path(path)
+    ranked: dict[str, list[str]] = {}
+    seen: dict[str, set[str]] = {}
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise FormatError(f"{path} line {lineno}: expected qid<TAB>fact_uid")
+        qid, uid = fields
+        bucket = seen.setdefault(qid, set())
+        if uid in bucket:
+            raise DataError(f"{path} line {lineno}: duplicate prediction {uid!r} for {qid!r}")
+        bucket.add(uid)
+        ranked.setdefault(qid, []).append(uid)
+    return ranked

@@ -292,6 +292,30 @@ class TestEvaluateCommand:
         assert (out / "eval_report.txt").exists()
         assert "map_overall=1.0" in (out / "eval_report.kv").read_text(encoding="utf-8")
 
+    def test_evaluates_truncated_rank_output(self, corpus_files, tmp_path):
+        # rank --top-m keeps 3 facts per question; gold facts below the cut add
+        # 0 to AP and are counted in the report
+        corpus, facts, questions = corpus_files
+        full, cut = tmp_path / "full", tmp_path / "cut"
+        assert run("rank", "--facts", *facts, "--questions", questions, "--out", full) == 0
+        assert run("rank", "--facts", *facts, "--questions", questions,
+                   "--top-m", 3, "--out", cut) == 0
+        code = run("evaluate", "--facts", *facts, "--questions", questions,
+                   "--predictions", cut / "predictions.tsv", "--out", cut)
+        assert code == 0
+        top = {qid: uids[:3] for qid, uids in read_predictions(full / "predictions.tsv").items()}
+        annotated = [q for q in corpus.questions if q.gold]
+        aps = []
+        for q in annotated:
+            gold = q.gold_uid_set
+            hits = [i for i, uid in enumerate(top[q.qid], start=1) if uid in gold]
+            aps.append(sum(k / i for k, i in enumerate(hits, start=1)) / len(gold))
+        unretrieved = sum(len(q.gold_uid_set - set(top[q.qid])) for q in annotated)
+        assert unretrieved > 0
+        kv = (cut / "eval_report.kv").read_text(encoding="utf-8").splitlines()
+        assert f"unretrieved={unretrieved}" in kv
+        assert float(kv[0].split("=")[1]) == pytest.approx(sum(aps) / len(aps), abs=1e-12)
+
     def test_sweep_two_rows(self, corpus_files, tmp_path):
         _, facts, questions = corpus_files
         rank_out = tmp_path / "rank_out"
@@ -410,6 +434,11 @@ class TestConfigFile:
         config.write_text("just words\n", encoding="utf-8")
         with pytest.raises(FormatError):
             read_config(config)
+
+    def test_config_value_keeps_line_separator(self, tmp_path):
+        config = tmp_path / "sep.cfg"
+        config.write_text("out=a\u2028b\nk=3\n", encoding="utf-8")
+        assert read_config(config) == {"out": "a\u2028b", "k": 3}
 
     def test_round_trip_question_loader(self, corpus_files):
         # the question file written for these tests parses back identically

@@ -72,6 +72,17 @@ class TestLoadFacts:
         with pytest.raises(FormatError, match="twouid"):
             load_facts([path])
 
+    def test_unicode_line_separator_stays_in_the_cell(self, tmp_path, caplog):
+        # lines end at "\n" only; U+2028 is whitespace inside the fact text
+        path = tmp_path / "t.tsv"
+        write_lines(path, ["a\t[SKIP] UID", "the sun\u2028is a star\tx1", "form\x0cfeed\tx2"])
+        with caplog.at_level("WARNING"):
+            facts = load_facts([path])
+        assert facts["x1"].text == "the sun is a star"
+        assert facts["x2"].text == "form feed"
+        assert list(facts) == ["x1", "x2"]
+        assert not caplog.records
+
     def test_short_rows_padded(self, tmp_path):
         path = tmp_path / "t.tsv"
         write_lines(path, ["a\tb\t[SKIP] UID", "only"])
@@ -132,6 +143,19 @@ class TestLoadQuestions:
         assert q.choices == {"A": "rock", "B": "frog"}
         assert answer_text(q) == "frog"
         assert q.gold == (("x1", CENTRAL), ("x2", GROUNDING))
+
+    def test_line_separator_inside_question_text(self, tmp_path):
+        path = tmp_path / "q.tsv"
+        write_lines(
+            path,
+            [
+                "QuestionID\tquestion\tAnswerKey\texplanation",
+                "q1\tWhich\u2028is living? (A) rock (B) frog\tB\tx1|CENTRAL",
+            ],
+        )
+        (q,) = load_questions(path)
+        assert q.stem == "Which\u2028is living?"
+        assert q.gold == (("x1", CENTRAL),)
 
     def test_empty_explanation(self, tmp_path):
         path = tmp_path / "q.tsv"

@@ -389,6 +389,14 @@ class TestDatasetIO:
         assert loaded.candidate_text == "has tab"
         assert any("replaced" in rec.message for rec in caplog.records)
 
+    def test_line_separators_in_text_round_trip(self, tmp_path):
+        # write_dataset keeps U+2028, U+0085 and form feeds; read_dataset must
+        # not break a line at them
+        ex = TrainingExample("q1", "one\u2028two\x85three", (), "four\x0cfive\x1c", 1.0, CENTRAL)
+        path = tmp_path / "d.tsv"
+        write_dataset([ex], path)
+        assert read_dataset(path) == [ex]
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_text("nope\n", encoding="utf-8")

@@ -56,14 +56,15 @@ class TestAveragePrecision:
         with pytest.raises(ValueError):
             average_precision(["a"], set())
 
-    def test_missing_relevant_uid_is_hard_error(self):
-        with pytest.raises(DataError, match="ghost"):
-            average_precision(["a", "b"], {"a", "ghost"})
+    def test_unretrieved_relevant_uid_adds_zero(self):
+        # truncated ranking: hits at ranks 2 and 4, "ghost" never retrieved;
+        # (1/2 + 2/4 + 0) / 3 = 1/3
+        value = average_precision(["x", "a", "y", "c"], {"a", "c", "ghost"})
+        assert value == pytest.approx(1 / 3, abs=1e-12)
+        assert value == brute_force_ap(["x", "a", "y", "c"], {"a", "c", "ghost"})
 
-    def test_missing_lists_only_unseen_uids(self):
-        with pytest.raises(DataError) as err:
-            average_precision(["a", "b", "c"], {"c", "ghost", "zzz"})
-        assert "['ghost', 'zzz']" in str(err.value)
+    def test_nothing_retrieved_is_zero(self):
+        assert average_precision(["a", "b"], {"ghost", "zzz"}) == 0.0
 
     def test_bit_identical_to_full_scan_on_long_rankings(self):
         # the scan stops at the last relevant uid; the sum and its order are
@@ -270,6 +271,31 @@ class TestMapByLength:
 
 
 class TestEvalReport:
+    def test_truncated_rankings_count_unretrieved_gold(self):
+        questions = [
+            Question("q1", "s", {"A": "a"}, "A", (("f1", CENTRAL), ("f2", GROUNDING), ("f3", CENTRAL))),
+            Question("q2", "s", {"A": "a"}, "A", (("f4", CENTRAL),)),
+        ]
+        corpus = make_corpus(questions)
+        # q1 retrieves f1 at rank 2 only; q2 retrieves f4 at rank 1
+        report = evaluate_rankings({"q1": ["f0", "f1"], "q2": ["f4", "f5"]}, corpus)
+        assert report.unretrieved == 2
+        assert report.map_overall == pytest.approx(((1 / 2) / 3 + 1.0) / 2, abs=1e-12)
+        assert "gold facts not retrieved: 2" in format_report(report)
+        assert "unretrieved=2" in report_keyvalues(report).splitlines()
+
+    def test_full_rankings_report_no_unretrieved_line(self):
+        questions = [Question("q1", "s", {"A": "a"}, "A", (("f1", CENTRAL),))]
+        report = evaluate_rankings({"q1": [f"f{i}" for i in range(10)]}, make_corpus(questions))
+        assert report.unretrieved == 0
+        assert "retrieved" not in format_report(report)
+        assert "unretrieved" not in report_keyvalues(report)
+
+    def test_unknown_ranked_uid_is_error(self):
+        questions = [Question("q1", "s", {"A": "a"}, "A", (("f1", CENTRAL),))]
+        with pytest.raises(DataError, match="unknown fact uid.*'zz'"):
+            evaluate_rankings({"q1": ["f1", "zz", "f2"]}, make_corpus(questions))
+
     def test_report_fields_and_rendering(self):
         questions = [
             Question("q1", "s", {"A": "a"}, "A", (("f1", CENTRAL), ("f2", GROUNDING))),
