@@ -24,7 +24,7 @@ import numpy as np
 from .corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, Question, Role
 from .errors import DataError, FormatError, read_utf8, text_lines
 from .scorer import uid_ranks
-from .textsim import fact_vectors, qa_text
+from .textsim import answerable, fact_vectors
 
 log = logging.getLogger(__name__)
 
@@ -124,7 +124,8 @@ def sample_negatives(
 
 
 def build_dataset(corpus: Corpus, provider, cfg: PrepConfig) -> list[TrainingExample]:
-    """Generate one dataset variant over all annotated questions.
+    """Generate one dataset variant over all annotated questions whose
+    answer key names one of their choices.
 
     provider is a vector provider, or a NegativeSampler built over this
     corpus so that several variants share its fact rows and negatives.
@@ -142,21 +143,19 @@ def build_dataset(corpus: Corpus, provider, cfg: PrepConfig) -> list[TrainingExa
         sampler = NegativeSampler(corpus, provider)
     examples: list[TrainingExample] = []
     warned_roles: set[str] = set()
-    for question in corpus.questions:
-        if not question.gold:
-            continue
-        examples.extend(_question_examples(question, corpus, sampler, cfg, warned_roles))
+    for question, qa in answerable(q for q in corpus.questions if q.gold):
+        examples.extend(_question_examples(question, qa, corpus, sampler, cfg, warned_roles))
     return examples
 
 
 def _question_examples(
     question: Question,
+    qa: str,
     corpus: Corpus,
     sampler: NegativeSampler,
     cfg: PrepConfig,
     warned_roles: set[str],
 ) -> list[TrainingExample]:
-    qa = qa_text(question)
     gold_uids = question.gold_uid_set
     negatives: dict[str, list[str]] = {}
     for uid, _ in question.gold:

@@ -65,19 +65,24 @@ def _evaluable(ranked_by_qid: RankedUids, corpus: Corpus) -> list[Question]:
     return questions
 
 
-def _mean_ap(questions: Sequence[Question], ranked_by_qid: RankedUids) -> tuple[float, int]:
+def _aps(questions: Sequence[Question], ranked_by_qid: RankedUids) -> list[tuple[float, int]]:
+    """Each question's AP, every gold fact relevant, and the number of its
+    gold facts the ranking lacks."""
+    return [_scan(ranked_by_qid[q.qid], q.gold_uid_set) for q in questions]
+
+
+def _mean_ap(aps: Sequence[tuple[float, int]]) -> tuple[float, int]:
     """MAP, and the number of gold facts the rankings lack."""
     total, unretrieved = 0.0, 0
-    for q in questions:
-        ap, lacking = _scan(ranked_by_qid[q.qid], q.gold_uid_set)
+    for ap, lacking in aps:
         total += ap
         unretrieved += lacking
-    return total / len(questions), unretrieved
+    return total / len(aps), unretrieved
 
 
 def map_overall(ranked_by_qid: RankedUids, corpus: Corpus) -> float:
     """Mean AP over annotated questions, every gold fact relevant."""
-    return _mean_ap(_evaluable(ranked_by_qid, corpus), ranked_by_qid)[0]
+    return _mean_ap(_aps(_evaluable(ranked_by_qid, corpus), ranked_by_qid))[0]
 
 
 def map_per_role(ranked_by_qid: RankedUids, corpus: Corpus) -> dict[Role, float]:
@@ -102,17 +107,17 @@ def _per_role(questions: Sequence[Question], ranked_by_qid: RankedUids) -> dict[
 
 def map_by_length(ranked_by_qid: RankedUids, corpus: Corpus) -> dict[int, tuple[int, float]]:
     """(question count, MAP) per gold-set size, sizes ascending."""
-    return _per_length(_evaluable(ranked_by_qid, corpus), ranked_by_qid)
+    questions = _evaluable(ranked_by_qid, corpus)
+    return _per_length(questions, _aps(questions, ranked_by_qid))
 
 
 def _per_length(
-    questions: Sequence[Question], ranked_by_qid: RankedUids
+    questions: Sequence[Question], aps: Sequence[tuple[float, int]]
 ) -> dict[int, tuple[int, float]]:
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for q in questions:
+    for q, (ap, _) in zip(questions, aps):
         size = len(q.gold_uid_set)
-        ap = average_precision(ranked_by_qid[q.qid], q.gold_uid_set)
         sums[size] = sums.get(size, 0.0) + ap
         counts[size] = counts.get(size, 0) + 1
     return {size: (counts[size], sums[size] / counts[size]) for size in sorted(sums)}
@@ -134,11 +139,12 @@ def evaluate_rankings(ranked_by_qid: RankedUids, corpus: Corpus) -> EvalReport:
     if unknown:
         raise DataError(f"rankings reference unknown fact uid(s): {sorted(unknown)[:5]}")
     skipped = sum(1 for q in corpus.questions if q.qid in ranked_by_qid and not q.gold)
-    map_value, unretrieved = _mean_ap(questions, ranked_by_qid)
+    aps = _aps(questions, ranked_by_qid)
+    map_value, unretrieved = _mean_ap(aps)
     return EvalReport(
         map_overall=map_value,
         per_role=_per_role(questions, ranked_by_qid),
-        per_length=_per_length(questions, ranked_by_qid),
+        per_length=_per_length(questions, aps),
         n_questions=len(questions),
         skipped=skipped,
         unretrieved=unretrieved,

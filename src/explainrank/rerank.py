@@ -19,7 +19,7 @@ from .corpus import Corpus
 from .errors import DataError
 from .evaluation import map_overall
 from .scorer import Ranking, RelevanceTable, normalize
-from .textsim import Rows, fact_vectors, qa_text
+from .textsim import Rows, answerable, fact_vectors
 
 log = logging.getLogger(__name__)
 
@@ -126,16 +126,18 @@ def iterative_rerank(
 
 
 def _questions(corpus: Corpus, provider, table: RelevanceTable, rows: Rows, depth: int):
-    """For each scored question of the corpus: its table row, its initial
-    order from the raw scores, and the normalized weights and Q/A
-    similarities of that order's first 2 * depth facts."""
+    """For each scored question of the corpus with an answerable key: its
+    table row, its initial order from the raw scores, and the normalized
+    weights and Q/A similarities of that order's first 2 * depth facts."""
     if table.uids != tuple(corpus.facts):
         raise DataError("score table columns do not match the corpus facts")
     weights = normalize(table).scores
     by_qid = corpus.question_index()
-    scored = [i for i, qid in enumerate(table.qids) if qid in by_qid]
-    qa_rows = provider.rows([qa_text(by_qid[table.qids[i]]) for i in scored])
-    for n, i in enumerate(scored):
+    kept = answerable(by_qid[qid] for qid in table.qids if qid in by_qid)
+    qa_rows = provider.rows([qa for _, qa in kept])
+    row = {qid: i for i, qid in enumerate(table.qids)}
+    for n, (question, _) in enumerate(kept):
+        i = row[question.qid]
         order = table.order(i)
         top = order[: 2 * depth]
         yield i, order, weights[i, top], rows.cosines(n, qa_rows, among=top)

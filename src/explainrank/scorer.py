@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError, FormatError, tsv_blocks
-from .textsim import fact_vectors, qa_text, tokenize
+from .textsim import answerable, fact_vectors, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -82,14 +82,8 @@ def score_lexical(corpus: Corpus, provider, method: str = TFIDF_COSINE) -> Relev
     """
     if method not in (TFIDF_COSINE, OVERLAP):
         raise ValueError(f"unknown scoring method {method!r}")
-    qids, qa_texts = [], []
-    for question in corpus.questions:
-        try:
-            qa_texts.append(qa_text(question))
-        except DataError:
-            log.warning("question %s: answer key unresolvable, not scored", question.qid)
-            continue
-        qids.append(question.qid)
+    kept = answerable(corpus.questions)
+    qids, qa_texts = [q.qid for q, _ in kept], [qa for _, qa in kept]
     if method == TFIDF_COSINE:
         fact_rows, qa_rows = fact_vectors(corpus, provider), provider.rows(qa_texts)
         scores = [fact_rows.cosines(i, qa_rows) for i in range(len(qids))]

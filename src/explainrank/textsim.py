@@ -216,18 +216,26 @@ def qa_text(question: Question) -> str:
     return " ".join(parts)
 
 
+def answerable(questions: Iterable[Question]) -> list[tuple[Question, str]]:
+    """Each question whose answer key names one of its choices, with its
+    question/answer text. Any other question is skipped with a warning, as
+    it has no Q/A text to compare facts with."""
+    kept = []
+    for q in questions:
+        if q.answer_key in q.choices:
+            kept.append((q, qa_text(q)))
+        else:
+            log.warning("question %s: answer key %r matches no choice; skipped", q.qid, q.answer_key)
+    return kept
+
+
 def fact_vectors(corpus: Corpus, provider) -> Rows:
     """Vectorize every corpus fact once, one row per fact in corpus order."""
     return provider.rows([fact.text for fact in corpus.facts.values()])
 
 
 def default_provider(corpus: Corpus) -> TfidfProvider:
-    """TF-IDF provider built over all fact texts plus every question's
-    question/answer text, the self-contained default backend."""
+    """TF-IDF provider built over all fact texts plus the question/answer
+    text of every answerable question, the self-contained default backend."""
     texts = [fact.text for fact in corpus.facts.values()]
-    for q in corpus.questions:
-        if q.answer_key in q.choices:
-            texts.append(qa_text(q))
-        else:
-            texts.append(q.stem)
-    return TfidfProvider(texts)
+    return TfidfProvider(texts + [qa for _, qa in answerable(corpus.questions)])

@@ -1,7 +1,17 @@
+import dataclasses
+
 import pytest
 
-from explainrank.cli import main, read_config
-from explainrank.corpus import BACKGROUND, CENTRAL, GROUNDING, NEG, load_facts, load_questions
+from explainrank.cli import OPTIONS, main, parse_args, read_config
+from explainrank.corpus import (
+    BACKGROUND,
+    CENTRAL,
+    GROUNDING,
+    NEG,
+    Corpus,
+    load_facts,
+    load_questions,
+)
 from explainrank.dataprep import read_dataset
 from explainrank.errors import FormatError
 from explainrank.evaluation import read_predictions
@@ -134,7 +144,6 @@ class TestRankCommand:
             "rank",
             "--facts", *facts,
             "--questions", questions,
-            "--method", "external",
             "--scores", scores_path,
             "--out", out,
         )
@@ -158,7 +167,6 @@ class TestRankCommand:
                 "rank",
                 "--facts", *facts,
                 "--questions", questions,
-                "--method", "external",
                 "--scores", scores_path,
                 "--out", out,
             )
@@ -171,16 +179,13 @@ class TestRankCommand:
             per_q.setdefault(qid, []).append(uid)
         assert all(uids[-1] == dropped for uids in per_q.values())
 
-    def test_method_external_requires_scores(self, corpus_files, tmp_path):
+    def test_method_external_removed(self, corpus_files, tmp_path):
+        # --scores alone selects external scores
         _, facts, questions = corpus_files
-        code = run(
-            "rank",
-            "--facts", *facts,
-            "--questions", questions,
-            "--method", "external",
-            "--out", tmp_path / "o",
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            run("rank", "--facts", *facts, "--questions", questions, "--method", "external",
+                "--out", tmp_path / "o")
+        assert exc.value.code == 2
 
     def test_top_m(self, corpus_files, tmp_path):
         corpus, facts, questions = corpus_files
@@ -244,7 +249,7 @@ class TestRerankCommand:
             encoding="utf-8",
         )
         base = ["--facts", facts, "--questions", questions, "--scores", scores]
-        assert run("rank", *base, "--method", "external", "--out", tmp_path / "rank") == 0
+        assert run("rank", *base, "--out", tmp_path / "rank") == 0
         assert run("rerank", *base, "--depth", 1, "--out", tmp_path / "rerank") == 0
         ranked = (tmp_path / "rank" / "predictions.tsv").read_text(encoding="utf-8")
         assert ranked == "q1\thi\nq1\tb\nq1\ta\nq1\tlo\n"
@@ -440,6 +445,19 @@ class TestConfigFile:
         config.write_text("out=a\u2028b\nk=3\n", encoding="utf-8")
         assert read_config(config) == {"out": "a\u2028b", "k": 3}
 
+    def test_key_of_another_command_accepted(self, corpus_files, tmp_path):
+        # one shared pipeline config: rank ignores rerank's and evaluate's keys
+        _, facts, questions = corpus_files
+        config = tmp_path / "shared.cfg"
+        config.write_text(
+            f"questions={questions}\ndepth=5\ntrace=yes\npredictions={tmp_path / 'later.tsv'}\n",
+            encoding="utf-8",
+        )
+        plain, shared = tmp_path / "plain", tmp_path / "shared"
+        assert run("rank", "--facts", *facts, "--questions", questions, "--out", plain) == 0
+        assert run("rank", "--config", config, "--facts", *facts, "--out", shared) == 0
+        assert (shared / "predictions.tsv").read_bytes() == (plain / "predictions.tsv").read_bytes()
+
     def test_round_trip_question_loader(self, corpus_files):
         # the question file written for these tests parses back identically
         corpus, _, questions = corpus_files
@@ -490,3 +508,144 @@ class TestInvalidUtf8:
         code = run("validate", "--facts", facts_path, "--questions", questions, "--out", tmp_path / "o")
         assert code == 2
         assert f"{facts_path} line 2: not valid UTF-8" in caplog.text
+
+
+# key -> (a command taking it, its flag argv, the same value as a config
+# line's value); every value differs from the key's default
+_FLAG_AND_KEY = {
+    "facts": ("rank", ["--facts", "a.tsv", "b.tsv"], "a.tsv, b.tsv"),
+    "questions": ("validate", ["--questions", "q.tsv"], "q.tsv"),
+    "vectors": ("prepare", ["--vectors", "v.txt"], "v.txt"),
+    "out": ("evaluate", ["--out", "elsewhere"], "elsewhere"),
+    "seed": ("prepare", ["--seed", "-4"], "-4"),
+    "task": ("prepare", ["--task", "all"], "all"),
+    "with_context": ("prepare", ["--with-context"], "Yes"),
+    "k": ("prepare", ["--k", "2"], "2"),
+    "m": ("prepare", ["--m", "5"], "5"),
+    "method": ("rerank", ["--method", "overlap"], "overlap"),
+    "scores": ("evaluate", ["--scores", "s.tsv"], "s.tsv"),
+    "depth": ("rerank", ["--depth", "4"], "4"),
+    "top_m": ("rank", ["--top-m", "3"], "3"),
+    "trace": ("rerank", ["--trace"], "on"),
+    "predictions": ("evaluate", ["--predictions", "p.tsv"], "p.tsv"),
+    "sweep": ("evaluate", ["--sweep", "1,3,"], "1,3,"),
+}
+
+
+def resolved(argv):
+    args = vars(parse_args([str(a) for a in argv]))
+    return {key: value for key, value in args.items() if key in OPTIONS}
+
+
+class TestOptionTable:
+    def test_every_option_sampled(self):
+        assert set(_FLAG_AND_KEY) == set(OPTIONS)
+
+    @pytest.mark.parametrize("key", sorted(OPTIONS))
+    def test_flag_and_config_key_resolve_alike(self, key, tmp_path):
+        command, flag_argv, raw = _FLAG_AND_KEY[key]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key.replace('_', '-')} = {raw}\n", encoding="utf-8")
+        from_flag = resolved([command, *flag_argv])
+        assert from_flag == resolved([command, "--config", config])
+        assert from_flag[key] != resolved([command])[key]
+
+    @pytest.mark.parametrize(
+        "word, value",
+        [("true", True), ("FALSE", False), ("yes", True), ("no", False),
+         ("On", True), ("off", False), ("1", True), ("0", False)],
+    )
+    def test_switch_words_and_flag_wins(self, word, value, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"trace={word}\ndepth=3\n", encoding="utf-8")
+        assert resolved(["rerank", "--config", config])["trace"] is value
+        flipped = resolved(["rerank", "--config", config, "--no-trace" if value else "--trace"])
+        assert (flipped["trace"], flipped["depth"]) == (not value, 3)
+
+    # each line is refused; most exited 0 or 1 before config values were
+    # checked as their flags check them
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("rank", "top_m=0"),
+            ("rank", "top_m=-2"),
+            ("rerank", "dpeth=1"),
+            ("rerank", "trace=treu"),
+            ("rerank", "depth=0"),
+            ("rank", "depth=0"),
+            ("evaluate", "sweep="),
+            ("evaluate", "sweep=0,3"),
+            ("rank", "method=bogus"),
+            ("rank", "method=external"),
+            ("prepare", "task=bogus"),
+            ("prepare", "k=x"),
+            ("prepare", "m=0"),
+            ("prepare", "seed=1.5"),
+            ("prepare", "with_context=maybe"),
+            ("validate", "facts= , "),
+            ("validate", "config=other.cfg"),
+            ("validate", "just words"),
+        ],
+    )
+    def test_refused_config_line_exits_two_naming_it(self, command, line, corpus_files,
+                                                     tmp_path, caplog):
+        _, facts, questions = corpus_files
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"# shared settings\n\nquestions={questions}\n{line}\n", encoding="utf-8"
+        )
+        out = tmp_path / "o"
+        assert run(command, "--config", config, "--facts", *facts, "--out", out) == 2
+        assert f"{config} line 4: " in caplog.text
+        assert not out.exists()
+        key, _, raw = line.partition("=")
+        commands, spec = OPTIONS.get(key, ((), {}))
+        # the same value given to a flag that takes one value
+        if command in commands and "action" not in spec and "nargs" not in spec:
+            with pytest.raises(SystemExit) as exc:
+                run(command, "--facts", *facts, "--" + key.replace("_", "-"), raw, "--out", out)
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("sweep", ["", " , ", "0,3", "1,-2", "1,x"])
+    def test_refused_sweep_flag_exits_two(self, sweep, corpus_files, tmp_path):
+        _, facts, questions = corpus_files
+        with pytest.raises(SystemExit) as exc:
+            run("evaluate", "--facts", *facts, "--questions", questions,
+                "--scores", questions, "--sweep", sweep, "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+
+class TestUnanswerableQuestion:
+    """A question whose answer key matches no choice is skipped with a
+    warning by every command that needs its question/answer text, so the
+    outputs equal those of the corpus without it."""
+
+    @pytest.mark.parametrize("command", ["rank", "rerank", "prepare", "sweep"])
+    def test_skipped_with_warning(self, command, tmp_path, caplog):
+        corpus = random_corpus(n_questions=6, n_facts=25, seed=72, gold_range=(2, 3))
+        bad = dataclasses.replace(corpus.questions[0], answer_key="Z")
+        scores = tmp_path / "ext.tsv"
+        with open(scores, "w", encoding="utf-8") as fh:
+            for i, q in enumerate(corpus.questions):
+                for n, uid in enumerate(corpus.facts):
+                    fh.write(f"{q.qid}\t{uid}\t{(n * 7 + i) % 11}\n")
+        outputs = []
+        for name, questions in (("with", (bad, *corpus.questions[1:])),
+                                ("without", corpus.questions[1:])):
+            facts, question_path = write_corpus_files(
+                Corpus(facts=corpus.facts, questions=questions), tmp_path / name)
+            out = tmp_path / name / "out"
+            base = ["--facts", *facts, "--questions", question_path, "--out", out]
+            argv = {
+                "rank": ["rank", *base],
+                "rerank": ["rerank", *base, "--scores", scores, "--depth", 4],
+                "prepare": ["prepare", *base, "--task", "all", "--k", 2],
+                "sweep": ["evaluate", *base, "--scores", scores, "--sweep", "1,4"],
+            }[command]
+            caplog.clear()
+            assert run(*argv) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            if name == "with":
+                assert f"question {bad.qid}: answer key 'Z' matches no choice" in caplog.text
+        assert outputs[0] and outputs[0] == outputs[1]
