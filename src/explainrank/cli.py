@@ -19,7 +19,7 @@ import re
 from pathlib import Path
 from typing import Sequence
 
-from . import dataprep, evaluation, rerank, scorer
+from . import dataprep, evaluation, rerank, scorer, textsim
 from .corpus import Corpus, load_corpus, validate
 from .errors import DataError, FormatError, read_utf8, text_lines
 from .textsim import default_provider, load_dense
@@ -29,6 +29,22 @@ log = logging.getLogger(__name__)
 
 class UsageError(Exception):
     """A required flag or config key is missing for the chosen command."""
+
+
+class _FirstOnly(logging.Filter):
+    """Passes each distinct message once. Every layer asks textsim which
+    questions are answerable, and a run reports each skipped one once."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seen: set[str] = set()
+
+    def filter(self, record: logging.LogRecord) -> bool:
+        message = record.getMessage()
+        if message in self.seen:
+            return False
+        self.seen.add(message)
+        return True
 
 
 def _positive_int(text: str) -> int:
@@ -113,9 +129,11 @@ def read_config(path: str | Path) -> dict[str, object]:
     """Flat key=value configuration; keys mirror the flag names, and each
     value is typed and checked as its flag's. A key only other commands
     take is read and checked too. The whole file is decoded first; an
-    unknown key or a refused value is a FormatError naming the line."""
+    unknown key, a refused value or a key given twice is a FormatError
+    naming the line (both lines for a repeated key)."""
     path = Path(path)
     values: dict[str, object] = {}
+    linenos: dict[str, int] = {}
     for lineno, line in enumerate(text_lines(read_utf8(path)), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -126,6 +144,11 @@ def read_config(path: str | Path) -> dict[str, object]:
         key = key.strip().replace("-", "_")
         if key not in OPTIONS:
             raise FormatError(f"{path} line {lineno}: unknown key {key!r}")
+        if key in linenos:
+            raise FormatError(
+                f"{path} line {lineno}: key {key!r} already given on line {linenos[key]}"
+            )
+        linenos[key] = lineno
         try:
             values[key] = _typed(key, raw.strip())
         except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -291,6 +314,8 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
 
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+    first_only = _FirstOnly()
+    textsim.log.addFilter(first_only)
     try:
         args = parse_args(argv)
         for input_path in [*(args.facts or ()), *map(vars(args).get, _INPUTS)]:
@@ -305,6 +330,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DataError, ValueError) as exc:
         log.error("%s", exc)
         return 1
+    finally:
+        textsim.log.removeFilter(first_only)
 
 
 if __name__ == "__main__":

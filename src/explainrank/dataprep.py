@@ -24,7 +24,7 @@ import numpy as np
 from .corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, Question, Role
 from .errors import DataError, FormatError, read_utf8, text_lines
 from .scorer import uid_ranks
-from .textsim import answerable, fact_vectors
+from .textsim import Rows, answerable, fact_vectors
 
 log = logging.getLogger(__name__)
 
@@ -66,12 +66,55 @@ class TrainingExample:
     role: Role | None  # None for sampled negatives
 
 
+def dense_cut_margin(rows: Rows) -> float | None:
+    """How far below the k-th largest approximate cosine a dense candidate
+    can sit and still be among the k largest exact ones; None when the
+    bound below does not hold for these rows, so no candidate may be cut.
+
+    The exact cosine of rows x and y is today's per-pair value
+    e = fl(fl(x.y) / D), one BLAS ddot, with D = fl(|x| |y|) from the stored
+    norms. The filter computes a = fl(fl(x.y) / D) with one matrix-vector
+    product, whose dot products may add the same d terms in another order
+    and with or without fused multiply-adds. Let u = 2^-53 and
+    gamma_d = d u / (1 - d u). Any such dot product of d terms is within
+    gamma_d sum|x_k y_k| <= gamma_d |x| |y| of the real one, plus at most
+    d 2^-1074 from products that underflow. So the two dot products differ
+    by at most 2 gamma_d |x| |y| + 2 d 2^-1074. Both divide by the same D,
+    and each division rounds once:
+
+        |a - e| <= (2 gamma_d |x| |y| + 2 d 2^-1074) / D + 2 u max(|a|, |e|).
+
+    With every nonzero norm within [2^-500, 2^500] and d <= 2^16, no
+    product or sum overflows, |x| |y| / D and |a|, |e| are below 1 + 2^-29,
+    and 2 d 2^-1074 / D is below u / 8. That gives the per-cosine bound
+    delta = 2 gamma_d + 4 u. If the k-th largest exact cosine is c, at least
+    k approximate values are >= c - delta, so the k-th largest approximate
+    one, c', is >= c - delta; every exact value >= c has an approximate one
+    >= c - delta >= c' - 2 delta. The margin is 2 delta = 4 gamma_d + 8 u.
+    A zero denominator gives 0.0 on both sides.
+    """
+    d = rows.dim
+    nonzero = rows.norms[rows.norms != 0.0]
+    if d > 2**16 or not np.all((nonzero >= 2.0**-500) & (nonzero <= 2.0**500)):
+        return None
+    u = 2.0**-53
+    gamma = d * u / (1 - d * u)
+    return 4 * gamma + 8 * u
+
+
 class NegativeSampler:
     """Hard negatives over one corpus, shared by every dataset variant.
 
     The fact rows are built once. Each (gold fact, gold set, k) result is
     computed on first use and kept, so the four prepare variants sample
     every question's negatives once.
+
+    Dense cosines are first approximated with one matrix-vector product
+    over all facts. Only the non-gold facts within dense_cut_margin of the
+    k-th largest approximate value are kept, and they are rescored with the
+    exact per-pair Rows.cosines before the sort, so the result is the same
+    as sorting every exact cosine. TF-IDF cosines are exact already and go
+    through the same cut with margin 0.
     """
 
     def __init__(self, corpus: Corpus, provider):
@@ -79,6 +122,7 @@ class NegativeSampler:
         self.column = {uid: j for j, uid in enumerate(self.uids)}
         self.uid_ranks = uid_ranks(self.uids)
         self.rows = fact_vectors(corpus, provider)
+        self._margin = dense_cut_margin(self.rows) if self.rows.ids is None else 0.0
         self._memo: dict[tuple[str, frozenset[str], int], tuple[str, ...]] = {}
 
     def negatives(self, gold_uid: str, gold_uids: frozenset[str] | set[str], k: int) -> list[str]:
@@ -99,10 +143,30 @@ class NegativeSampler:
         j = self.column.get(gold_uid)
         if j is None:
             raise DataError(f"gold fact {gold_uid!r} not in corpus")
-        candidates = np.flatnonzero([uid not in gold_uids for uid in self.uids])
-        sims = self.rows.cosines(j, among=candidates)
+        non_gold = np.ones(len(self.uids), dtype=bool)
+        non_gold[[self.column[uid] for uid in gold_uids if uid in self.column]] = False
+        candidates = np.flatnonzero(non_gold)
+        if self._margin is None or len(candidates) <= k:
+            sims = self.rows.cosines(j, among=candidates)
+        else:
+            sims = self._bulk_cosines(j)[candidates]
+            near = sims >= np.partition(sims, -k)[-k] - self._margin
+            candidates, sims = candidates[near], sims[near]
+            if self.rows.ids is None:
+                sims = self.rows.cosines(j, among=candidates)
         best = candidates[np.lexsort((self.uid_ranks[candidates], -sims))[:k]]
         return tuple(self.uids[i] for i in best)
+
+    def _bulk_cosines(self, j: int) -> np.ndarray:
+        """Fact j's cosine with every fact: the exact values for TF-IDF rows,
+        for dense rows one matrix-vector product divided as Rows.cosines
+        divides, within dense_cut_margin of the exact values."""
+        rows = self.rows
+        if rows.ids is not None:
+            return rows.cosines(j)
+        denom = rows.norms * rows.norms[j]
+        dots = rows.values @ rows.values[j]
+        return np.divide(dots, denom, out=np.zeros(len(dots)), where=denom != 0.0)
 
 
 def sample_negatives(
@@ -217,8 +281,8 @@ def _pair_block(
                 )
             pos_label = cfg.fallback_target
         neg_label = NEGATIVE_TARGET
-    candidate = corpus.facts[uid].text
-    block = [TrainingExample(qid, qa, context, candidate, pos_label, role) for _ in neg_uids]
+    positive = TrainingExample(qid, qa, context, corpus.facts[uid].text, pos_label, role)
+    block = [positive] * len(neg_uids)
     block.extend(
         TrainingExample(qid, qa, context, corpus.facts[neg_uid].text, neg_label, None)
         for neg_uid in neg_uids
@@ -226,30 +290,44 @@ def _pair_block(
     return block
 
 
+_BLOCK_ROWS = 256  # larger blocks raise the peak RSS, not the speed
 _COLUMNS = ("qid", "question_text", "context", "candidate_text", "label_or_target", "role")
 
 
-def _clean_field(value: str, what: str) -> str:
-    if "\t" in value or "\n" in value or "\r" in value:
-        log.warning("%s contains tab/newline characters, replaced with spaces", what)
-        value = re.sub(r"[\t\n\r]", " ", value)
-    return value
+class _Cleaned(dict):
+    """Field text by raw text, tabs and newlines replaced with spaces; each
+    distinct text is cleaned, and warned about, once."""
+
+    def __init__(self, what: str):
+        super().__init__()
+        self.what = what
+
+    def __missing__(self, text: str) -> str:
+        cleaned = text
+        if "\t" in text or "\n" in text or "\r" in text:
+            log.warning("%s contains tab/newline characters, replaced with spaces", self.what)
+            cleaned = re.sub(r"[\t\n\r]", " ", text)
+        self[text] = cleaned
+        return cleaned
 
 
 def write_dataset(examples: Sequence[TrainingExample], path: str | Path) -> None:
-    """TSV with a header row; context facts joined by the [SEP] marker."""
+    """TSV with a header row; context facts joined by the [SEP] marker.
+    Rows are joined and written a block at a time."""
+    qids, questions = _Cleaned("qid"), _Cleaned("question text")
+    candidates = _Cleaned("candidate text")
+    contexts = _Cleaned("context")  # by fact; the separator has no tab or newline
+    roles = _Cleaned("role")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(_COLUMNS) + "\n")
-        for ex in examples:
-            fields = [
-                _clean_field(ex.qid, "qid"),
-                _clean_field(ex.question_text, "question text"),
-                _clean_field(CONTEXT_SEPARATOR.join(ex.context), "context"),
-                _clean_field(ex.candidate_text, "candidate text"),
-                repr(ex.label),
-                _clean_field(ex.role.label if ex.role is not None else "", "role"),
-            ]
-            fh.write("\t".join(fields) + "\n")
+        for start in range(0, len(examples), _BLOCK_ROWS):
+            fh.write("".join([
+                f"{qids[ex.qid]}\t{questions[ex.question_text]}\t"
+                f"{CONTEXT_SEPARATOR.join(map(contexts.__getitem__, ex.context))}\t"
+                f"{candidates[ex.candidate_text]}\t{ex.label!r}\t"
+                f"{'' if ex.role is None else roles[ex.role.label]}\n"
+                for ex in examples[start : start + _BLOCK_ROWS]
+            ]))
 
 
 def read_dataset(path: str | Path) -> list[TrainingExample]:

@@ -167,16 +167,19 @@ def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
         listing = ", ".join(f"{uid!r} (line {ln})" for uid, ln in shown)
         more = "" if len(unknown_uids) <= 10 else f" and {len(unknown_uids) - 10} more"
         raise DataError(f"{path}: {len(unknown_uids)} unknown fact uid(s): {listing}{more}")
-    # a repeated (qid, fact) pair keeps its last value: unique over the reversed lines
-    kept, last = np.unique(np.frombuffer(cells, dtype=np.int64)[::-1], return_index=True)
-    duplicates = len(cells) - len(kept)
+    scores = np.full(len(corpus.questions) * len(uids), np.nan)
+    flat, flat_values = np.frombuffer(cells, dtype=np.int64), np.frombuffer(values)
+    seen = np.zeros(len(scores), dtype=bool)
+    seen[flat] = True
+    duplicates = len(flat) - np.count_nonzero(seen)
     if duplicates:
         log.warning("%s: %d duplicate (qid, fact) pair(s), last value kept", path, duplicates)
+        # the last value of each pair: unique over the reversed lines
+        flat, last = np.unique(flat[::-1], return_index=True)
+        flat_values = flat_values[::-1][last]
     if unknown_qids:
         log.warning("%s: %d qid(s) not in the corpus, dropped", path, len(unknown_qids))
-
-    scores = np.full(len(corpus.questions) * len(uids), np.nan)
-    scores[kept] = np.frombuffer(values)[::-1][last]
+    scores[flat] = flat_values
     scores = scores.reshape(len(corpus.questions), len(uids))
     covered = ~np.isnan(scores).all(axis=1)
     qids = tuple(q.qid for q, ok in zip(corpus.questions, covered) if ok)

@@ -389,6 +389,34 @@ class TestDatasetIO:
         assert loaded.candidate_text == "has tab"
         assert any("replaced" in rec.message for rec in caplog.records)
 
+    def test_bytes_equal_per_row_reference_and_each_text_warned_once(self, tmp_path, caplog):
+        def clean(value):
+            return value.replace("\t", " ").replace("\n", " ").replace("\r", " ")
+
+        rng = random.Random(8)
+        texts = ["plain", "has\ttab", "line\nbreak", "cr\r\nlf", "", "é \u2028 ok"]
+        roles = [None, CENTRAL, Role.parse("odd\trole")]
+        examples = [
+            TrainingExample(rng.choice(["q1", "q\t2"]), rng.choice(texts),
+                            tuple(rng.sample(texts, rng.randint(0, 3))), rng.choice(texts),
+                            rng.choice([1.0, 0.0, 6.0, -0.0, 0.1 + 0.2]), rng.choice(roles))
+            for _ in range(700)  # more than one block of rows
+        ]
+        path = tmp_path / "d.tsv"
+        with caplog.at_level("WARNING"):
+            write_dataset(examples, path)
+        reference = "".join(
+            "\t".join([clean(ex.qid), clean(ex.question_text), clean(CONTEXT_SEPARATOR.join(ex.context)),
+                       clean(ex.candidate_text), repr(ex.label), clean(ex.role.label if ex.role else "")])
+            + "\n"
+            for ex in examples
+        )
+        header = "qid\tquestion_text\tcontext\tcandidate_text\tlabel_or_target\trole\n"
+        assert path.read_bytes() == (header + reference).encode()
+        # once per distinct dirty text of each field: 3 texts, 1 qid, 1 role
+        warned = Counter(rec.message.split(" contains")[0] for rec in caplog.records)
+        assert warned == {"qid": 1, "question text": 3, "context": 3, "candidate text": 3, "role": 1}
+
     def test_line_separators_in_text_round_trip(self, tmp_path):
         # write_dataset keeps U+2028, U+0085 and form feeds; read_dataset must
         # not break a line at them

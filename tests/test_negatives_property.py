@@ -1,0 +1,140 @@
+"""NegativeSampler against a brute-force reference on dense corpora full of
+near-ties.
+
+The reference takes every non-gold fact's cosine with one per-pair BLAS ddot
+and sorts all of them by (-cosine, uid). The sampler filters with one
+matrix-vector product first and rescores only the facts near the k-th value,
+so on any corpus the two must return the same uids in the same order.
+Generated corpora have small-integer or few-bit word vectors, repeated fact
+texts, facts with no in-vocabulary word (zero vectors), word vectors whose
+magnitudes differ by up to 2^1100, and k at or above the number of
+non-gold facts.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from explainrank.corpus import Corpus, ExplanationFact
+from explainrank.dataprep import NegativeSampler, dense_cut_margin
+from explainrank.textsim import DenseWordVectors, Rows, dense_rows, fact_vectors
+
+WORDS = [f"w{i}" for i in range(8)]
+OOV = ["zz", "qq"]
+# word-vector scales 2^e: outside [2^-500, 2^500] the sampler may not cut
+EXPONENTS = [-600, -510, -100, -3, 0, 3, 100, 505]
+
+
+def reference_negatives(rows, uids, gold_uid, gold_uids, k):
+    """Every non-gold fact's per-pair cosine, all of them lexsorted."""
+    j = uids.index(gold_uid)
+    rank = {uid: r for r, uid in enumerate(sorted(uids))}
+    kept, cosines = [], []
+    for i, uid in enumerate(uids):
+        if uid in gold_uids:
+            continue
+        denom = rows.norms[i] * rows.norms[j]
+        kept.append(uid)
+        cosines.append(rows.values[j].dot(rows.values[i]) / denom if denom != 0.0 else 0.0)
+    order = np.lexsort(([rank[uid] for uid in kept], -np.array(cosines, dtype=float)))
+    return [kept[i] for i in order[:k]]
+
+
+@st.composite
+def word_vectors(draw):
+    kind = draw(st.sampled_from(["small_int", "eighths", "gaussian"]))
+    dim = draw(st.integers(min_value=1, max_value={"small_int": 4, "eighths": 8, "gaussian": 64}[kind]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "small_int":
+        table = rng.integers(-2, 3, size=(len(WORDS), dim)).astype(float)
+    elif kind == "eighths":
+        table = rng.integers(-8, 9, size=(len(WORDS), dim)) / 8.0
+    else:
+        table = rng.normal(size=(len(WORDS), dim))
+    if draw(st.booleans()):  # mixed magnitudes
+        scales = draw(st.lists(st.sampled_from(EXPONENTS), min_size=len(WORDS), max_size=len(WORDS)))
+        table *= np.exp2(np.array(scales, dtype=float))[:, None]
+    return DenseWordVectors(dict(zip(WORDS, table)), dim)
+
+
+@st.composite
+def corpora(draw):
+    # few distinct texts over many facts: repeated texts and all-OOV facts
+    texts = draw(st.lists(
+        st.lists(st.sampled_from(WORDS + OOV), max_size=4).map(" ".join), min_size=1, max_size=10
+    ))
+    n_facts = draw(st.integers(min_value=1, max_value=30))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=len(texts) - 1),
+                          min_size=n_facts, max_size=n_facts))
+    # uids whose ascending order differs from the corpus order
+    uids = [f"F{p:02d}" for p in draw(st.permutations(range(n_facts)))]
+    facts = {uid: ExplanationFact(uid, texts[p], "t") for uid, p in zip(uids, picks)}
+    return Corpus(facts=facts, questions=())
+
+
+queries = st.lists(
+    st.tuples(st.integers(min_value=0), st.sets(st.integers(min_value=0), max_size=6),
+              st.integers(min_value=1, max_value=34)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(corpus=corpora(), provider=word_vectors(), asked=queries)
+def test_sampler_equals_brute_force_reference(corpus, provider, asked):
+    uids = list(corpus.facts)
+    rows = fact_vectors(corpus, provider)
+    sampler = NegativeSampler(corpus, provider)
+    for gold, others, k in asked:
+        gold_uid = uids[gold % len(uids)]
+        gold_uids = {gold_uid, *(uids[i % len(uids)] for i in others)}
+        expected = reference_negatives(rows, uids, gold_uid, gold_uids, k)
+        assert sampler.negatives(gold_uid, gold_uids, k) == expected
+        assert len(expected) == min(k, len(uids) - len(gold_uids))
+
+
+class TestCutMargin:
+    def test_derived_from_the_dimension(self):
+        u = 2.0**-53
+        for d in (1, 50, 300):
+            gamma = d * u / (1 - d * u)
+            assert dense_cut_margin(dense_rows(np.eye(d))) == 4 * gamma + 8 * u
+        assert 1e-14 < dense_cut_margin(dense_rows(np.eye(300))) < 1e-12
+
+    @pytest.mark.parametrize("scale", [2.0**-510, 2.0**505])
+    def test_no_cut_outside_the_norm_range(self, scale):
+        assert dense_cut_margin(dense_rows(np.eye(3) * [[1.0], [scale], [1.0]])) is None
+
+    def test_zero_rows_do_not_stop_the_cut(self):
+        assert dense_cut_margin(dense_rows(np.array([[0.0, 0.0], [1.0, 2.0]]))) is not None
+
+    def test_no_cut_above_the_dimension_limit(self):
+        assert dense_cut_margin(Rows(np.zeros((1, 0)), np.ones(1), 2**16 + 1)) is None
+
+    def test_rescores_only_facts_near_the_cut(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        vectors = {f"v{i}": rng.normal(size=50) for i in range(300)}
+        facts = {f"F{i:03d}": ExplanationFact(f"F{i:03d}", f"v{i}", "t") for i in range(300)}
+        corpus = Corpus(facts=facts, questions=())
+        provider = DenseWordVectors(vectors, 50)
+        sizes, cosines = [], Rows.cosines
+
+        def counting(self, j, other=None, among=slice(None)):
+            sizes.append(len(self.norms[among]))
+            return cosines(self, j, other, among)
+
+        monkeypatch.setattr(Rows, "cosines", counting)
+        sampler = NegativeSampler(corpus, provider)
+        rows = fact_vectors(corpus, provider)
+        for i in range(0, 300, 30):
+            gold = {f"F{i:03d}", f"F{(i + 7) % 300:03d}"}
+            expected = reference_negatives(rows, list(facts), f"F{i:03d}", gold, 7)
+            assert sampler.negatives(f"F{i:03d}", gold, 7) == expected
+        assert sizes and max(sizes) < 20
+        assert math.isclose(sum(sizes) / len(sizes), 7, abs_tol=1)

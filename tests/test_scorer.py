@@ -19,7 +19,8 @@ from explainrank.scorer import (
 )
 from explainrank.textsim import STOPWORDS, default_provider, tokenize
 
-from synth import score_table, table_scores
+import line_readers
+from synth import random_corpus, score_table, table_scores
 
 
 def toy_corpus():
@@ -178,6 +179,36 @@ class TestLoadScores:
             table = table_scores(load_scores(path, corpus))
         assert table["q1"]["f1"] == 0.7
         assert any("duplicate" in rec.message for rec in caplog.records)
+
+    def test_repeats_keep_last_value_and_warn(self, tmp_path, caplog):
+        corpus = random_corpus(n_questions=4, n_facts=9, seed=11)
+        rng = random.Random(11)
+        lines, last = [], {}
+        for n in range(60):  # every pair, some of them several times, in shuffled order
+            q, uid = rng.choice(corpus.questions).qid, rng.choice(list(corpus.facts))
+            lines.append(f"{q}\t{uid}\t{n}")
+            last[q, uid] = float(n)
+        self.write(tmp_path / "s.tsv", lines)
+        with caplog.at_level("WARNING"):
+            table = load_scores(tmp_path / "s.tsv", corpus)
+        got = table_scores(table)
+        assert {pair: got[pair[0]][pair[1]] for pair in last} == last
+        assert f"{len(lines) - len(last)} duplicate (qid, fact) pair(s), last value kept" in caplog.text
+
+    def test_without_repeats_matrix_equals_reference(self, tmp_path, caplog):
+        corpus = random_corpus(n_questions=5, n_facts=12, seed=12)
+        rng = random.Random(12)
+        pairs = [(q.qid, uid) for q in corpus.questions[1:] for uid in corpus.facts]
+        rng.shuffle(pairs)
+        # out of order, one question missing, a few facts missing
+        lines = [f"{q}\t{uid}\t{rng.uniform(-3, 3)!r}" for q, uid in pairs[:-4]]
+        self.write(tmp_path / "s.tsv", lines)
+        with caplog.at_level("WARNING"):
+            table = load_scores(tmp_path / "s.tsv", corpus)
+        assert "duplicate" not in caplog.text
+        reference = line_readers.load_scores(tmp_path / "s.tsv", corpus)
+        assert table.qids == reference.qids == tuple(q.qid for q in corpus.questions[1:])
+        assert table.scores.tobytes() == reference.scores.tobytes()
 
     def test_unknown_qid_dropped_with_warning(self, tmp_path, caplog):
         corpus = toy_corpus()
