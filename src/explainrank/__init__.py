@@ -22,6 +22,7 @@ from .corpus import (
     load_facts,
     load_questions,
     parse_explanation,
+    qa_text,
     validate,
     write_questions,
 )
@@ -42,9 +43,7 @@ from .evaluation import (
     EvalReport,
     average_precision,
     evaluate_rankings,
-    map_by_length,
     map_overall,
-    map_per_role,
     read_predictions,
     write_predictions,
 )
@@ -59,7 +58,6 @@ from .scorer import (
     Ranking,
     RelevanceTable,
     all_rankings,
-    initial_ranking,
     load_scores,
     normalize,
     score_lexical,
@@ -70,12 +68,10 @@ from .textsim import (
     DenseWordVectors,
     TfidfProvider,
     Rows,
-    build_tfidf,
     default_provider,
     dense_rows,
     fact_vectors,
     load_dense,
-    qa_text,
     tokenize,
 )
 

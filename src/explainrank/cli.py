@@ -3,9 +3,9 @@
 Subcommands: validate, prepare, rank, rerank, evaluate. Every option is one
 entry of OPTIONS, read both by the flags and by --config files (flat
 key=value lines), so a config key takes exactly its flag's values. Values
-resolve as CLI flag > config file > the default in OPTIONS. All randomness
-flows from --seed, and fixed inputs plus a fixed seed produce
-byte-identical output files.
+resolve as CLI flag > config file > the default in OPTIONS. The only
+randomness is prepare's, drawn from --seed, and fixed inputs plus a fixed
+seed produce byte-identical output files.
 
 Exit codes: 0 success, 1 validation/content failure, 2 I/O, format, or
 usage failure.
@@ -19,7 +19,7 @@ import re
 from pathlib import Path
 from typing import Sequence
 
-from . import dataprep, evaluation, rerank, scorer, textsim
+from . import dataprep, evaluation, rerank, scorer
 from .corpus import Corpus, load_corpus, validate
 from .errors import DataError, FormatError, read_utf8, text_lines
 from .textsim import default_provider, load_dense
@@ -29,22 +29,6 @@ log = logging.getLogger(__name__)
 
 class UsageError(Exception):
     """A required flag or config key is missing for the chosen command."""
-
-
-class _FirstOnly(logging.Filter):
-    """Passes each distinct message once. Every layer asks textsim which
-    questions are answerable, and a run reports each skipped one once."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.seen: set[str] = set()
-
-    def filter(self, record: logging.LogRecord) -> bool:
-        message = record.getMessage()
-        if message in self.seen:
-            return False
-        self.seen.add(message)
-        return True
 
 
 def _positive_int(text: str) -> int:
@@ -63,6 +47,7 @@ def _depths(text: str) -> tuple[int, ...]:
 
 
 _ALL = ("validate", "prepare", "rank", "rerank", "evaluate")
+_WRITERS = ("prepare", "rank", "rerank", "evaluate")  # all but validate write files
 _SWITCH = argparse.BooleanOptionalAction
 _PREP = dataprep.PrepConfig
 
@@ -71,10 +56,10 @@ _PREP = dataprep.PrepConfig
 OPTIONS: dict[str, tuple[tuple[str, ...], dict]] = {
     "facts": (_ALL, dict(nargs="+", metavar="TSV", help="explanation fact tables")),
     "questions": (_ALL, dict(metavar="TSV", help="annotated question file")),
-    "vectors": (_ALL, dict(metavar="TXT", help="dense word vectors (word2vec text)")),
-    "out": (_ALL, dict(default="out", metavar="DIR", help="output directory (default: %(default)s)")),
-    "seed": (_ALL, dict(
-        type=int, default=_PREP.seed, help="seed for all randomness (default: %(default)s)")),
+    "vectors": (_WRITERS, dict(metavar="TXT", help="dense word vectors (word2vec text)")),
+    "out": (_WRITERS, dict(default="out", metavar="DIR", help="output directory (default: %(default)s)")),
+    "seed": (("prepare",), dict(
+        type=int, default=_PREP.seed, help="seed for context sampling (default: %(default)s)")),
     "task": (("prepare",), dict(
         choices=[dataprep.CLASSIFICATION, dataprep.REGRESSION, "all"], default=_PREP.task,
         help="dataset variant(s) to write (default: %(default)s)")),
@@ -168,9 +153,12 @@ def _provider(args: argparse.Namespace, corpus: Corpus):
     return default_provider(corpus)
 
 
-def _table(args: argparse.Namespace, corpus: Corpus, provider) -> scorer.RelevanceTable:
+def _table(args: argparse.Namespace, corpus: Corpus, provider=None) -> scorer.RelevanceTable:
+    """The --scores table, or lexical scores from provider (built if None)."""
     if args.scores:
         return scorer.load_scores(args.scores, corpus)
+    if provider is None:
+        provider = _provider(args, corpus)
     return scorer.score_lexical(corpus, provider, args.method)
 
 
@@ -211,9 +199,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    provider = _provider(args, corpus)
-    table = _table(args, corpus, provider)
+    table = _table(args, _load(args))
     scores_path = args.out / "scores.tsv"
     scorer.write_scores(table, scores_path)
     rankings = scorer.all_rankings(table)
@@ -246,9 +232,11 @@ def cmd_rerank(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    corpus = _load(args)
     if args.predictions is None and args.sweep is None:
         raise UsageError("evaluate needs --predictions and/or --sweep with --scores")
+    if args.sweep is not None and not args.scores:
+        raise UsageError("--sweep needs --scores with externally computed relevance scores")
+    corpus = _load(args)
     if args.predictions is not None:
         ranked = evaluation.read_predictions(args.predictions)
         report = evaluation.evaluate_rankings(ranked, corpus)
@@ -259,8 +247,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
         print(text)
     if args.sweep is not None:
-        if not args.scores:
-            raise UsageError("--sweep needs --scores with externally computed relevance scores")
         provider = _provider(args, corpus)
         table = scorer.load_scores(args.scores, corpus)
         rows = rerank.depth_sweep(corpus, provider, table, args.sweep)
@@ -314,15 +300,14 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
 
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    first_only = _FirstOnly()
-    textsim.log.addFilter(first_only)
     try:
         args = parse_args(argv)
         for input_path in [*(args.facts or ()), *map(vars(args).get, _INPUTS)]:
             if input_path is not None and not Path(input_path).exists():
                 raise FileNotFoundError(f"input path does not exist: {input_path}")
-        args.out = Path(args.out)
-        args.out.mkdir(parents=True, exist_ok=True)
+        if args.command in OPTIONS["out"][0]:
+            args.out = Path(args.out)
+            args.out.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except (FormatError, OSError, UsageError) as exc:
         log.error("%s", exc)
@@ -330,8 +315,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DataError, ValueError) as exc:
         log.error("%s", exc)
         return 1
-    finally:
-        textsim.log.removeFilter(first_only)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,12 +24,8 @@ KNOWN_ROLES = ("CENTRAL", "GROUNDING", "LEXGLUE", "BACKGROUND", "NEG")
 
 MAX_GOLD = 16
 
-DEFAULT_COLUMNS = {
-    "id_col": "QuestionID",
-    "text_col": "question",
-    "key_col": "AnswerKey",
-    "expl_col": "explanation",
-}
+# question file columns: id, combined question text, answer key, explanation
+QUESTION_COLUMNS = ("QuestionID", "question", "AnswerKey", "explanation")
 
 
 @dataclass(frozen=True)
@@ -78,10 +75,6 @@ class Question:
     gold: tuple[tuple[str, Role], ...] = ()
 
     @property
-    def annotated(self) -> bool:
-        return bool(self.gold)
-
-    @property
     def gold_uid_set(self) -> frozenset[str]:
         return frozenset(uid for uid, _ in self.gold)
 
@@ -91,8 +84,21 @@ class Corpus:
     facts: dict[str, ExplanationFact]
     questions: tuple[Question, ...]
 
-    def annotated_questions(self) -> list[Question]:
-        return [q for q in self.questions if q.gold]
+    @cached_property
+    def answerable(self) -> tuple[tuple[Question, str], ...]:
+        """Each question whose answer key names one of its choices, with its
+        question/answer text, in corpus order. Any other question has no Q/A
+        text to compare facts with; it is skipped, with one warning per
+        corpus however many steps ask."""
+        kept = []
+        for q in self.questions:
+            if q.answer_key in q.choices:
+                kept.append((q, qa_text(q)))
+            else:
+                log.warning(
+                    "question %s: answer key %r matches no choice; skipped", q.qid, q.answer_key
+                )
+        return tuple(kept)
 
     def question_index(self) -> dict[str, Question]:
         return {q.qid: q for q in self.questions}
@@ -122,7 +128,7 @@ def load_facts(paths: Iterable[str | Path]) -> dict[str, ExplanationFact]:
             )
         uid_col = uid_cols[0]
         content_cols = [i for i, h in enumerate(headers) if "SKIP" not in h]
-        for row in lines[1:]:
+        for lineno, row in enumerate(lines[1:], start=2):
             cells = row.split("\t")
             cells += [""] * (len(headers) - len(cells))
             uid = cells[uid_col].strip()
@@ -137,7 +143,7 @@ def load_facts(paths: Iterable[str | Path]) -> dict[str, ExplanationFact]:
                 continue
             if uid in facts:
                 raise FormatError(
-                    f"duplicate fact uid {uid!r} in tables {sources[uid]!r} and {table!r}"
+                    f"{path} line {lineno}: duplicate fact uid {uid!r}, also in table {sources[uid]!r}"
                 )
             facts[uid] = ExplanationFact(uid=uid, text=text, table_name=table)
             sources[uid] = table
@@ -178,15 +184,8 @@ def parse_explanation(cell: str) -> tuple[tuple[str, Role], ...]:
     return tuple(gold)
 
 
-def load_questions(
-    path: str | Path,
-    *,
-    id_col: str = DEFAULT_COLUMNS["id_col"],
-    text_col: str = DEFAULT_COLUMNS["text_col"],
-    key_col: str = DEFAULT_COLUMNS["key_col"],
-    expl_col: str = DEFAULT_COLUMNS["expl_col"],
-) -> list[Question]:
-    """Load annotated questions from a TSV file.
+def load_questions(path: str | Path) -> list[Question]:
+    """Load annotated questions from a TSV file with the QUESTION_COLUMNS.
 
     Rows with an empty explanation cell become questions with empty gold;
     they are kept for prediction but excluded from MAP. A question id that
@@ -199,10 +198,10 @@ def load_questions(
     if not lines:
         raise FormatError(f"{path}: empty question file")
     headers = lines[0].split("\t")
-    missing = [c for c in (id_col, text_col, key_col, expl_col) if c not in headers]
+    missing = [c for c in QUESTION_COLUMNS if c not in headers]
     if missing:
         raise FormatError(f"{path}: missing required column(s): {', '.join(missing)}")
-    idx = {c: headers.index(c) for c in (id_col, text_col, key_col, expl_col)}
+    id_col, text_col, key_col, expl_col = map(headers.index, QUESTION_COLUMNS)
 
     questions: list[Question] = []
     first_line: dict[str, int] = {}
@@ -211,44 +210,39 @@ def load_questions(
             continue
         cells = row.split("\t")
         cells += [""] * (len(headers) - len(cells))
-        qid = cells[idx[id_col]].strip()
+        qid = cells[id_col].strip()
         if qid in first_line:
             raise FormatError(
-                f"{path} line {lineno}: duplicate {id_col} {qid!r}, first on line {first_line[qid]}"
+                f"{path} line {lineno}: duplicate QuestionID {qid!r}, first on line {first_line[qid]}"
             )
         first_line[qid] = lineno
-        stem, choices, malformed = _split_question(cells[idx[text_col]])
+        stem, choices, malformed = _split_question(cells[text_col])
         if malformed:
             log.warning(
                 "%s line %d: no well-formed (A)..(E) markers; kept whole text as stem",
                 path,
                 lineno,
             )
-        gold = parse_explanation(cells[idx[expl_col]])
+        try:
+            gold = parse_explanation(cells[expl_col])
+        except FormatError as exc:
+            raise FormatError(f"{path} line {lineno}: {exc}") from None
         questions.append(
             Question(
                 qid=qid,
                 stem=stem,
                 choices=choices,
-                answer_key=cells[idx[key_col]].strip(),
+                answer_key=cells[key_col].strip(),
                 gold=gold,
             )
         )
     return questions
 
 
-def write_questions(
-    questions: Sequence[Question],
-    path: str | Path,
-    *,
-    id_col: str = DEFAULT_COLUMNS["id_col"],
-    text_col: str = DEFAULT_COLUMNS["text_col"],
-    key_col: str = DEFAULT_COLUMNS["key_col"],
-    expl_col: str = DEFAULT_COLUMNS["expl_col"],
-) -> None:
+def write_questions(questions: Sequence[Question], path: str | Path) -> None:
     """Write questions in the same TSV layout load_questions reads back."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join([id_col, text_col, key_col, expl_col]) + "\n")
+        fh.write("\t".join(QUESTION_COLUMNS) + "\n")
         for q in questions:
             parts = [q.stem] if q.stem else []
             for key in sorted(q.choices):
@@ -265,12 +259,9 @@ def write_questions(
             fh.write("\t".join(cleaned) + "\n")
 
 
-def load_corpus(
-    fact_paths: Iterable[str | Path], question_path: str | Path, **column_names: str
-) -> Corpus:
+def load_corpus(fact_paths: Iterable[str | Path], question_path: str | Path) -> Corpus:
     facts = load_facts(fact_paths)
-    questions = load_questions(question_path, **column_names)
-    return Corpus(facts=facts, questions=tuple(questions))
+    return Corpus(facts=facts, questions=tuple(load_questions(question_path)))
 
 
 def answer_text(question: Question) -> str:
@@ -282,6 +273,13 @@ def answer_text(question: Question) -> str:
             f"question {question.qid}: answer key {question.answer_key!r} "
             f"not among choices {sorted(question.choices)}"
         ) from None
+
+
+def qa_text(question: Question) -> str:
+    """Question stem plus the correct answer's text; the Q/A side of every
+    similarity comparison. Other answer choices are excluded."""
+    parts = [p for p in (question.stem, answer_text(question)) if p]
+    return " ".join(parts)
 
 
 @dataclass(frozen=True)

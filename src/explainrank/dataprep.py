@@ -24,7 +24,7 @@ import numpy as np
 from .corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, Question, Role
 from .errors import DataError, FormatError, read_utf8, text_lines
 from .scorer import uid_ranks
-from .textsim import Rows, answerable, fact_vectors
+from .textsim import Rows, fact_vectors
 
 log = logging.getLogger(__name__)
 
@@ -33,8 +33,9 @@ REGRESSION = "regression"
 
 CONTEXT_SEPARATOR = " [SEP] "
 
-# regression targets by role; everything else gets PrepConfig.fallback_target
+# regression targets by role; every other role gets FALLBACK_TARGET
 ROLE_TARGETS = {CENTRAL: 6.0, GROUNDING: 5.0, LEXGLUE: 4.0}
+FALLBACK_TARGET = 4.0
 NEGATIVE_TARGET = 0.0
 
 
@@ -45,7 +46,6 @@ class PrepConfig:
     seed: int = 13
     with_context: bool = False
     task: str = CLASSIFICATION
-    fallback_target: float = 4.0
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -207,7 +207,9 @@ def build_dataset(corpus: Corpus, provider, cfg: PrepConfig) -> list[TrainingExa
         sampler = NegativeSampler(corpus, provider)
     examples: list[TrainingExample] = []
     warned_roles: set[str] = set()
-    for question, qa in answerable(q for q in corpus.questions if q.gold):
+    for question, qa in corpus.answerable:
+        if not question.gold:
+            continue
         examples.extend(_question_examples(question, qa, corpus, sampler, cfg, warned_roles))
     return examples
 
@@ -277,9 +279,9 @@ def _pair_block(
                 log.warning(
                     "role %s has no regression target, using fallback %s",
                     role.label,
-                    cfg.fallback_target,
+                    FALLBACK_TARGET,
                 )
-            pos_label = cfg.fallback_target
+            pos_label = FALLBACK_TARGET
         neg_label = NEGATIVE_TARGET
     positive = TrainingExample(qid, qa, context, corpus.facts[uid].text, pos_label, role)
     block = [positive] * len(neg_uids)

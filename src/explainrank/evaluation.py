@@ -85,13 +85,9 @@ def map_overall(ranked_by_qid: RankedUids, corpus: Corpus) -> float:
     return _mean_ap(_aps(_evaluable(ranked_by_qid, corpus), ranked_by_qid))[0]
 
 
-def map_per_role(ranked_by_qid: RankedUids, corpus: Corpus) -> dict[Role, float]:
+def _per_role(questions: Sequence[Question], ranked_by_qid: RankedUids) -> dict[Role, float]:
     """Mean AP per role, each question's relevant set restricted to its gold
     facts of that role; questions lacking a role do not count against it."""
-    return _per_role(_evaluable(ranked_by_qid, corpus), ranked_by_qid)
-
-
-def _per_role(questions: Sequence[Question], ranked_by_qid: RankedUids) -> dict[Role, float]:
     sums: dict[Role, float] = {}
     counts: dict[Role, int] = {}
     for q in questions:
@@ -105,15 +101,10 @@ def _per_role(questions: Sequence[Question], ranked_by_qid: RankedUids) -> dict[
     return {role: sums[role] / counts[role] for role in sums}
 
 
-def map_by_length(ranked_by_qid: RankedUids, corpus: Corpus) -> dict[int, tuple[int, float]]:
-    """(question count, MAP) per gold-set size, sizes ascending."""
-    questions = _evaluable(ranked_by_qid, corpus)
-    return _per_length(questions, _aps(questions, ranked_by_qid))
-
-
 def _per_length(
     questions: Sequence[Question], aps: Sequence[tuple[float, int]]
 ) -> dict[int, tuple[int, float]]:
+    """(question count, MAP) per gold-set size, sizes ascending."""
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     for q, (ap, _) in zip(questions, aps):

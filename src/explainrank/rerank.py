@@ -19,7 +19,7 @@ from .corpus import Corpus
 from .errors import DataError
 from .evaluation import map_overall
 from .scorer import Ranking, RelevanceTable, normalize
-from .textsim import Rows, answerable, fact_vectors
+from .textsim import Rows, fact_vectors
 
 log = logging.getLogger(__name__)
 
@@ -132,12 +132,10 @@ def _questions(corpus: Corpus, provider, table: RelevanceTable, rows: Rows, dept
     if table.uids != tuple(corpus.facts):
         raise DataError("score table columns do not match the corpus facts")
     weights = normalize(table).scores
-    by_qid = corpus.question_index()
-    kept = answerable(by_qid[qid] for qid in table.qids if qid in by_qid)
-    qa_rows = provider.rows([qa for _, qa in kept])
-    row = {qid: i for i, qid in enumerate(table.qids)}
-    for n, (question, _) in enumerate(kept):
-        i = row[question.qid]
+    qa_by_qid = {q.qid: qa for q, qa in corpus.answerable}
+    kept = [i for i, qid in enumerate(table.qids) if qid in qa_by_qid]
+    qa_rows = provider.rows([qa_by_qid[table.qids[i]] for i in kept])
+    for n, i in enumerate(kept):
         order = table.order(i)
         top = order[: 2 * depth]
         yield i, order, weights[i, top], rows.cosines(n, qa_rows, among=top)

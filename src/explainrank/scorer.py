@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError, FormatError, tsv_blocks
-from .textsim import answerable, fact_vectors, tokenize
+from .textsim import fact_vectors, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -82,7 +82,7 @@ def score_lexical(corpus: Corpus, provider, method: str = TFIDF_COSINE) -> Relev
     """
     if method not in (TFIDF_COSINE, OVERLAP):
         raise ValueError(f"unknown scoring method {method!r}")
-    kept = answerable(corpus.questions)
+    kept = corpus.answerable
     qids, qa_texts = [q.qid for q, _ in kept], [qa for _, qa in kept]
     if method == TFIDF_COSINE:
         fact_rows, qa_rows = fact_vectors(corpus, provider), provider.rows(qa_texts)
@@ -192,15 +192,8 @@ def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
     return RelevanceTable(qids, uids, scores)
 
 
-def initial_ranking(table: RelevanceTable, qid: str) -> Ranking:
-    """Facts sorted by score descending, ties broken by uid ascending."""
-    if qid not in table.qids:
-        raise DataError(f"no relevance scores for question {qid!r}")
-    i = table.qids.index(qid)
-    return table.ranking(i, table.order(i))
-
-
 def all_rankings(table: RelevanceTable) -> list[Ranking]:
+    """Each row's facts by score descending, ties by uid ascending."""
     return [table.ranking(i, table.order(i)) for i in range(len(table.qids))]
 
 

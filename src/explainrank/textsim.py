@@ -9,7 +9,6 @@ and immutable once built.
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from collections import Counter
@@ -19,10 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Question, answer_text
+from .corpus import Corpus
 from .errors import DataError, FormatError, utf8_lines
-
-log = logging.getLogger(__name__)
 
 # Fixed list, versioned in the README; reproducibility matters more here
 # than linguistic coverage.
@@ -31,6 +28,9 @@ STOPWORDS = frozenset(
     "is it its of on or that the their then there these this to was were "
     "what which will with".split()
 )
+
+# largest word-vector norm load_dense accepts
+MAX_NORM = 2.0**500
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -90,21 +90,20 @@ def dense_rows(vectors) -> Rows:
 
 
 class TfidfProvider:
-    """TF-IDF sentence vectors over a fixed vocabulary.
+    """TF-IDF sentence vectors over a fixed vocabulary, stop words dropped.
 
     idf(t) = ln((1 + N) / (1 + df(t))) + 1 over the N build texts; a sentence
     vector is raw term count times idf, restricted to the build vocabulary.
     """
 
-    def __init__(self, texts: Iterable[str], *, drop_stopwords: bool = True):
-        self.drop_stopwords = drop_stopwords
+    def __init__(self, texts: Iterable[str]):
         self.term_ids: dict[str, int] = {}
         df: Counter[str] = Counter()
         n_texts = 0
         for text in texts:
             n_texts += 1
             seen: set[str] = set()
-            for token in tokenize(text, drop_stopwords=drop_stopwords):
+            for token in tokenize(text, drop_stopwords=True):
                 if token in seen:
                     continue
                 seen.add(token)
@@ -124,9 +123,7 @@ class TfidfProvider:
         norms = []
         for text in texts:
             weights: dict[int, float] = {}
-            for token, count in Counter(
-                tokenize(text, drop_stopwords=self.drop_stopwords)
-            ).items():
+            for token, count in Counter(tokenize(text, drop_stopwords=True)).items():
                 term_id = self.term_ids.get(token)
                 if term_id is not None:
                     weights[term_id] = count * self.idf[token]
@@ -141,37 +138,31 @@ class TfidfProvider:
         return Rows(values, np.array(norms), len(self.term_ids), ids)
 
 
-def build_tfidf(texts: Iterable[str], *, drop_stopwords: bool = True) -> TfidfProvider:
-    return TfidfProvider(texts, drop_stopwords=drop_stopwords)
-
-
 class DenseWordVectors:
     """Word-vector table; a sentence vector is the mean of the vectors of its
-    in-vocabulary tokens, the zero vector if none are in vocabulary."""
+    in-vocabulary tokens (stop words included), the zero vector if none
+    are in vocabulary."""
 
-    def __init__(
-        self, vectors: dict[str, np.ndarray], dim: int, *, drop_stopwords: bool = False
-    ):
+    def __init__(self, vectors: dict[str, np.ndarray], dim: int):
         self.vectors = vectors
         self.dim = dim
-        self.drop_stopwords = drop_stopwords
 
     def rows(self, texts: Sequence[str]) -> Rows:
         values = np.zeros((len(texts), self.dim))
         for i, text in enumerate(texts):
-            found = [
-                self.vectors[t]
-                for t in tokenize(text, drop_stopwords=self.drop_stopwords)
-                if t in self.vectors
-            ]
+            found = [self.vectors[t] for t in tokenize(text) if t in self.vectors]
             if found:
                 values[i] = np.mean(found, axis=0)
         return dense_rows(values)
 
 
-def load_dense(path: str | Path, *, drop_stopwords: bool = False) -> DenseWordVectors:
+def load_dense(path: str | Path) -> DenseWordVectors:
     """Load word vectors from text format: an optional "count dim" first line,
-    then one token followed by its components per line, space-separated."""
+    then one token followed by its components per line, space-separated.
+
+    A vector whose norm is above MAX_NORM is a FormatError: every sentence
+    vector, a mean of word vectors, then stays within it, so the product of
+    two norms, and every dot product, is finite."""
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
@@ -187,7 +178,9 @@ def load_dense(path: str | Path, *, drop_stopwords: bool = False) -> DenseWordVe
             values = [float(x) for x in rest]
         except ValueError:
             raise FormatError(f"{path} line {lineno}: non-numeric vector component") from None
-        if not all(map(math.isfinite, values)):
+        if not math.hypot(*values) <= MAX_NORM:  # nan for a nan component
+            if all(map(math.isfinite, values)):
+                raise FormatError(f"{path} line {lineno}: vector norm above 2**500")
             raise FormatError(f"{path} line {lineno}: non-finite vector component")
         if dim is None:
             dim = len(values)
@@ -198,7 +191,7 @@ def load_dense(path: str | Path, *, drop_stopwords: bool = False) -> DenseWordVe
         vectors[token] = np.asarray(values, dtype=float)
     if dim is None or not vectors:
         raise FormatError(f"{path}: no word vectors found")
-    return DenseWordVectors(vectors, dim, drop_stopwords=drop_stopwords)
+    return DenseWordVectors(vectors, dim)
 
 
 def _is_int(text: str) -> bool:
@@ -207,26 +200,6 @@ def _is_int(text: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-def qa_text(question: Question) -> str:
-    """Question stem plus the correct answer's text; the Q/A side of every
-    similarity comparison. Other answer choices are excluded."""
-    parts = [p for p in (question.stem, answer_text(question)) if p]
-    return " ".join(parts)
-
-
-def answerable(questions: Iterable[Question]) -> list[tuple[Question, str]]:
-    """Each question whose answer key names one of its choices, with its
-    question/answer text. Any other question is skipped with a warning, as
-    it has no Q/A text to compare facts with."""
-    kept = []
-    for q in questions:
-        if q.answer_key in q.choices:
-            kept.append((q, qa_text(q)))
-        else:
-            log.warning("question %s: answer key %r matches no choice; skipped", q.qid, q.answer_key)
-    return kept
 
 
 def fact_vectors(corpus: Corpus, provider) -> Rows:
@@ -238,4 +211,4 @@ def default_provider(corpus: Corpus) -> TfidfProvider:
     """TF-IDF provider built over all fact texts plus the question/answer
     text of every answerable question, the self-contained default backend."""
     texts = [fact.text for fact in corpus.facts.values()]
-    return TfidfProvider(texts + [qa for _, qa in answerable(corpus.questions)])
+    return TfidfProvider(texts + [qa for _, qa in corpus.answerable])

@@ -13,7 +13,7 @@ from explainrank.cli import main
 from explainrank.corpus import CENTRAL, load_corpus
 from explainrank.dataprep import PrepConfig, REGRESSION, build_dataset
 from explainrank.errors import DataError
-from explainrank.evaluation import average_precision, map_by_length, map_overall
+from explainrank.evaluation import average_precision, evaluate_rankings, map_overall
 from explainrank.rerank import DEFAULT_SWEEP, RerankConfig, depth_sweep, rerank_all
 from explainrank.scorer import all_rankings, load_scores, score_lexical, write_scores
 from explainrank.textsim import default_provider
@@ -142,8 +142,8 @@ def test_full_pipeline_determinism(tmp_path):
     run_dirs = []
     for name in ("run1", "run2"):
         out = tmp_path / name
-        base = ["--facts", *map(str, facts), "--questions", str(questions), "--seed", "13"]
-        assert main(["prepare", *base, "--task", "all", "--k", "2", "--m", "2",
+        base = ["--facts", *map(str, facts), "--questions", str(questions)]
+        assert main(["prepare", *base, "--seed", "13", "--task", "all", "--k", "2", "--m", "2",
                      "--out", str(out)]) == 0
         assert main(["rank", *base, "--out", str(out)]) == 0
         assert main(["rerank", *base, "--scores", str(out / "scores.tsv"),
@@ -223,7 +223,7 @@ def test_map_shape_by_gold_length_real_data():
     provider = default_provider(corpus)
     table = score_lexical(corpus, provider)
     ranked = {r.qid: r.uids for r in all_rankings(table)}
-    buckets = map_by_length(ranked, corpus)
+    buckets = evaluate_rankings(ranked, corpus).per_length
 
     def weighted(sizes):
         rows = [(count, value) for size, (count, value) in buckets.items() if size in sizes]

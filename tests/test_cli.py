@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from explainrank import cli
 from explainrank.cli import OPTIONS, main, parse_args, read_config
 from explainrank.corpus import (
     BACKGROUND,
@@ -35,7 +36,7 @@ def run(*argv):
 class TestValidateCommand:
     def test_clean_corpus_exit_zero(self, corpus_files, tmp_path, capsys):
         _, facts, questions = corpus_files
-        code = run("validate", "--facts", *facts, "--questions", questions, "--out", tmp_path / "o")
+        code = run("validate", "--facts", *facts, "--questions", questions)
         assert code == 0
         assert "corpus OK" in capsys.readouterr().out
 
@@ -48,7 +49,7 @@ class TestValidateCommand:
             "q1\tStem (A) x\tA\tzz9|CENTRAL\n",
             encoding="utf-8",
         )
-        code = run("validate", "--facts", facts_path, "--questions", q_path, "--out", tmp_path / "o")
+        code = run("validate", "--facts", facts_path, "--questions", q_path)
         assert code == 1
         assert "zz9" in capsys.readouterr().out
 
@@ -62,9 +63,34 @@ class TestValidateCommand:
             "q1\tStem (A) y\tA\tf1|CENTRAL\n",
             encoding="utf-8",
         )
-        code = run("validate", "--facts", facts_path, "--questions", q_path, "--out", tmp_path / "o")
+        code = run("validate", "--facts", facts_path, "--questions", q_path)
         assert code == 2
         assert "line 3: duplicate QuestionID 'q1', first on line 2" in caplog.text
+
+    def test_writes_no_directory(self, corpus_files, tmp_path, monkeypatch):
+        _, facts, questions = corpus_files
+        monkeypatch.chdir(tmp_path)
+        assert run("validate", "--facts", *facts, "--questions", questions) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+    @pytest.mark.parametrize("flag", [["--seed", "4"], ["--vectors", "v.txt"], ["--out", "o"]])
+    def test_options_of_other_commands_refused(self, flag, corpus_files):
+        _, facts, questions = corpus_files
+        with pytest.raises(SystemExit) as exc:
+            run("validate", "--facts", *facts, "--questions", questions, *flag)
+        assert exc.value.code == 2
+
+    def test_shared_config_still_runs(self, corpus_files, tmp_path, monkeypatch, capsys):
+        # seed, vectors and out belong to other commands: checked, then ignored
+        _, facts, questions = corpus_files
+        config = tmp_path / "shared.cfg"
+        config.write_text(f"seed=4\nvectors={tmp_path / 'missing.txt'}\nout=elsewhere\n",
+                          encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code = run("validate", "--config", config, "--facts", *facts, "--questions", questions)
+        assert code == 0
+        assert "corpus OK" in capsys.readouterr().out
+        assert not (tmp_path / "elsewhere").exists()
 
     def test_missing_questions_file_exit_two(self, tmp_path):
         facts_path = tmp_path / "facts.tsv"
@@ -73,7 +99,6 @@ class TestValidateCommand:
             "validate",
             "--facts", facts_path,
             "--questions", tmp_path / "missing.tsv",
-            "--out", tmp_path / "o",
         )
         assert code == 2
 
@@ -186,6 +211,42 @@ class TestRankCommand:
             run("rank", "--facts", *facts, "--questions", questions, "--method", "external",
                 "--out", tmp_path / "o")
         assert exc.value.code == 2
+
+    def test_scores_ignore_vectors_and_build_no_provider(self, corpus_files, tmp_path,
+                                                         monkeypatch):
+        corpus, facts, questions = corpus_files
+        scores_path = tmp_path / "ext.tsv"
+        with open(scores_path, "w", encoding="utf-8") as fh:
+            for i, q in enumerate(corpus.questions):
+                for n, uid in enumerate(corpus.facts):
+                    fh.write(f"{q.qid}\t{uid}\t{(n * 5 + i) % 7}\n")
+        base = ["rank", "--facts", *facts, "--questions", questions, "--scores", scores_path]
+        plain, malformed, unbuilt = tmp_path / "plain", tmp_path / "malformed", tmp_path / "unbuilt"
+        assert run(*base, "--out", plain) == 0
+        vectors = tmp_path / "bad_vectors.txt"
+        vectors.write_text("a 1 zz\n", encoding="utf-8")
+        assert run(*base, "--vectors", vectors, "--out", malformed) == 0
+
+        def refuse(corpus):
+            raise AssertionError("rank --scores built a TF-IDF provider")
+
+        monkeypatch.setattr(cli, "default_provider", refuse)
+        assert run(*base, "--out", unbuilt) == 0
+        for out in (malformed, unbuilt):
+            for name in ("scores.tsv", "predictions.tsv"):
+                assert (out / name).read_bytes() == (plain / name).read_bytes()
+
+    def test_huge_vectors_exit_two(self, corpus_files, tmp_path, caplog):
+        # the norms of 1e200-scale vectors overflow, which made nan scores
+        _, facts, questions = corpus_files
+        vectors = tmp_path / "huge.txt"
+        vectors.write_text("frog 1e200 1e200\nplant 1e200 -1e200\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = run("rank", "--facts", *facts, "--questions", questions, "--vectors", vectors,
+                   "--out", out)
+        assert code == 2
+        assert f"{vectors} line 1: vector norm above 2**500" in caplog.text
+        assert not (out / "scores.tsv").exists()
 
     def test_top_m(self, corpus_files, tmp_path):
         corpus, facts, questions = corpus_files
@@ -346,6 +407,17 @@ class TestEvaluateCommand:
             "evaluate", "--facts", *facts, "--questions", questions, "--out", tmp_path / "o"
         )
         assert code == 2
+
+    def test_sweep_without_scores_writes_nothing(self, corpus_files, tmp_path, caplog):
+        corpus, facts, questions = corpus_files
+        preds = tmp_path / "perfect.tsv"
+        self.perfect_predictions(corpus, preds)
+        out = tmp_path / "o"
+        code = run("evaluate", "--facts", *facts, "--questions", questions,
+                   "--predictions", preds, "--sweep", "1,3", "--out", out)
+        assert code == 2
+        assert "--sweep needs --scores" in caplog.text
+        assert list(out.iterdir()) == []
 
     def test_per_role_includes_background_and_neg(self, tmp_path, capsys):
         corpus = random_corpus(
@@ -521,7 +593,7 @@ class TestInvalidUtf8:
         _, _, questions = corpus_files
         facts_path = tmp_path / "facts.tsv"
         facts_path.write_bytes(b"text\tUID\nna\xefve fact\tf1\n")
-        code = run("validate", "--facts", facts_path, "--questions", questions, "--out", tmp_path / "o")
+        code = run("validate", "--facts", facts_path, "--questions", questions)
         assert code == 2
         assert f"{facts_path} line 2: not valid UTF-8" in caplog.text
 
@@ -611,7 +683,8 @@ class TestOptionTable:
             f"# shared settings\n\nquestions={questions}\n{line}\n", encoding="utf-8"
         )
         out = tmp_path / "o"
-        assert run(command, "--config", config, "--facts", *facts, "--out", out) == 2
+        out_argv = [] if command == "validate" else ["--out", out]
+        assert run(command, "--config", config, "--facts", *facts, *out_argv) == 2
         assert f"{config} line 4: " in caplog.text
         assert not out.exists()
         key, _, raw = line.partition("=")

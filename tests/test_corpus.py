@@ -165,7 +165,6 @@ class TestLoadQuestions:
         )
         (q,) = load_questions(path)
         assert q.gold == ()
-        assert not q.annotated
 
     def test_malformed_markers_whole_stem(self, tmp_path, caplog):
         path = tmp_path / "q.tsv"
@@ -190,12 +189,6 @@ class TestLoadQuestions:
         report = validate(Corpus(facts={}, questions=(q,)))
         assert not report.ok
         assert any(i.kind == "answer-key" for i in report.issues)
-
-    def test_configurable_columns(self, tmp_path):
-        path = tmp_path / "q.tsv"
-        write_lines(path, ["id\ttext\tkey\texpl", "q1\tStem (A) x\tA\t"])
-        (q,) = load_questions(path, id_col="id", text_col="text", key_col="key", expl_col="expl")
-        assert q.qid == "q1"
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "q.tsv"
@@ -231,6 +224,21 @@ class TestAnswerText:
         q = Question("q", "s", {"A": "x", "B": "y"}, "C")
         with pytest.raises(DataError, match="'C'"):
             answer_text(q)
+
+
+class TestAnswerable:
+    def test_unresolvable_key_skipped_with_one_warning(self, caplog):
+        questions = (
+            Question("q1", "Stem", {"A": "x", "B": "y"}, "B"),
+            Question("q2", "Stem", {"A": "x"}, "Z", (("f1", CENTRAL),)),
+            Question("q3", "", {"A": "x"}, "A"),
+        )
+        corpus = Corpus(facts={}, questions=questions)
+        with caplog.at_level("WARNING"):
+            first, second = corpus.answerable, corpus.answerable
+        assert first is second
+        assert [(q.qid, qa) for q, qa in first] == [("q1", "Stem y"), ("q3", "x")]
+        assert caplog.text.count("question q2: answer key 'Z' matches no choice") == 1
 
 
 class TestValidate:

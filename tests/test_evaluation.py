@@ -15,9 +15,7 @@ from explainrank.evaluation import (
     average_precision,
     evaluate_rankings,
     format_report,
-    map_by_length,
     map_overall,
-    map_per_role,
     read_predictions,
     report_keyvalues,
     write_predictions,
@@ -174,7 +172,7 @@ class TestMapOverall:
 class TestMapPerRole:
     def test_single_central_question(self):
         corpus = make_corpus([Question("q1", "s", {"A": "a"}, "A", (("f1", CENTRAL),))])
-        result = map_per_role({"q1": ["f1", "f2"]}, corpus)
+        result = evaluate_rankings({"q1": ["f1", "f2"]}, corpus).per_role
         assert result == {CENTRAL: 1.0}
         assert GROUNDING not in result
 
@@ -190,7 +188,7 @@ class TestMapPerRole:
             uids = [f"f{j}" for j in range(10)]
             rng.shuffle(uids)
             ranked[q.qid] = uids
-        assert map_per_role(ranked, corpus)[CENTRAL] == map_overall(ranked, corpus)
+        assert evaluate_rankings(ranked, corpus).per_role[CENTRAL] == map_overall(ranked, corpus)
 
     def test_mixed_roles_match_brute_force(self):
         questions = [
@@ -208,7 +206,7 @@ class TestMapPerRole:
             "q1": ["f2", "f1", "f0", "f3", "f4", "f5"],
             "q2": ["f0", "f5", "f4", "f1", "f2", "f3"],
         }
-        result = map_per_role(ranked, corpus)
+        result = evaluate_rankings(ranked, corpus).per_role
         expected_central = brute_force_ap(ranked["q1"], {"f1", "f3"})
         expected_grounding = (
             brute_force_ap(ranked["q1"], {"f2"}) + brute_force_ap(ranked["q2"], {"f4"})
@@ -226,7 +224,7 @@ class TestMapByLength:
         ]
         corpus = make_corpus(questions)
         ranked = {q.qid: [f"f{i}" for i in range(10)] for q in questions}
-        result = map_by_length(ranked, corpus)
+        result = evaluate_rankings(ranked, corpus).per_length
         assert list(result) == [1]
         count, _ = result[1]
         assert count == 4
@@ -243,7 +241,7 @@ class TestMapByLength:
             uids = [f"f{j}" for j in range(10)]
             rng.shuffle(uids)
             ranked[q.qid] = uids
-        buckets = map_by_length(ranked, corpus)
+        buckets = evaluate_rankings(ranked, corpus).per_length
         weighted = sum(count * value for count, value in buckets.values())
         total = sum(count for count, _ in buckets.values())
         assert weighted / total == pytest.approx(map_overall(ranked, corpus), abs=1e-9)
@@ -261,7 +259,7 @@ class TestMapByLength:
         corpus = make_corpus(questions)
         order = ["f0", "f1", "f2", "f3", "f4"]
         ranked = {q.qid: order for q in questions}
-        result = map_by_length(ranked, corpus)
+        result = evaluate_rankings(ranked, corpus).per_length
         assert result[1] == (1, pytest.approx(brute_force_ap(order, {"f1"}), abs=1e-12))
         assert result[2] == (1, pytest.approx(brute_force_ap(order, {"f1", "f2"}), abs=1e-12))
         assert result[3] == (

@@ -1,0 +1,113 @@
+"""Fuzzed fact tables, question files and word-vector files.
+
+Every input either loads or raises FormatError or DataError naming the file;
+no other exception escapes a loader. Word vectors that load give finite
+cosines for any sentence built from their tokens. Generated files mix line
+ends, blank lines, tabs and separators inside cells, missing and repeated
+columns, malformed annotations, huge, tiny and non-finite components, and
+bytes that are not valid UTF-8.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from explainrank.corpus import load_facts, load_questions
+from explainrank.errors import DataError, FormatError
+from explainrank.textsim import load_dense
+
+from test_bulk_readers import damages, file_bytes, line_ends
+
+_settings = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def cells(*samples):
+    return st.sampled_from(["", " ", " ", "é", "x y", *samples])
+
+
+def rows(cell, max_cells=4):
+    return st.lists(cell, min_size=1, max_size=max_cells).map("\t".join)
+
+
+fact_cells = cells("UID", "[SKIP] UID", "[SKIP] note", "text", "f1", "f2", " f1 ", "a frog")
+question_headers = st.one_of(
+    st.just("QuestionID\tquestion\tAnswerKey\texplanation"),
+    st.permutations(["QuestionID", "question", "AnswerKey", "explanation", "extra"]).map("\t".join),
+    rows(cells("QuestionID", "question", "AnswerKey", "explanation")),
+)
+question_cells = cells(
+    "q1", "q2", " q1", "Stem (A) x (B) y", "(B) y (A) x", "(A)", "A", "B", "Z",
+    "f1|CENTRAL", "f1|", "|NEG", "f1", "a|b|c f2|lexical glue", "f1|BACKGROUND f1|NEG",
+)
+components = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, width=64).map(repr),
+    st.sampled_from(["1e200", "-1e200", "1e-160", "5e-324", "3.2e150", "1_0", "0x1p3", "zz", "٣"]),
+)
+vector_lines = st.one_of(
+    st.tuples(st.sampled_from(["a", "b", "the", "frog", "2", "é"]),
+              st.lists(components, max_size=4)).map(lambda t: " ".join([t[0], *t[1]])),
+    st.sampled_from(["2 3", "3 2", "0 0", "1 -2", "", "  ", "a\t1 2"]),
+)
+
+
+def outcome(load, data):
+    """The loader's result on a file holding data, or None when it raises
+    FormatError or DataError, which must name the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_bytes(data)
+        try:
+            return load(path)
+        except (FormatError, DataError) as exc:
+            assert str(path) in str(exc)
+            return None
+
+
+@_settings
+@given(header=rows(fact_cells), lines=st.lists(rows(fact_cells), max_size=8),
+       ends=st.lists(line_ends, min_size=9, max_size=9), final_newline=st.booleans(),
+       damage=damages)
+@example("text\tUID", ["f1\tone", "f1\ttwo"], ["\n"] * 9, True, None)
+def test_fact_tables(header, lines, ends, final_newline, damage):
+    facts = outcome(lambda path: load_facts([path]), file_bytes([header, *lines], ends,
+                                                               final_newline, damage=damage))
+    if facts is not None:
+        assert all(uid == fact.uid and uid and fact.text for uid, fact in facts.items())
+
+
+@_settings
+@given(header=question_headers, lines=st.lists(rows(question_cells, 5), max_size=8),
+       ends=st.lists(line_ends, min_size=9, max_size=9), final_newline=st.booleans(),
+       damage=damages)
+@example("QuestionID\tquestion\tAnswerKey\texplanation", ["q1\tStem (A) x\tA\tf1|"],
+         ["\n"] * 9, True, None)
+def test_question_files(header, lines, ends, final_newline, damage):
+    questions = outcome(load_questions, file_bytes([header, *lines], ends, final_newline,
+                                                   damage=damage))
+    if questions is not None:
+        qids = [q.qid for q in questions]
+        assert len(set(qids)) == len(qids)
+
+
+@_settings
+@given(lines=st.lists(vector_lines, max_size=8), ends=st.lists(line_ends, min_size=8, max_size=8),
+       final_newline=st.booleans(), damage=damages,
+       sentences=st.lists(st.lists(st.sampled_from(["a", "b", "the", "frog", "é", "zebra"]),
+                                   max_size=4).map(" ".join), min_size=1, max_size=4))
+@example(["a 1e200 1e200", "b 1 1"], ["\n"] * 8, True, None, ["a b"])
+@example(["a 2.3e150 2.3e150", "b -2.3e150 0"], ["\n"] * 8, True, None, ["a", "b", "a b"])
+@example(["a 1e-160 0", "b 0 1e-160", "frog 5e-324 5e-324"], ["\n"] * 8, True, None,
+         ["a", "b a", "frog"])
+def test_word_vectors(lines, ends, final_newline, damage, sentences):
+    provider = outcome(load_dense, file_bytes(lines, ends, final_newline, damage=damage))
+    if provider is not None:
+        rows = provider.rows(sentences)
+        with np.errstate(over="raise", invalid="raise"):
+            for j in range(len(sentences)):
+                assert np.isfinite(rows.cosines(j)).all()

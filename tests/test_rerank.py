@@ -414,6 +414,16 @@ class TestRerankAll:
         assert [r.qid for r in rankings] == list(table.qids)
         assert all(sorted(r.uids) == sorted(corpus.facts) for r in rankings)
 
+    def test_table_order_not_corpus_order(self):
+        corpus = random_corpus(n_questions=6, n_facts=30, seed=52)
+        provider = default_provider(corpus)
+        table = score_lexical(corpus, provider)
+        backwards = RelevanceTable(table.qids[::-1], table.uids, table.scores[::-1])
+        config = RerankConfig(depth=4)
+        forward, _ = rerank_all(corpus, provider, table, config)
+        reversed_rankings, _ = rerank_all(corpus, provider, backwards, config)
+        assert reversed_rankings == forward[::-1]
+
     def test_normalized_scores_used(self):
         # negative external scores still re-rank because of normalization
         corpus = random_corpus(n_questions=3, n_facts=10, seed=51)

@@ -11,7 +11,6 @@ from explainrank.scorer import (
     OVERLAP,
     TFIDF_COSINE,
     all_rankings,
-    initial_ranking,
     load_scores,
     normalize,
     score_lexical,
@@ -147,7 +146,7 @@ class TestLoadScores:
         with caplog.at_level("WARNING"):
             table = load_scores(path, corpus)
         assert table_scores(table)["q1"]["f3"] == pytest.approx(0.2 - 1.0)
-        assert initial_ranking(table, "q1").uids[-1] == "f3"
+        assert all_rankings(table)[0].uids[-1] == "f3"
         assert any("filled to rank last" in rec.message for rec in caplog.records)
 
     def test_unparseable_score_names_line(self, tmp_path):
@@ -233,23 +232,19 @@ class TestLoadScores:
 
 class TestInitialRanking:
     def test_descending_order(self):
-        ranking = initial_ranking(score_table({"q1": {"f1": 0.2, "f2": 0.9, "f3": 0.5}}), "q1")
+        (ranking,) = all_rankings(score_table({"q1": {"f1": 0.2, "f2": 0.9, "f3": 0.5}}))
         assert ranking.uids == ["f2", "f3", "f1"]
 
     def test_ties_break_by_uid(self):
-        ranking = initial_ranking(score_table({"q1": {"b": 1.0, "c": 1.0, "a": 1.0}}), "q1")
+        (ranking,) = all_rankings(score_table({"q1": {"b": 1.0, "c": 1.0, "a": 1.0}}))
         assert ranking.uids == ["a", "b", "c"]
 
     def test_permutation_property(self):
         rng = random.Random(21)
         for _ in range(50):
             scores = {f"f{i}": rng.choice([0.0, 0.5, rng.random()]) for i in range(30)}
-            ranking = initial_ranking(score_table({"q": scores}), "q")
+            (ranking,) = all_rankings(score_table({"q": scores}))
             assert sorted(ranking.uids) == sorted(scores)
-
-    def test_unknown_qid(self):
-        with pytest.raises(DataError, match="q9"):
-            initial_ranking(score_table({"q1": {"f1": 1.0}}), "q9")
 
     def test_all_rankings_follows_table_order(self):
         table = score_table({"q2": {"f1": 1.0}, "q1": {"f1": 1.0}})
@@ -290,6 +285,6 @@ class TestNormalize:
         rng = random.Random(23)
         for _ in range(100):
             scores = {f"f{i}": rng.choice([-2.0, 0.0, rng.uniform(-5, 5)]) for i in range(15)}
-            before = initial_ranking(score_table({"q": scores}), "q").uids
+            before = all_rankings(score_table({"q": scores}))[0].uids
             after = all_rankings(normalize(score_table({"q": scores})))[0].uids
             assert before == after

@@ -5,16 +5,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from explainrank.corpus import Question
+from explainrank.corpus import Question, qa_text
 from explainrank.errors import DataError, FormatError
 from explainrank.textsim import (
     STOPWORDS,
     Rows,
-    build_tfidf,
+    TfidfProvider,
     default_provider,
     dense_rows,
     load_dense,
-    qa_text,
     tokenize,
 )
 
@@ -73,40 +72,40 @@ class TestTokenize:
 
 class TestTfidf:
     def test_idf_term_in_all_docs(self):
-        provider = build_tfidf(["cat sat", "cat ran"], drop_stopwords=False)
+        provider = TfidfProvider(["cat sat", "cat ran"])
         assert provider.idf["cat"] == pytest.approx(1.0, abs=1e-12)
 
     def test_idf_term_in_one_of_two_docs(self):
         # ln((1 + 2) / (1 + 1)) + 1, evaluated independently
-        provider = build_tfidf(["cat sat", "dog ran"], drop_stopwords=False)
+        provider = TfidfProvider(["cat sat", "dog ran"])
         assert provider.idf["sat"] == pytest.approx(1.4054651081081644, abs=1e-12)
         assert provider.idf["sat"] == pytest.approx(math.log(3 / 2) + 1, abs=1e-15)
 
     def test_vocabulary_subset_of_inputs(self):
         texts = ["green plants use sunlight", "a frog eats insects"]
-        provider = build_tfidf(texts)
+        provider = TfidfProvider(texts)
         seen = set()
         for text in texts:
             seen.update(tokenize(text, drop_stopwords=True))
         assert set(provider.term_ids) <= seen
 
     def test_tf_is_raw_count(self):
-        provider = build_tfidf(["cat cat dog", "dog"], drop_stopwords=False)
+        provider = TfidfProvider(["cat cat dog", "dog"])
         weights = row_weights(provider.rows(["cat cat dog"]), 0)
         cat_id = provider.term_ids["cat"]
         assert weights[cat_id] == pytest.approx(2 * provider.idf["cat"], abs=1e-12)
 
     def test_oov_tokens_dropped(self):
-        provider = build_tfidf(["cat dog"], drop_stopwords=False)
+        provider = TfidfProvider(["cat dog"])
         assert len(row_weights(provider.rows(["cat zebra"]), 0)) == 1
 
     def test_all_empty_texts_error(self):
         with pytest.raises(DataError):
-            build_tfidf(["", "   ", "\t"])
+            TfidfProvider(["", "   ", "\t"])
 
     def test_deterministic_across_builds(self):
         texts = ["a frog eats insects", "plants need sunlight", "frogs are amphibians"]
-        a, b = build_tfidf(texts), build_tfidf(texts)
+        a, b = TfidfProvider(texts), TfidfProvider(texts)
         assert a.term_ids == b.term_ids
         assert a.idf == b.idf
         rows_a, rows_b = a.rows(texts), b.rows(texts)
@@ -115,7 +114,7 @@ class TestTfidf:
         assert np.array_equal(rows_a.norms, rows_b.norms)
 
     def test_rows_sorted_by_term_and_padded(self):
-        provider = build_tfidf(["zebra frog cat", "cat dog"], drop_stopwords=False)
+        provider = TfidfProvider(["zebra frog cat", "cat dog"])
         rows = provider.rows(["zebra frog cat", "cat", ""])
         dim = len(provider.term_ids)
         assert rows.ids.shape == (3, 3)
@@ -175,6 +174,26 @@ class TestDenseVectors:
         with pytest.raises(FormatError):
             load_dense(path)
 
+    @pytest.mark.parametrize("bad", ["1e200 1e200", "1e200 1", " ".join([repr(2.0**499)] * 5)])
+    def test_norm_above_limit_names_line(self, tmp_path, bad):
+        path = tmp_path / "v.txt"
+        self.write_vectors(path, ["a 1" + " 0" * bad.count(" "), f"b {bad}"])
+        with pytest.raises(FormatError, match=r"v\.txt line 2: vector norm above 2\*\*500"):
+            load_dense(path)
+
+    def test_norm_at_limit_gives_finite_cosines(self, tmp_path):
+        # four components of 2**499 have norm 2**500 exactly
+        path = tmp_path / "v.txt"
+        half = 2.0**499
+        self.write_vectors(path, [f"a {half!r} {half!r} {half!r} {half!r}",
+                                  f"b {-half!r} {half!r} 0 0", "c 1e-160 0 0 0"])
+        rows = load_dense(path).rows(["a", "b", "a b", "c", "c a"])
+        assert rows.norms[0] == 2.0**500
+        with np.errstate(over="raise", invalid="raise"):
+            for j in range(5):
+                assert np.isfinite(rows.cosines(j)).all()
+        assert rows.cosines(0)[0] == 1.0
+
 
 class TestCosine:
     def test_self_similarity(self):
@@ -229,7 +248,7 @@ class TestCosine:
             assert -1.0 - 1e-12 <= cos(rows, 0, 1) <= 1.0 + 1e-12
 
     def test_nonnegative_for_tfidf_vectors(self):
-        provider = build_tfidf(["a green frog", "green plants grow", "rocks are hard"])
+        provider = TfidfProvider(["a green frog", "green plants grow", "rocks are hard"])
         texts = ["a green frog", "green plants grow", "rocks are hard", "frog plants"]
         rows = provider.rows(texts)
         for j in range(len(texts)):
@@ -239,7 +258,7 @@ class TestCosine:
         rng = random.Random(14)
         words = ["frog", "green", "plant", "rock", "sun", "water", "grow"]
         texts = [" ".join(rng.choices(words, k=rng.randint(0, 9))) for _ in range(100)]
-        provider = build_tfidf(texts)
+        provider = TfidfProvider(texts)
         rows = provider.rows(texts)
         for i in range(len(texts)):
             recomputed = math.sqrt(sum(w * w for w in row_weights(rows, i).values()))
@@ -254,7 +273,7 @@ class TestCosine:
         rng = random.Random(15)
         words = [f"w{i}" for i in range(30)]
         texts = [" ".join(rng.choices(words, k=rng.randint(1, 12))) for _ in range(60)]
-        provider = build_tfidf(texts)
+        provider = TfidfProvider(texts)
         rows = provider.rows(texts)
         for j in range(len(texts)):
             v = row_weights(rows, j)
