@@ -141,9 +141,19 @@ def read_config(path: str | Path) -> dict[str, object]:
     return values
 
 
-def _load(args: argparse.Namespace) -> Corpus:
+def _check_usage(args: argparse.Namespace) -> None:
+    """UsageError for a missing or unusable flag, before anything is read or
+    written."""
     if not args.facts or not args.questions:
         raise UsageError("--facts and --questions are required for this command")
+    if args.command == "evaluate":
+        if args.predictions is None and args.sweep is None:
+            raise UsageError("evaluate needs --predictions and/or --sweep with --scores")
+        if args.sweep is not None and not args.scores:
+            raise UsageError("--sweep needs --scores with externally computed relevance scores")
+
+
+def _load(args: argparse.Namespace) -> Corpus:
     return load_corpus(args.facts, args.questions)
 
 
@@ -154,10 +164,11 @@ def _provider(args: argparse.Namespace, corpus: Corpus):
 
 
 def _table(args: argparse.Namespace, corpus: Corpus, provider=None) -> scorer.RelevanceTable:
-    """The --scores table, or lexical scores from provider (built if None)."""
+    """The --scores table, or lexical scores; the TF-IDF cosine takes provider
+    (built if None), token overlap compares no vectors."""
     if args.scores:
         return scorer.load_scores(args.scores, corpus)
-    if provider is None:
+    if provider is None and args.method == scorer.TFIDF_COSINE:
         provider = _provider(args, corpus)
     return scorer.score_lexical(corpus, provider, args.method)
 
@@ -210,6 +221,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_name(qid: str) -> str:
+    """qid as a file name: each UTF-8 byte of a character outside [\\w.-],
+    % included, becomes %XX, so two qids never share a name."""
+    return re.sub(r"[^\w.-]", lambda m: "".join(f"%{b:02X}" for b in m[0].encode()), qid)
+
+
 def cmd_rerank(args: argparse.Namespace) -> int:
     corpus = _load(args)
     provider = _provider(args, corpus)
@@ -223,8 +240,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
         trace_dir = args.out / "traces"
         trace_dir.mkdir(exist_ok=True)
         for qid, trace in traces.items():
-            safe = re.sub(r"[^\w.-]", "_", qid)
-            (trace_dir / f"{safe}.trace.txt").write_text(
+            (trace_dir / f"{_trace_name(qid)}.trace.txt").write_text(
                 "\n".join(trace.format_lines()) + "\n", encoding="utf-8"
             )
         print(f"wrote {len(traces)} trace file(s) under {trace_dir}")
@@ -232,10 +248,6 @@ def cmd_rerank(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.predictions is None and args.sweep is None:
-        raise UsageError("evaluate needs --predictions and/or --sweep with --scores")
-    if args.sweep is not None and not args.scores:
-        raise UsageError("--sweep needs --scores with externally computed relevance scores")
     corpus = _load(args)
     if args.predictions is not None:
         ranked = evaluation.read_predictions(args.predictions)
@@ -302,7 +314,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     try:
         args = parse_args(argv)
-        for input_path in [*(args.facts or ()), *map(vars(args).get, _INPUTS)]:
+        _check_usage(args)
+        for input_path in [*args.facts, *map(vars(args).get, _INPUTS)]:
             if input_path is not None and not Path(input_path).exists():
                 raise FileNotFoundError(f"input path does not exist: {input_path}")
         if args.command in OPTIONS["out"][0]:

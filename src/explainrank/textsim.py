@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -94,48 +94,93 @@ class TfidfProvider:
 
     idf(t) = ln((1 + N) / (1 + df(t))) + 1 over the N build texts; a sentence
     vector is raw term count times idf, restricted to the build vocabulary.
+    Term ids are numbered in the order the terms first occur in the build
+    texts. Each distinct build text is tokenised once: its term ids are
+    kept, and rows() reuses them.
     """
 
     def __init__(self, texts: Iterable[str]):
         self.term_ids: dict[str, int] = {}
-        df: Counter[str] = Counter()
-        n_texts = 0
+        term_ids = self.term_ids
+        self._ids = array("i")  # every build text's term ids, one after another
+        self._ends = array("q")  # where each build text's ids end
+        self._index: dict[str, int] = {}  # build text -> its first position
         for text in texts:
-            n_texts += 1
-            seen: set[str] = set()
-            for token in tokenize(text, drop_stopwords=True):
-                if token in seen:
-                    continue
-                seen.add(token)
-                if token not in self.term_ids:
-                    self.term_ids[token] = len(self.term_ids)
-                df[token] += 1
-        if not self.term_ids:
+            i = self._index.setdefault(text, len(self._ends))
+            if i < len(self._ends):  # a repeated text
+                self._ids.extend(self._stored(i))
+            else:
+                tokens = tokenize(text, drop_stopwords=True)
+                for token in tokens:
+                    if token not in term_ids:
+                        term_ids[token] = len(term_ids)
+                self._ids.extend(map(term_ids.__getitem__, tokens))
+            self._ends.append(len(self._ids))
+        if not term_ids:
             raise DataError("cannot build TF-IDF vectors: no tokens in any input text")
-        self.idf = {
-            token: math.log((1 + n_texts) / (1 + df[token])) + 1.0 for token in self.term_ids
+        dim, n_texts = len(term_ids), len(self._ends)
+        # df counts each text's distinct terms: sorted, a (text, term) key
+        # equal to the one before it is a repeat within one text
+        keys = self._keys(np.diff(self._ends, prepend=0), self._ids)
+        keys.sort()
+        repeat = keys[1:] == keys[:-1]
+        np.remainder(keys, dim, out=keys)
+        df = np.bincount(keys, minlength=dim) - np.bincount(keys[1:][repeat], minlength=dim)
+        self.idf = {  # math.log, not np.log: its last bit can differ
+            token: math.log((1 + n_texts) / (1 + n)) + 1.0 for token, n in zip(term_ids, df.tolist())
         }
+        self._idf = np.fromiter(self.idf.values(), float, dim)
+
+    def _stored(self, i: int) -> array:
+        """The term ids of build text i."""
+        return self._ids[self._ends[i - 1] if i else 0 : self._ends[i]]
+
+    def _keys(self, lengths, ids: array) -> np.ndarray:
+        """text * dim + term id for each of ids, which holds lengths[0] ids of
+        text 0, then lengths[1] ids of text 1, and so on."""
+        keys = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        keys *= len(self.term_ids)
+        keys += np.frombuffer(ids, dtype=np.intc)
+        return keys
 
     def rows(self, texts: Sequence[str]) -> Rows:
         """Raw term count times idf per in-vocabulary term; each norm is summed
-        in the order the terms first occur in the text."""
-        terms = []
-        norms = []
+        left to right in the order the terms first occur in the text. Only
+        texts that were not build texts are tokenised."""
+        dim = len(self.term_ids)
+        flat, lengths = array("i"), array("q")
         for text in texts:
-            weights: dict[int, float] = {}
-            for token, count in Counter(tokenize(text, drop_stopwords=True)).items():
-                term_id = self.term_ids.get(token)
-                if term_id is not None:
-                    weights[term_id] = count * self.idf[token]
-            norms.append(math.sqrt(sum(w * w for w in weights.values())))
-            terms.append(sorted(weights.items()))
-        width = max(1, max(map(len, terms), default=0))
-        ids = np.full((len(terms), width), len(self.term_ids), dtype=np.intp)
-        values = np.zeros((len(terms), width))
-        for i, row in enumerate(terms):
-            if row:
-                ids[i, : len(row)], values[i, : len(row)] = zip(*row)
-        return Rows(values, np.array(norms), len(self.term_ids), ids)
+            i = self._index.get(text)
+            if i is None:
+                tokens = tokenize(text, drop_stopwords=True)
+                ids = [self.term_ids[t] for t in tokens if t in self.term_ids]
+            else:
+                ids = self._stored(i)
+            flat.extend(ids)
+            lengths.append(len(ids))
+        n = len(lengths)
+        # one entry per (text, term), in text order then ascending term id
+        keys, first, counts = np.unique(
+            self._keys(np.frombuffer(lengths, dtype=np.int64), flat),
+            return_index=True, return_counts=True,
+        )
+        row, term = np.divmod(keys, dim)
+        weights = counts * self._idf[term]
+        n_terms = np.bincount(row, minlength=n)
+        width = max(1, int(n_terms.max(initial=0)))
+        starts = np.cumsum(n_terms) - n_terms
+        col = np.arange(len(keys)) - starts[row]
+        ids = np.full((n, width), dim, dtype=np.intp)
+        values = np.zeros((n, width))
+        ids[row, col] = term
+        values[row, col] = weights
+        # sorted by first position the entries stay grouped by text, in text
+        # order, so the same cells take each text's squares in the order its
+        # terms first occur
+        squares = np.zeros((n, width))
+        squares[row, col] = np.square(weights[np.argsort(first)])
+        norms = np.sqrt(np.cumsum(squares, axis=1, out=squares)[:, -1])
+        return Rows(values, norms, dim, ids)
 
 
 class DenseWordVectors:

@@ -236,6 +236,25 @@ class TestRankCommand:
             for name in ("scores.tsv", "predictions.tsv"):
                 assert (out / name).read_bytes() == (plain / name).read_bytes()
 
+    def test_overlap_ignores_vectors_and_builds_no_provider(self, corpus_files, tmp_path,
+                                                            monkeypatch):
+        _, facts, questions = corpus_files
+        base = ["rank", "--facts", *facts, "--questions", questions, "--method", "overlap"]
+        plain, malformed, unbuilt = tmp_path / "plain", tmp_path / "malformed", tmp_path / "unbuilt"
+        assert run(*base, "--out", plain) == 0
+        vectors = tmp_path / "bad_vectors.txt"
+        vectors.write_text("a 1 zz\n", encoding="utf-8")
+        assert run(*base, "--vectors", vectors, "--out", malformed) == 0
+
+        def refuse(corpus):
+            raise AssertionError("rank --method overlap built a TF-IDF provider")
+
+        monkeypatch.setattr(cli, "default_provider", refuse)
+        assert run(*base, "--out", unbuilt) == 0
+        for out in (malformed, unbuilt):
+            for name in ("scores.tsv", "predictions.tsv"):
+                assert (out / name).read_bytes() == (plain / name).read_bytes()
+
     def test_huge_vectors_exit_two(self, corpus_files, tmp_path, caplog):
         # the norms of 1e200-scale vectors overflow, which made nan scores
         _, facts, questions = corpus_files
@@ -292,6 +311,27 @@ class TestRerankCommand:
         assert code == 0
         traces = list((out / "traces").glob("*.trace.txt"))
         assert len(traces) == len(corpus.questions)
+
+    def test_trace_names_distinct_for_every_qid(self, tmp_path, capsys):
+        # "q/1" and "q_1" once both wrote q_1.trace.txt; "%" is escaped too
+        facts = tmp_path / "facts.tsv"
+        write_fact_table(facts, [("f1", "frogs eat insects"), ("f2", "plants need sun"),
+                                 ("f3", "insects eat plants")])
+        qids = ["q/1", "q_1", "q%2F1", "été"]
+        questions = tmp_path / "q.tsv"
+        questions.write_text(
+            "QuestionID\tquestion\tAnswerKey\texplanation\n"
+            + "".join(f"{qid}\tWhat do frogs eat? (A) insects (B) sun\tA\tf1|CENTRAL\n"
+                      for qid in qids),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert run("rerank", "--facts", facts, "--questions", questions, "--depth", 2,
+                   "--trace", "--out", out) == 0
+        names = sorted(path.name for path in (out / "traces").iterdir())
+        assert names == sorted(["q%2F1.trace.txt", "q_1.trace.txt", "q%252F1.trace.txt",
+                                "été.trace.txt"])
+        assert f"wrote {len(names)} trace file(s)" in capsys.readouterr().out
 
     def test_depth_one_keeps_raw_order_when_normalizing_merges_scores(self, tmp_path):
         # normalization maps 1.0 and the next float up onto one value; the
@@ -407,6 +447,7 @@ class TestEvaluateCommand:
             "evaluate", "--facts", *facts, "--questions", questions, "--out", tmp_path / "o"
         )
         assert code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_without_scores_writes_nothing(self, corpus_files, tmp_path, caplog):
         corpus, facts, questions = corpus_files
@@ -417,7 +458,7 @@ class TestEvaluateCommand:
                    "--predictions", preds, "--sweep", "1,3", "--out", out)
         assert code == 2
         assert "--sweep needs --scores" in caplog.text
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_per_role_includes_background_and_neg(self, tmp_path, capsys):
         corpus = random_corpus(
