@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,13 +51,15 @@ def _scan(ranked: Sequence[str], relevant: Iterable[str]) -> tuple[float, int]:
     return acc / n_relevant, len(remaining)
 
 
-def _evaluable(ranked_by_qid: RankedUids, corpus: Corpus) -> list[Question]:
+def evaluable(ranked_qids: Collection[str], corpus: Corpus) -> list[Question]:
+    """The annotated questions of the corpus that have a ranking, in corpus
+    order. Annotated questions without one are skipped with a warning."""
     known = corpus.question_index()
-    unknown = [qid for qid in ranked_by_qid if qid not in known]
+    unknown = [qid for qid in ranked_qids if qid not in known]
     if unknown:
         raise DataError(f"rankings reference unknown question(s): {sorted(unknown)[:5]}")
-    questions = [q for q in corpus.questions if q.gold and q.qid in ranked_by_qid]
-    skipped = sum(1 for q in corpus.questions if q.gold and q.qid not in ranked_by_qid)
+    questions = [q for q in corpus.questions if q.gold and q.qid in ranked_qids]
+    skipped = sum(1 for q in corpus.questions if q.gold and q.qid not in ranked_qids)
     if skipped:
         log.warning("%d annotated question(s) have no ranking and were skipped", skipped)
     if not questions:
@@ -82,7 +84,23 @@ def _mean_ap(aps: Sequence[tuple[float, int]]) -> tuple[float, int]:
 
 def map_overall(ranked_by_qid: RankedUids, corpus: Corpus) -> float:
     """Mean AP over annotated questions, every gold fact relevant."""
-    return _mean_ap(_aps(_evaluable(ranked_by_qid, corpus), ranked_by_qid))[0]
+    return _mean_ap(_aps(evaluable(ranked_by_qid, corpus), ranked_by_qid))[0]
+
+
+def map_from_positions(positions: np.ndarray, n_relevant: np.ndarray) -> float:
+    """MAP from where each question's relevant items sit in its ranking.
+
+    Row e of positions holds the 0-based positions of question e's relevant
+    items, in any order, padded with inf for the items its ranking lacks;
+    n_relevant[e] is the size of its relevant set. The result is bit for bit
+    map_overall's for the same rankings and questions in row order: each AP
+    adds k / position over its relevant items in rank order, and the APs
+    are added in row order.
+    """
+    ranked = np.sort(positions, axis=1)
+    precisions = np.arange(1, ranked.shape[1] + 1) / (ranked + 1.0)
+    aps = np.cumsum(precisions, axis=1)[:, -1] / n_relevant
+    return float(np.cumsum(aps)[-1] / len(aps))
 
 
 def _per_role(questions: Sequence[Question], ranked_by_qid: RankedUids) -> dict[Role, float]:
@@ -125,7 +143,7 @@ class EvalReport:
 
 
 def evaluate_rankings(ranked_by_qid: RankedUids, corpus: Corpus) -> EvalReport:
-    questions = _evaluable(ranked_by_qid, corpus)
+    questions = evaluable(ranked_by_qid, corpus)
     unknown = set().union(*ranked_by_qid.values()).difference(corpus.facts)
     if unknown:
         raise DataError(f"rankings reference unknown fact uid(s): {sorted(unknown)[:5]}")

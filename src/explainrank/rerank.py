@@ -17,9 +17,9 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError
-from .evaluation import map_overall
-from .scorer import Ranking, RelevanceTable, normalize
-from .textsim import Rows, fact_vectors
+from .evaluation import evaluable, map_from_positions
+from .scorer import Ranking, RelevanceTable, normalized_at
+from .textsim import Rows, Window
 
 log = logging.getLogger(__name__)
 
@@ -94,51 +94,99 @@ def iterative_rerank(
     times its qa_sim. Ties go to the better initial rank. Returns the new
     order, selected facts first and the rest in initial order, and one
     round per commit when want_trace is set.
+
+    This is a batch of one for the greedy rerank_all and depth_sweep run.
     """
-    top = order[: 2 * config.depth]
-    if len(top) == 0:
-        return order, ()
-    if not (weights[: len(top)] > 0.0).all():
+    top = order[None, : 2 * config.depth]
+    n = top.shape[1]
+    facts = np.array(uids, dtype=object)[top] if want_trace else None
+    perm, rounds = _greedy(Window(rows, top), weights[None, :n], qa_sims[None, :n], config.depth, facts)
+    return np.concatenate([top[0, perm[0]], order[n:]]), tuple(rounds[0]) if want_trace else ()
+
+
+def _greedy(
+    window: Window,
+    weights: np.ndarray,
+    qa_sims: np.ndarray,
+    depth: int,
+    facts: np.ndarray | None = None,
+) -> tuple[np.ndarray, list[list[RerankRound]]]:
+    """iterative_rerank's greedy for every window at once, in lockstep, on
+    each window's first min(2 * depth, width) facts. weights and qa_sims
+    hold a row per window. Every window sees the operations
+    iterative_rerank makes for one, in the same order, so the bits are the
+    same. Returns each window's new order as positions in it and, when
+    facts (the windows' uids) is given, each window's rounds."""
+    n = min(2 * depth, window.top.shape[1])
+    top, weights, qa_sims = window.top[:, :n], weights[:, :n], qa_sims[:, :n]
+    if not (weights > 0.0).all():
         raise DataError("relevance weights must be positive; normalize scores first")
-    target = min(config.depth, len(top))
-    selected = [0]  # positions in top
-    waiting = np.ones(len(top), dtype=bool)
-    waiting[0] = False
+    rounds = [[] for _ in top] if facts is not None else []
+    if top.size == 0:
+        return np.zeros(top.shape, dtype=np.intp), rounds
+    each = np.arange(len(top))
+    selected = [np.zeros(len(top), dtype=np.intp)]  # positions in top
+    waiting = np.ones(top.shape, dtype=bool)
+    waiting[:, 0] = False
     # running numerators of the weighted relevance, one fold per selected fact
-    numer = np.zeros(len(top))
-    denom = weights[0]
-    rounds = []
-    while len(selected) < target:
+    numer = np.zeros(top.shape)
+    denom = weights[:, 0].copy()
+    while len(selected) < min(depth, n):
         last = selected[-1]
-        numer += weights[last] * rows.cosines(top[last], among=top)
-        pool = np.flatnonzero(waiting[: min(config.depth + len(selected), len(top) - 1) + 1])
-        rel = numer[pool] / denom
-        score = rel * qa_sims[pool]
-        best = pool[np.argmax(score)]  # the first maximum: better initial rank wins ties
-        if want_trace:
-            facts = [uids[f] for f in top[pool]]
-            scored = map(CandidateScore, facts, rel.tolist(), qa_sims[pool].tolist(), score.tolist())
-            rounds.append(RerankRound(len(rounds) + 1, uids[top[best]], tuple(scored)))
+        numer += weights[each, last][:, None] * window.cosines(last, n)
+        pool = waiting.copy()
+        pool[:, min(depth + len(selected), n - 1) + 1 :] = False
+        rel = numer / denom[:, None]
+        score = rel * qa_sims
+        # the first maximum: the better initial rank wins ties
+        best = np.argmax(np.where(pool, score, -np.inf), axis=1)
+        if facts is not None:
+            found = _round(len(selected), facts, pool, best, rel, qa_sims, score)
+            for window_rounds, rnd in zip(rounds, found):
+                window_rounds.append(rnd)
         selected.append(best)
-        waiting[best] = False
-        denom += weights[best]
-    return np.concatenate([top[selected], top[waiting], order[len(top) :]]), tuple(rounds)
+        waiting[each, best] = False
+        denom += weights[each, best]
+    rest = np.nonzero(waiting)[1].reshape(len(top), -1)
+    return np.column_stack([*selected, rest]), rounds
 
 
-def _questions(corpus: Corpus, provider, table: RelevanceTable, rows: Rows, depth: int):
-    """For each scored question of the corpus with an answerable key: its
-    table row, its initial order from the raw scores, and the normalized
-    weights and Q/A similarities of that order's first 2 * depth facts."""
+def _round(number, facts, pool, best, rel, qa_sims, score) -> list[RerankRound]:
+    """Each window's trace of one lockstep round: its pool's candidates,
+    best initial rank first, and its pick. facts holds the windows' uids."""
+    cand = np.nonzero(pool)[1].reshape(len(pool), -1)  # every pool has one size
+    values = [np.take_along_axis(a, cand, axis=1).tolist() for a in (rel, qa_sims, score)]
+    picks = facts[np.arange(len(pool)), best].tolist()
+    return [
+        RerankRound(number, pick, tuple(map(CandidateScore, uids, *columns)))
+        for pick, uids, *columns in zip(picks, np.take_along_axis(facts, cand, axis=1).tolist(), *values)
+    ]
+
+
+def _windows(corpus: Corpus, provider, table: RelevanceTable, width: int, take):
+    """The scored questions of the corpus with an answerable key, in table
+    order: their table rows, the first width facts (columns) of each one's
+    initial order from the raw scores, a Window over those facts' vectors,
+    their normalized weights and Q/A similarities, and take(row, order) of
+    each whole initial order. Orders are sorted one row at a time and not
+    kept, and only facts in some window are vectorised."""
     if table.uids != tuple(corpus.facts):
         raise DataError("score table columns do not match the corpus facts")
-    weights = normalize(table).scores
     qa_by_qid = {q.qid: qa for q, qa in corpus.answerable}
     kept = [i for i, qid in enumerate(table.qids) if qid in qa_by_qid]
-    qa_rows = provider.rows([qa_by_qid[table.qids[i]] for i in kept])
+    top = np.empty((len(kept), min(width, len(table.uids))), dtype=np.intp)
+    taken = []
     for n, i in enumerate(kept):
         order = table.order(i)
-        top = order[: 2 * depth]
-        yield i, order, weights[i, top], rows.cosines(n, qa_rows, among=top)
+        top[n] = order[: top.shape[1]]
+        taken.append(take(i, order))
+    facts, local = np.unique(top, return_inverse=True)
+    texts = [fact.text for fact in corpus.facts.values()]
+    window = Window(provider.rows([texts[j] for j in facts.tolist()]), local.reshape(top.shape))
+    qa_rows = provider.rows([qa_by_qid[table.qids[i]] for i in kept])
+    qa_sims = window.cosines_with(qa_rows, top.shape[1])
+    weights = normalized_at(table, np.array(kept, dtype=np.intp), top)
+    return kept, top, window, weights, qa_sims, taken
 
 
 def rerank_all(
@@ -151,15 +199,15 @@ def rerank_all(
 ) -> tuple[list[Ranking], dict[str, RerankTrace]]:
     """Re-rank every scored question in table order. The base order and its
     tie-break come from the raw scores; normalized scores are only weights."""
-    rows = fact_vectors(corpus, provider)
-    rankings, traces = [], {}
-    for i, order, weights, qa_sims in _questions(corpus, provider, table, rows, config.depth):
-        new_order, rounds = iterative_rerank(
-            order, weights, qa_sims, rows, table.uids, config, want_trace=want_trace
-        )
-        rankings.append(table.ranking(i, new_order))
-        if want_trace:
-            traces[table.qids[i]] = RerankTrace(qid=table.qids[i], rounds=rounds)
+    kept, top, window, weights, qa_sims, rankings = _windows(
+        corpus, provider, table, 2 * config.depth, table.ranking
+    )
+    uids = np.array(table.uids, dtype=object)
+    perm, rounds = _greedy(window, weights, qa_sims, config.depth, uids[top] if want_trace else None)
+    # each initial ranking takes its new top in place, so no list is resized
+    for ranking, head in zip(rankings, np.take_along_axis(top, perm, axis=1)):
+        ranking.uids[: len(head)] = uids[head].tolist()
+    traces = {table.qids[i]: RerankTrace(table.qids[i], tuple(r)) for i, r in zip(kept, rounds)}
     return rankings, traces
 
 
@@ -167,16 +215,38 @@ def depth_sweep(
     corpus: Corpus, provider, table: RelevanceTable, depths: Sequence[int]
 ) -> list[tuple[int, float]]:
     """MAP over the annotated questions after re-ranking at each depth. Each
-    question's base order, weights and Q/A similarities are computed once;
-    only the greedy top is rerun per depth."""
-    rows = fact_vectors(corpus, provider)
-    questions = list(_questions(corpus, provider, table, rows, max(depths, default=1)))
+    question's initial order, weights and Q/A similarities are computed once,
+    and which questions count is decided once; only the greedy is rerun per
+    depth. A gold fact's position is its greedy position inside the window
+    and its initial position outside it."""
+    gold_uids = {q.qid: q.gold_uid_set for q in corpus.questions}
+    wanted = frozenset().union(*gold_uids.values())
+    column = {uid: j for j, uid in enumerate(table.uids) if uid in wanted}
+    gold = {qid: [column[u] for u in uids if u in column] for qid, uids in gold_uids.items()}
+
+    def gold_positions(i: int, order: np.ndarray) -> np.ndarray:
+        is_gold = np.zeros(len(order), dtype=bool)
+        is_gold[gold[table.qids[i]]] = True
+        return np.flatnonzero(is_gold[order])
+
+    width = 2 * max(depths, default=1)
+    kept, _, window, weights, qa_sims, found = _windows(corpus, provider, table, width, gold_positions)
+    batch_row = {table.qids[i]: n for n, i in enumerate(kept)}
+    questions = evaluable(batch_row, corpus)
+    rows_of = np.array([batch_row[q.qid] for q in questions])
+    # each evaluable question's gold positions in its initial order, inf-padded
+    initial = np.full((len(rows_of), max(1, *(len(found[n]) for n in rows_of))), np.inf)
+    for e, n in enumerate(rows_of):
+        initial[e, : len(found[n])] = found[n]
+    n_relevant = np.array([len(q.gold_uid_set) for q in questions])
+    cell_rows = np.broadcast_to(rows_of[:, None], initial.shape)
     results = []
     for depth in depths:
-        config = RerankConfig(depth=depth)
-        ranked = {}
-        for i, order, weights, qa_sims in questions:
-            new_order, _ = iterative_rerank(order, weights, qa_sims, rows, table.uids, config)
-            ranked[table.qids[i]] = table.ranking(i, new_order).uids
-        results.append((depth, map_overall(ranked, corpus)))
+        perm, _ = _greedy(window, weights, qa_sims, depth)
+        new_position = np.empty_like(perm)
+        np.put_along_axis(new_position, perm, np.arange(perm.shape[1]), axis=1)
+        inside = initial < perm.shape[1]
+        positions = initial.copy()
+        positions[inside] = new_position[cell_rows[inside], initial[inside].astype(np.intp)]
+        results.append((depth, map_from_positions(positions, n_relevant)))
     return results

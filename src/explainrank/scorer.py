@@ -57,16 +57,26 @@ class RelevanceTable:
     scores: np.ndarray
 
     @cached_property
-    def _uid_ranks(self) -> np.ndarray:
-        return uid_ranks(self.uids)
-
-    @cached_property
     def _uid_array(self) -> np.ndarray:
         return np.array(self.uids, dtype=object)
 
+    @cached_property
+    def _by_uid(self) -> np.ndarray:
+        """The columns in ascending uid order."""
+        return np.argsort(self._uid_array)
+
     def order(self, i: int) -> np.ndarray:
-        """Row i's columns by score descending, ties by uid ascending."""
-        return np.lexsort((self._uid_ranks, -self.scores[i]))
+        """Row i's columns by score descending, ties by uid ascending: the
+        row's scores taken in uid order, sorted once. Distinct scores have
+        one order, which the fastest sort finds; a row with two equal
+        scores (0.0 and -0.0 included) is sorted again, stably, so equal
+        scores keep uid order."""
+        by_uid = self._by_uid
+        keys = -self.scores[i, by_uid]
+        order = np.argsort(keys)
+        if not (np.diff(keys[order]) > 0.0).all():
+            order = np.argsort(keys, kind="stable")
+        return by_uid[order]
 
     def ranking(self, i: int, order: np.ndarray) -> Ranking:
         """Row i's question with its facts in the given column order."""
@@ -206,9 +216,24 @@ def normalize(table: RelevanceTable) -> RelevanceTable:
     divides by even when external scores are negative. Constant score
     vectors map to all ones.
     """
-    lo = table.scores.min(axis=1, keepdims=True)
-    span = table.scores.max(axis=1, keepdims=True) - lo
+    scores = table.scores
+    lo, hi = scores.min(axis=1, keepdims=True), scores.max(axis=1, keepdims=True)
+    return RelevanceTable(table.qids, table.uids, _rescale(scores, lo, hi))
+
+
+def normalized_at(table: RelevanceTable, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """normalize(table).scores[rows[:, None], columns], bit for bit, with
+    only those cells rescaled: row k of columns holds columns of table row
+    rows[k]."""
+    scores = table.scores
+    lo, hi = scores.min(axis=1, keepdims=True)[rows], scores.max(axis=1, keepdims=True)[rows]
+    return _rescale(scores[rows[:, None], columns], lo, hi)
+
+
+def _rescale(cells: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each row of cells min-max rescaled from [lo, hi] of its row."""
+    span = hi - lo
     flat = span == 0.0
-    scaled = NORM_FLOOR + (table.scores - lo) / np.where(flat, 1.0, span) * (1.0 - NORM_FLOOR)
+    scaled = NORM_FLOOR + (cells - lo) / np.where(flat, 1.0, span) * (1.0 - NORM_FLOOR)
     scaled[flat[:, 0]] = 1.0
-    return RelevanceTable(table.qids, table.uids, scaled)
+    return scaled

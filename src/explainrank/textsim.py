@@ -13,6 +13,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -68,10 +69,7 @@ class Rows:
         one BLAS dot call per row.
         """
         other = self if other is None else other
-        if (self.ids is None) != (other.ids is None):
-            raise DataError("cannot compare sparse and dense sentence vectors")
-        if self.dim != other.dim:
-            raise DataError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        self._check(other)
         values, norms = self.values[among], self.norms[among]
         if self.ids is None:
             dots = np.fromiter(map(other.values[j].dot, values), float, len(values))
@@ -79,8 +77,86 @@ class Rows:
             query = np.zeros(self.dim + 1)  # the padding id's weight stays 0.0
             query[other.ids[j]] = other.values[j]
             dots = np.cumsum(values * query[self.ids[among]], axis=1)[:, -1]
-        denom = norms * other.norms[j]
-        return np.divide(dots, denom, out=np.zeros(len(dots)), where=denom != 0.0)
+        return _over_norms(dots, norms * other.norms[j])
+
+    def _check(self, other: Rows) -> None:
+        """A DataError unless other's vectors can be compared with these."""
+        if (self.ids is None) != (other.ids is None):
+            raise DataError("cannot compare sparse and dense sentence vectors")
+        if self.dim != other.dim:
+            raise DataError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+
+def _over_norms(dots: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """dots / denom, and 0.0 where denom is 0.0."""
+    return np.divide(dots, denom, out=np.zeros(dots.shape), where=denom != 0.0)
+
+
+class Window:
+    """Cosines with the facts near the top of many rankings at once.
+
+    Row q of top holds window q: row indices of rows, best first. Each
+    method gives row q, bit for bit, what one Rows.cosines call gives for
+    window q alone: TF-IDF products are taken and added in the same order,
+    and dense dot products are the same per-pair BLAS dot calls. TF-IDF
+    query weights are spread over one buffer with a slot for each (window,
+    term) pair, and the window facts' weights and slots are laid out a
+    column at a time.
+    """
+
+    def __init__(self, rows: Rows, top: np.ndarray):
+        self.rows, self.top = rows, top
+        if rows.ids is not None:
+            # window q's terms are keyed q * (dim + 1) + id, so windows share no key
+            keys = rows.ids.T[:, top]
+            keys += np.arange(len(top))[:, None] * (rows.dim + 1)
+            self._keys, slots = np.unique(keys, return_inverse=True)
+            self._slots = slots.reshape(keys.shape)
+            self._values = rows.values.T[:, top]
+            # the last slot takes the query terms no window fact has
+            self._query = np.zeros(len(self._keys) + 1)
+
+    def cosines(self, last: np.ndarray, n: int) -> np.ndarray:
+        """Row q: rows.cosines(top[q, last[q]], among=top[q, :n])."""
+        each = np.arange(len(self.top))
+        slots = None if self.rows.ids is None else self._slots[:, each, last].T
+        return self._cosines(self.rows, self.top[each, last], slots, n)
+
+    def cosines_with(self, other: Rows, n: int) -> np.ndarray:
+        """Row q: rows.cosines(q, other, among=top[q, :n]); other has a row
+        per window."""
+        self.rows._check(other)
+        each = np.arange(len(self.top))
+        slots = None
+        if other.ids is not None and self.top.size:
+            keys = other.ids + each[:, None] * (other.dim + 1)
+            slots = np.searchsorted(self._keys, keys)
+            slots[self._keys.take(slots, mode="clip") != keys] = len(self._keys)
+        return self._cosines(other, each, slots, n)
+
+    def _cosines(self, other: Rows, js: np.ndarray, slots, n: int) -> np.ndarray:
+        """Row q compares row js[q] of other, whose TF-IDF terms sit at
+        slots[q], with the first n facts of window q."""
+        rows, top = self.rows, self.top[:, :n]
+        if top.size == 0:
+            return np.zeros(top.shape)
+        if rows.ids is None:
+            queries = chain.from_iterable(map(repeat, other.values[js], repeat(n)))
+            facts = map(rows.values.__getitem__, top.ravel().tolist())
+            dots = np.fromiter(map(np.ndarray.dot, queries, facts), float, top.size)
+            dots = dots.reshape(top.shape)
+        else:
+            query = self._query
+            query[slots] = other.values[js]
+            # what a cumsum along each fact's terms ends with, one term column at a time
+            dots = query.take(self._slots[0, :, :n])
+            dots *= self._values[0, :, :n]
+            for values, column in zip(self._values[1:, :, :n], self._slots[1:, :, :n]):
+                cells = query.take(column)
+                cells *= values
+                dots += cells
+            query[slots] = 0.0
+        return _over_norms(dots, rows.norms[top] * other.norms[js][:, None])
 
 
 def dense_rows(vectors) -> Rows:

@@ -441,6 +441,23 @@ class TestEvaluateCommand:
         assert len(lines) == 3
         assert lines[1].startswith("1\t") and lines[2].startswith("3\t")
 
+    def test_sweep_warns_once_about_unscored_questions(self, corpus_files, tmp_path, caplog):
+        # scores for all but one annotated question: one warning for the
+        # whole sweep, not one per depth
+        corpus, facts, questions = corpus_files
+        rank_out = tmp_path / "rank_out"
+        assert run("rank", "--facts", *facts, "--questions", questions, "--out", rank_out) == 0
+        dropped = next(q.qid for q in corpus.questions if q.gold)
+        lines = (rank_out / "scores.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        scores = tmp_path / "partial.tsv"
+        scores.write_text("".join(ln for ln in lines if not ln.startswith(f"{dropped}\t")),
+                          encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            code = run("evaluate", "--facts", *facts, "--questions", questions,
+                       "--scores", scores, "--sweep", "1,3,5,10", "--out", tmp_path / "sweep")
+        assert code == 0
+        assert caplog.text.count("1 annotated question(s) have no ranking and were skipped") == 1
+
     def test_needs_predictions_or_sweep(self, corpus_files, tmp_path):
         _, facts, questions = corpus_files
         code = run(

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from explainrank.corpus import CENTRAL, Corpus, ExplanationFact, Question
@@ -10,10 +11,13 @@ from explainrank.scorer import (
     NORM_FLOOR,
     OVERLAP,
     TFIDF_COSINE,
+    RelevanceTable,
     all_rankings,
     load_scores,
     normalize,
+    normalized_at,
     score_lexical,
+    uid_ranks,
     write_scores,
 )
 from explainrank.textsim import STOPWORDS, default_provider, tokenize
@@ -250,6 +254,18 @@ class TestInitialRanking:
         table = score_table({"q2": {"f1": 1.0}, "q1": {"f1": 1.0}})
         assert [r.qid for r in all_rankings(table)] == ["q2", "q1"]
 
+    def test_order_equals_two_key_lexsort(self):
+        # many exact ties, 0.0 beside -0.0, and uids whose sorted order is
+        # not column order
+        rng = np.random.default_rng(25)
+        uids = tuple(f"u{k:03d}" for k in rng.permutation(300))
+        rows = [rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=300) for _ in range(6)]
+        rows += [rng.normal(size=300), np.zeros(300), np.where(rng.random(300) < 0.5, 0.0, -0.0)]
+        table = RelevanceTable(tuple(f"q{i}" for i in range(len(rows))), uids, np.array(rows))
+        ranks = uid_ranks(uids)
+        for i, row in enumerate(table.scores):
+            assert table.order(i).tolist() == np.lexsort((ranks, -row)).tolist()
+
 
 class TestNormalize:
     def test_min_max_values(self):
@@ -280,6 +296,16 @@ class TestNormalize:
             for uid, value in row.items():
                 want = 1.0 if hi == lo else NORM_FLOOR + (value - lo) / (hi - lo) * (1.0 - NORM_FLOOR)
                 assert got[qid][uid] == want
+
+    def test_normalized_at_equals_normalize_cells(self):
+        rng = np.random.default_rng(26)
+        scores = rng.uniform(-50, 50, size=(6, 40))
+        scores[2] = 2.5  # flat row
+        table = RelevanceTable(tuple(f"q{i}" for i in range(6)), tuple(f"f{j}" for j in range(40)), scores)
+        rows = np.array([4, 2, 0])
+        columns = rng.integers(0, 40, size=(3, 7))
+        got = normalized_at(table, rows, columns)
+        assert got.tobytes() == normalize(table).scores[rows[:, None], columns].tobytes()
 
     def test_order_preserved(self):
         rng = random.Random(23)
