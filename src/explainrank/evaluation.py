@@ -7,7 +7,9 @@ files covering a subset of the corpus still evaluate. A ranking may be
 truncated (`--top-m`): a gold fact it does not retrieve adds nothing to the
 question's AP, whose denominator stays the gold set size, and the report
 counts such facts. A ranked uid that is not a corpus fact is a hard error,
-since it means mismatched files.
+since it means mismatched files. Every MAP, here and in the depth sweep,
+comes from the gold facts' positions through one AP kernel,
+average_precisions.
 """
 
 from __future__ import annotations
@@ -31,24 +33,52 @@ RankedUids = Mapping[str, Sequence[str]]
 def average_precision(ranked: Sequence[str], relevant: Iterable[str]) -> float:
     """Precision accumulated at each rank position holding a relevant item,
     divided by the number of relevant items; a relevant item the ranking
-    does not hold adds nothing. The scan stops at the last relevant item."""
-    return _scan(ranked, relevant)[0]
-
-
-def _scan(ranked: Sequence[str], relevant: Iterable[str]) -> tuple[float, int]:
-    """Average precision, and how many relevant items the ranking lacks."""
-    remaining = set(relevant)
-    n_relevant = len(remaining)
-    if not n_relevant:
+    does not hold adds nothing."""
+    relevant = set(relevant)
+    if not relevant:
         raise ValueError("average_precision needs a nonempty relevant set")
-    acc = 0.0
-    for position, uid in enumerate(ranked, start=1):
-        if uid in remaining:
-            remaining.remove(uid)
-            acc += (n_relevant - len(remaining)) / position
-            if not remaining:
+    found = _positions(ranked, relevant)
+    return float(average_precisions(padded([list(found.values())]), np.array([len(relevant)]))[0])
+
+
+def _positions(ranked: Sequence[str], relevant: Collection[str]) -> dict[str, int]:
+    """The 0-based position of each relevant uid the ranking holds, at its
+    first occurrence, in rank order. The scan stops at the last relevant
+    item, so a long ranking is read only as far as its gold reaches."""
+    found: dict[str, int] = {}
+    for position, uid in enumerate(ranked):
+        if uid in relevant and uid not in found:
+            found[uid] = position
+            if len(found) == len(relevant):
                 break
-    return acc / n_relevant, len(remaining)
+    return found
+
+
+def padded(rows: Sequence[Sequence[float]]) -> np.ndarray:
+    """rows as one matrix, each padded with inf to the longest row (at least one column)."""
+    out = np.full((len(rows), max([1, *map(len, rows)])), np.inf)
+    for e, row in enumerate(rows):
+        out[e, : len(row)] = row
+    return out
+
+
+def average_precisions(positions: np.ndarray, n_relevant: np.ndarray) -> np.ndarray:
+    """Each row's AP, the one AP kernel every MAP here goes through.
+
+    Row e of positions holds the 0-based positions of its relevant items in
+    its ranking, in any order, padded with inf for the items the ranking
+    lacks; n_relevant[e] is the size of its relevant set. The AP adds
+    k / (position + 1) for the k-th relevant item in rank order, left to
+    right, and divides the sum by n_relevant[e]. A lacking item adds 0.
+    """
+    ranked = np.sort(positions, axis=1)
+    precisions = np.arange(1, ranked.shape[1] + 1) / (ranked + 1.0)
+    return np.cumsum(precisions, axis=1)[:, -1] / n_relevant
+
+
+def mean_in_order(values: np.ndarray) -> float:
+    """The mean of values, summed left to right (np.mean sums pairwise)."""
+    return float(np.cumsum(values)[-1] / len(values))
 
 
 def evaluable(ranked_qids: Collection[str], corpus: Corpus) -> list[Question]:
@@ -67,69 +97,35 @@ def evaluable(ranked_qids: Collection[str], corpus: Corpus) -> list[Question]:
     return questions
 
 
-def _aps(questions: Sequence[Question], ranked_by_qid: RankedUids) -> list[tuple[float, int]]:
-    """Each question's AP, every gold fact relevant, and the number of its
-    gold facts the ranking lacks."""
-    return [_scan(ranked_by_qid[q.qid], q.gold_uid_set) for q in questions]
-
-
-def _mean_ap(aps: Sequence[tuple[float, int]]) -> tuple[float, int]:
-    """MAP, and the number of gold facts the rankings lack."""
-    total, unretrieved = 0.0, 0
-    for ap, lacking in aps:
-        total += ap
-        unretrieved += lacking
-    return total / len(aps), unretrieved
+def _scan_gold(questions: Sequence[Question], ranked_by_qid: RankedUids):
+    """Each question's gold positions, gold set size and AP, every gold fact
+    relevant. Each ranking is scanned once."""
+    found = [_positions(ranked_by_qid[q.qid], q.gold_uid_set) for q in questions]
+    sizes = np.array([len(q.gold_uid_set) for q in questions])
+    return found, sizes, average_precisions(padded([list(f.values()) for f in found]), sizes)
 
 
 def map_overall(ranked_by_qid: RankedUids, corpus: Corpus) -> float:
     """Mean AP over annotated questions, every gold fact relevant."""
-    return _mean_ap(_aps(evaluable(ranked_by_qid, corpus), ranked_by_qid))[0]
+    return mean_in_order(_scan_gold(evaluable(ranked_by_qid, corpus), ranked_by_qid)[2])
 
 
-def map_from_positions(positions: np.ndarray, n_relevant: np.ndarray) -> float:
-    """MAP from where each question's relevant items sit in its ranking.
-
-    Row e of positions holds the 0-based positions of question e's relevant
-    items, in any order, padded with inf for the items its ranking lacks;
-    n_relevant[e] is the size of its relevant set. The result is bit for bit
-    map_overall's for the same rankings and questions in row order: each AP
-    adds k / position over its relevant items in rank order, and the APs
-    are added in row order.
-    """
-    ranked = np.sort(positions, axis=1)
-    precisions = np.arange(1, ranked.shape[1] + 1) / (ranked + 1.0)
-    aps = np.cumsum(precisions, axis=1)[:, -1] / n_relevant
-    return float(np.cumsum(aps)[-1] / len(aps))
-
-
-def _per_role(questions: Sequence[Question], ranked_by_qid: RankedUids) -> dict[Role, float]:
+def _per_role(questions: Sequence[Question], found: Sequence[dict[str, int]]) -> dict[Role, float]:
     """Mean AP per role, each question's relevant set restricted to its gold
     facts of that role; questions lacking a role do not count against it."""
-    sums: dict[Role, float] = {}
-    counts: dict[Role, int] = {}
-    for q in questions:
-        by_role: dict[Role, set[str]] = {}
+    by_role: dict[Role, tuple[list[list[int]], list[int]]] = {}
+    for q, positions in zip(questions, found):
+        uids_of: dict[Role, set[str]] = {}
         for uid, role in q.gold:
-            by_role.setdefault(role, set()).add(uid)
-        for role, uids in by_role.items():
-            ap = average_precision(ranked_by_qid[q.qid], uids)
-            sums[role] = sums.get(role, 0.0) + ap
-            counts[role] = counts.get(role, 0) + 1
-    return {role: sums[role] / counts[role] for role in sums}
-
-
-def _per_length(
-    questions: Sequence[Question], aps: Sequence[tuple[float, int]]
-) -> dict[int, tuple[int, float]]:
-    """(question count, MAP) per gold-set size, sizes ascending."""
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for q, (ap, _) in zip(questions, aps):
-        size = len(q.gold_uid_set)
-        sums[size] = sums.get(size, 0.0) + ap
-        counts[size] = counts.get(size, 0) + 1
-    return {size: (counts[size], sums[size] / counts[size]) for size in sorted(sums)}
+            uids_of.setdefault(role, set()).add(uid)
+        for role, uids in uids_of.items():
+            rows, sizes = by_role.setdefault(role, ([], []))
+            rows.append([positions[uid] for uid in uids if uid in positions])
+            sizes.append(len(uids))
+    return {
+        role: mean_in_order(average_precisions(padded(rows), np.array(sizes)))
+        for role, (rows, sizes) in by_role.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -148,15 +144,18 @@ def evaluate_rankings(ranked_by_qid: RankedUids, corpus: Corpus) -> EvalReport:
     if unknown:
         raise DataError(f"rankings reference unknown fact uid(s): {sorted(unknown)[:5]}")
     skipped = sum(1 for q in corpus.questions if q.qid in ranked_by_qid and not q.gold)
-    aps = _aps(questions, ranked_by_qid)
-    map_value, unretrieved = _mean_ap(aps)
+    found, sizes, aps = _scan_gold(questions, ranked_by_qid)
+    lengths, counts = np.unique(sizes, return_counts=True)
     return EvalReport(
-        map_overall=map_value,
-        per_role=_per_role(questions, ranked_by_qid),
-        per_length=_per_length(questions, aps),
+        map_overall=mean_in_order(aps),
+        per_role=_per_role(questions, found),
+        per_length={
+            size: (count, mean_in_order(aps[sizes == size]))
+            for size, count in zip(lengths.tolist(), counts.tolist())
+        },
         n_questions=len(questions),
         skipped=skipped,
-        unretrieved=unretrieved,
+        unretrieved=int(sizes.sum()) - sum(map(len, found)),
     )
 
 

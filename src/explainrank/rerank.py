@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError
-from .evaluation import evaluable, map_from_positions
+from .evaluation import average_precisions, evaluable, mean_in_order, padded
 from .scorer import Ranking, RelevanceTable, normalized_at
 from .textsim import Rows, Window
 
@@ -219,6 +219,8 @@ def depth_sweep(
     and which questions count is decided once; only the greedy is rerun per
     depth. A gold fact's position is its greedy position inside the window
     and its initial position outside it."""
+    # RerankConfig refuses a depth below 1, before any work is done
+    width = 2 * max((RerankConfig(depth).depth for depth in depths), default=1)
     gold_uids = {q.qid: q.gold_uid_set for q in corpus.questions}
     wanted = frozenset().union(*gold_uids.values())
     column = {uid: j for j, uid in enumerate(table.uids) if uid in wanted}
@@ -229,15 +231,12 @@ def depth_sweep(
         is_gold[gold[table.qids[i]]] = True
         return np.flatnonzero(is_gold[order])
 
-    width = 2 * max(depths, default=1)
     kept, _, window, weights, qa_sims, found = _windows(corpus, provider, table, width, gold_positions)
     batch_row = {table.qids[i]: n for n, i in enumerate(kept)}
     questions = evaluable(batch_row, corpus)
     rows_of = np.array([batch_row[q.qid] for q in questions])
     # each evaluable question's gold positions in its initial order, inf-padded
-    initial = np.full((len(rows_of), max(1, *(len(found[n]) for n in rows_of))), np.inf)
-    for e, n in enumerate(rows_of):
-        initial[e, : len(found[n])] = found[n]
+    initial = padded([found[n] for n in rows_of])
     n_relevant = np.array([len(q.gold_uid_set) for q in questions])
     cell_rows = np.broadcast_to(rows_of[:, None], initial.shape)
     results = []
@@ -248,5 +247,5 @@ def depth_sweep(
         inside = initial < perm.shape[1]
         positions = initial.copy()
         positions[inside] = new_position[cell_rows[inside], initial[inside].astype(np.intp)]
-        results.append((depth, map_from_positions(positions, n_relevant)))
+        results.append((depth, mean_in_order(average_precisions(positions, n_relevant))))
     return results

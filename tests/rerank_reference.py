@@ -3,7 +3,8 @@
 It re-ranks one question at a time, one Rows.cosines call per round, takes
 each initial order from a two-key lexsort (score descending, uid ascending),
 and scores the depth sweep by building every question's full ranking at
-every depth and scanning it with map_overall.
+every depth and scanning it with the scan-based map_overall of
+eval_reference.py, so the sweep is not checked against its own AP kernel.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from eval_reference import map_overall
 from explainrank.errors import DataError
-from explainrank.evaluation import map_overall
 from explainrank.rerank import CandidateScore, RerankConfig, RerankRound, RerankTrace
 from explainrank.scorer import Ranking, RelevanceTable, normalize, uid_ranks
 from explainrank.textsim import Rows, fact_vectors

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from explainrank.errors import DataError
-from explainrank.rerank import RerankConfig, iterative_rerank, rerank_all
+from explainrank.rerank import RerankConfig, depth_sweep, iterative_rerank, rerank_all
 from explainrank.scorer import RelevanceTable, score_lexical, uid_ranks
 from explainrank.textsim import Rows, default_provider, dense_rows
 
@@ -453,3 +453,13 @@ class TestRerankAll:
         shuffled = RelevanceTable(table.qids, table.uids[::-1], table.scores)
         with pytest.raises(DataError, match="columns"):
             rerank_all(corpus, provider, shuffled, RerankConfig(depth=2))
+
+
+class TestDepthSweep:
+    @pytest.mark.parametrize("depths", [[0, -3, 1], [1, 3, 0], [-1]])
+    def test_rejects_depth_below_one(self, depths):
+        corpus = random_corpus(n_questions=4, n_facts=20, seed=53)
+        provider = default_provider(corpus)
+        table = score_lexical(corpus, provider)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            depth_sweep(corpus, provider, table, depths)
