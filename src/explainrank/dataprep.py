@@ -24,7 +24,7 @@ import numpy as np
 from .corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, Question, Role
 from .errors import DataError, FormatError, read_utf8, text_lines
 from .scorer import uid_ranks
-from .textsim import Rows, fact_vectors
+from .textsim import Rows, _over_norms, fact_vectors
 
 log = logging.getLogger(__name__)
 
@@ -71,12 +71,13 @@ def dense_cut_margin(rows: Rows) -> float | None:
     can sit and still be among the k largest exact ones; None when the
     bound below does not hold for these rows, so no candidate may be cut.
 
-    The exact cosine of rows x and y is today's per-pair value
-    e = fl(fl(x.y) / D), one BLAS ddot, with D = fl(|x| |y|) from the stored
-    norms. The filter computes a = fl(fl(x.y) / D) with one matrix-vector
-    product, whose dot products may add the same d terms in another order
-    and with or without fused multiply-adds. Let u = 2^-53 and
-    gamma_d = d u / (1 - d u). Any such dot product of d terms is within
+    The exact cosine of rows x and y is Rows.cosines' value
+    e = fl(fl(x.y) / D), whose dot product adds the d products left to right,
+    with D = fl(|x| |y|) from the stored norms. The filter computes
+    a = fl(fl(x.y) / D) with one matrix-vector product, whose dot products
+    may add the same d terms in another order and with or without fused
+    multiply-adds. Let u = 2^-53 and gamma_d = d u / (1 - d u). Any such dot
+    product of d terms, in any order, is within
     gamma_d sum|x_k y_k| <= gamma_d |x| |y| of the real one, plus at most
     d 2^-1074 from products that underflow. So the two dot products differ
     by at most 2 gamma_d |x| |y| + 2 d 2^-1074. Both divide by the same D,
@@ -109,11 +110,11 @@ class NegativeSampler:
     computed on first use and kept, so the four prepare variants sample
     every question's negatives once.
 
-    Dense cosines are first approximated with one matrix-vector product
-    over all facts. Only the non-gold facts within dense_cut_margin of the
-    k-th largest approximate value are kept, and they are rescored with the
-    exact per-pair Rows.cosines before the sort, so the result is the same
-    as sorting every exact cosine. TF-IDF cosines are exact already and go
+    Dense cosines are first approximated with one BLAS matrix-vector
+    product over all facts. Only the non-gold facts within dense_cut_margin
+    of the k-th largest approximate value are kept, and they are rescored
+    with Rows.cosines before the sort, so the result is the same as sorting
+    every exact cosine. TF-IDF cosines come from Rows.cosines already and go
     through the same cut with margin 0.
     """
 
@@ -122,7 +123,8 @@ class NegativeSampler:
         self.column = {uid: j for j, uid in enumerate(self.uids)}
         self.uid_ranks = uid_ranks(self.uids)
         self.rows = fact_vectors(corpus, provider)
-        self._margin = dense_cut_margin(self.rows) if self.rows.ids is None else 0.0
+        # the choice of filter: a positive margin marks the approximate one
+        self._margin = dense_cut_margin(self.rows) if self.rows.dense else 0.0
         self._memo: dict[tuple[str, frozenset[str], int], tuple[str, ...]] = {}
 
     def negatives(self, gold_uid: str, gold_uids: frozenset[str] | set[str], k: int) -> list[str]:
@@ -152,21 +154,19 @@ class NegativeSampler:
             sims = self._bulk_cosines(j)[candidates]
             near = sims >= np.partition(sims, -k)[-k] - self._margin
             candidates, sims = candidates[near], sims[near]
-            if self.rows.ids is None:
+            if self._margin:
                 sims = self.rows.cosines(j, among=candidates)
         best = candidates[np.lexsort((self.uid_ranks[candidates], -sims))[:k]]
         return tuple(self.uids[i] for i in best)
 
     def _bulk_cosines(self, j: int) -> np.ndarray:
-        """Fact j's cosine with every fact: the exact values for TF-IDF rows,
-        for dense rows one matrix-vector product divided as Rows.cosines
-        divides, within dense_cut_margin of the exact values."""
+        """Fact j's cosine with every fact: Rows.cosines' values under margin
+        0, else one matrix-vector product divided as Rows.cosines divides,
+        within dense_cut_margin of those values."""
         rows = self.rows
-        if rows.ids is not None:
+        if not self._margin:
             return rows.cosines(j)
-        denom = rows.norms * rows.norms[j]
-        dots = rows.values @ rows.values[j]
-        return np.divide(dots, denom, out=np.zeros(len(dots)), where=denom != 0.0)
+        return _over_norms(rows.values @ rows.values[j], rows.norms * rows.norms[j])
 
 
 def sample_negatives(

@@ -4,16 +4,18 @@ used everywhere.
 Two vector backends share one interface, provider.rows(texts): TF-IDF built
 over the corpus at hand (the self-contained default) and externally trained
 word vectors loaded from a word2vec-style text file. Both are deterministic
-and immutable once built.
+and immutable once built. Both give rows in one layout, term ids and their
+weights, and every dot product is one column loop over that layout, so a
+cosine's bits do not depend on the BLAS library or its thread count.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -21,6 +23,8 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError, FormatError, utf8_lines
+
+log = logging.getLogger(__name__)
 
 # Fixed list, versioned in the README; reproducibility matters more here
 # than linguistic coverage.
@@ -48,43 +52,54 @@ def tokenize(text: str, *, drop_stopwords: bool = False) -> list[str]:
 class Rows:
     """Sentence vectors of a list of texts, one row per text, and their norms.
 
-    Dense rows (ids is None) hold the vectors themselves. TF-IDF rows hold
-    each text's term ids in ascending order, padded with the id dim, and
-    their weights, padded with 0.0; dim is the vocabulary size.
+    Each row holds its text's term ids in ascending order, padded with the
+    id dim, and their weights, padded with 0.0; dim is the vocabulary size.
+    A dense row has every dimension as a term: its ids are 0, 1, ..., dim - 1
+    (one read-only broadcast row) and its weights are the vector itself.
     """
 
     values: np.ndarray
     norms: np.ndarray
     dim: int
-    ids: np.ndarray | None = None
+    ids: np.ndarray
+    dense: bool = False  # set by dense_rows
 
     def cosines(self, j: int, other: Rows | None = None, among=slice(None)) -> np.ndarray:
         """Cosine similarity of row j of other (default: these rows) with each
         of these rows, or with the rows indexed by among. A zero vector
         compares as 0.0 so out-of-vocabulary sentences still rank.
 
-        A TF-IDF dot product adds the products of the common terms in
-        ascending term order, one column at a time, so a pair's cosine is
-        exactly the same whichever side is the query. A dense dot product is
-        one BLAS dot call per row.
+        A dot product adds the products of the common terms in ascending
+        term order (see _dots), so a pair's cosine is exactly the same
+        whichever side is the query.
         """
         other = self if other is None else other
         self._check(other)
-        values, norms = self.values[among], self.norms[among]
-        if self.ids is None:
-            dots = np.fromiter(map(other.values[j].dot, values), float, len(values))
-        else:
-            query = np.zeros(self.dim + 1)  # the padding id's weight stays 0.0
-            query[other.ids[j]] = other.values[j]
-            dots = np.cumsum(values * query[self.ids[among]], axis=1)[:, -1]
-        return _over_norms(dots, norms * other.norms[j])
+        query = np.zeros(self.dim + 1)  # the padding id's weight stays 0.0
+        query[other.ids[j]] = other.values[j]
+        dots = _dots(query, self.ids[among].T, self.values[among].T)
+        return _over_norms(dots, self.norms[among] * other.norms[j])
 
     def _check(self, other: Rows) -> None:
         """A DataError unless other's vectors can be compared with these."""
-        if (self.ids is None) != (other.ids is None):
+        if self.dense != other.dense:
             raise DataError("cannot compare sparse and dense sentence vectors")
         if self.dim != other.dim:
             raise DataError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+
+def _dots(query: np.ndarray, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The sum over term columns c of query[index[c]] * values[c], cell by
+    cell: the products are added left to right, one term column at a time,
+    starting from the first product. Every dot product in this module comes
+    from here."""
+    dots = query.take(index[0])
+    dots *= values[0]
+    for column, weights in zip(index[1:], values[1:]):
+        cells = query.take(column)
+        cells *= weights
+        dots += cells
+    return dots
 
 
 def _over_norms(dots: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -92,77 +107,75 @@ def _over_norms(dots: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return np.divide(dots, denom, out=np.zeros(dots.shape), where=denom != 0.0)
 
 
+_WINDOW_BLOCK = 64  # windows keyed at once; larger blocks raise the peak, not the speed
+
+
 class Window:
     """Cosines with the facts near the top of many rankings at once.
 
     Row q of top holds window q: row indices of rows, best first. Each
     method gives row q, bit for bit, what one Rows.cosines call gives for
-    window q alone: TF-IDF products are taken and added in the same order,
-    and dense dot products are the same per-pair BLAS dot calls. TF-IDF
-    query weights are spread over one buffer with a slot for each (window,
+    window q alone: the same products, added by _dots in the same order.
+    Query weights are spread over one buffer with a slot for each (window,
     term) pair, and the window facts' weights and slots are laid out a
     column at a time.
     """
 
     def __init__(self, rows: Rows, top: np.ndarray):
         self.rows, self.top = rows, top
-        if rows.ids is not None:
-            # window q's terms are keyed q * (dim + 1) + id, so windows share no key
-            keys = rows.ids.T[:, top]
-            keys += np.arange(len(top))[:, None] * (rows.dim + 1)
-            self._keys, slots = np.unique(keys, return_inverse=True)
-            self._slots = slots.reshape(keys.shape)
-            self._values = rows.values.T[:, top]
-            # the last slot takes the query terms no window fact has
-            self._query = np.zeros(len(self._keys) + 1)
+        # window q's terms are keyed q * (dim + 1) + id, so windows share no
+        # key and each block of windows' keys sort after the block before;
+        # keying a block at a time keeps the peak low for wide (dense) rows
+        keys, self._slots = [], np.empty((rows.ids.shape[1], *top.shape), dtype=np.intp)
+        for start in range(0, len(top), _WINDOW_BLOCK):
+            part = slice(start, start + _WINDOW_BLOCK)
+            block = rows.ids.T[:, top[part]]
+            block += np.arange(len(top))[part, None] * (rows.dim + 1)
+            block_keys, slots = np.unique(block, return_inverse=True)
+            self._slots[:, part] = slots.reshape(block.shape) + sum(map(len, keys))
+            keys.append(block_keys)
+        # the last key, above every window's, takes the query terms no window fact has
+        self._keys = np.concatenate([*keys, [len(top) * (rows.dim + 1)]])
+        self._values = rows.values.T[:, top]
+        self._query = np.zeros(len(self._keys))
 
     def cosines(self, last: np.ndarray, n: int) -> np.ndarray:
         """Row q: rows.cosines(top[q, last[q]], among=top[q, :n])."""
         each = np.arange(len(self.top))
-        slots = None if self.rows.ids is None else self._slots[:, each, last].T
-        return self._cosines(self.rows, self.top[each, last], slots, n)
+        return self._cosines(self.rows, self.top[each, last], self._slots[:, each, last].T, n)
 
     def cosines_with(self, other: Rows, n: int) -> np.ndarray:
         """Row q: rows.cosines(q, other, among=top[q, :n]); other has a row
         per window."""
         self.rows._check(other)
         each = np.arange(len(self.top))
-        slots = None
-        if other.ids is not None and self.top.size:
-            keys = other.ids + each[:, None] * (other.dim + 1)
-            slots = np.searchsorted(self._keys, keys)
-            slots[self._keys.take(slots, mode="clip") != keys] = len(self._keys)
+        keys = other.ids + each[:, None] * (other.dim + 1)
+        slots = np.searchsorted(self._keys, keys)
+        slots[self._keys[slots] != keys] = len(self._keys) - 1
         return self._cosines(other, each, slots, n)
 
-    def _cosines(self, other: Rows, js: np.ndarray, slots, n: int) -> np.ndarray:
-        """Row q compares row js[q] of other, whose TF-IDF terms sit at
-        slots[q], with the first n facts of window q."""
+    def _cosines(self, other: Rows, js: np.ndarray, slots: np.ndarray, n: int) -> np.ndarray:
+        """Row q compares row js[q] of other, whose terms sit at slots[q],
+        with the first n facts of window q."""
         rows, top = self.rows, self.top[:, :n]
         if top.size == 0:
             return np.zeros(top.shape)
-        if rows.ids is None:
-            queries = chain.from_iterable(map(repeat, other.values[js], repeat(n)))
-            facts = map(rows.values.__getitem__, top.ravel().tolist())
-            dots = np.fromiter(map(np.ndarray.dot, queries, facts), float, top.size)
-            dots = dots.reshape(top.shape)
-        else:
-            query = self._query
-            query[slots] = other.values[js]
-            # what a cumsum along each fact's terms ends with, one term column at a time
-            dots = query.take(self._slots[0, :, :n])
-            dots *= self._values[0, :, :n]
-            for values, column in zip(self._values[1:, :, :n], self._slots[1:, :, :n]):
-                cells = query.take(column)
-                cells *= values
-                dots += cells
-            query[slots] = 0.0
+        query = self._query
+        query[slots] = other.values[js]
+        dots = _dots(query, self._slots[:, :, :n], self._values[:, :, :n])
+        query[slots] = 0.0
         return _over_norms(dots, rows.norms[top] * other.norms[js][:, None])
 
 
 def dense_rows(vectors) -> Rows:
-    """Rows holding the given vectors, each norm one BLAS dot call."""
+    """Rows holding the given vectors, each norm the square root of the
+    squares added left to right, as _dots adds."""
     values = np.asarray(vectors, dtype=float)
-    return Rows(values, np.array([np.linalg.norm(v) for v in values]), values.shape[1])
+    squares = values[:, 0] * values[:, 0]
+    for column in values.T[1:]:
+        squares += column * column
+    ids = np.broadcast_to(np.arange(values.shape[1]), values.shape)
+    return Rows(values, np.sqrt(squares), values.shape[1], ids, dense=True)
 
 
 class TfidfProvider:
@@ -283,17 +296,24 @@ def load_dense(path: str | Path) -> DenseWordVectors:
 
     A vector whose norm is above MAX_NORM is a FormatError: every sentence
     vector, a mean of word vectors, then stays within it, so the product of
-    two norms, and every dot product, is finite."""
+    two norms, and every dot product, is finite. A repeated token keeps its
+    last vector, and a header count that differs from the number of vectors
+    read is only warned about."""
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
+    count: int | None = None
+    repeats, first_repeat = 0, None
     for lineno, line in enumerate(utf8_lines(path), start=1):
         fields = line.split()
         if not fields:
             continue
-        if lineno == 1 and len(fields) == 2 and all(_is_int(f) for f in fields):
-            dim = int(fields[1])
-            continue
+        if lineno == 1 and len(fields) == 2:
+            try:
+                count, dim = map(int, fields)
+                continue
+            except ValueError:
+                pass
         token, *rest = fields
         try:
             values = [float(x) for x in rest]
@@ -309,18 +329,21 @@ def load_dense(path: str | Path) -> DenseWordVectors:
             raise FormatError(
                 f"{path} line {lineno}: expected {dim} components, found {len(values)}"
             )
+        if token in vectors:
+            repeats += 1
+            first_repeat = first_repeat or lineno
         vectors[token] = np.asarray(values, dtype=float)
     if dim is None or not vectors:
         raise FormatError(f"{path}: no word vectors found")
+    if repeats:
+        log.warning(
+            "%s: %d repeated token(s), first at line %d, last vector kept", path, repeats, first_repeat
+        )
+    if count is not None and count != len(vectors) + repeats:
+        log.warning(
+            "%s line 1: the header counts %d vector(s), %d read", path, count, len(vectors) + repeats
+        )
     return DenseWordVectors(vectors, dim)
-
-
-def _is_int(text: str) -> bool:
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True
 
 
 def fact_vectors(corpus: Corpus, provider) -> Rows:

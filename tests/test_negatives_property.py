@@ -1,10 +1,11 @@
 """NegativeSampler against a brute-force reference on dense corpora full of
 near-ties.
 
-The reference takes every non-gold fact's cosine with one per-pair BLAS ddot
-and sorts all of them by (-cosine, uid). The sampler filters with one
-matrix-vector product first and rescores only the facts near the k-th value,
-so on any corpus the two must return the same uids in the same order.
+The reference takes every non-gold fact's cosine with an explicit Python
+loop over the dimensions, left to right (cosine_reference.py), and sorts all
+of them by (-cosine, uid). The sampler filters with one matrix-vector
+product first and rescores only the facts near the k-th value, so on any
+corpus the two must return the same uids in the same order.
 Generated corpora have small-integer or few-bit word vectors, repeated fact
 texts, facts with no in-vocabulary word (zero vectors), word vectors whose
 magnitudes differ by up to 2^1100, and k at or above the number of
@@ -20,6 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cosine_reference
 from explainrank.corpus import Corpus, ExplanationFact
 from explainrank.dataprep import NegativeSampler, dense_cut_margin
 from explainrank.textsim import DenseWordVectors, Rows, dense_rows, fact_vectors
@@ -31,16 +33,15 @@ EXPONENTS = [-600, -510, -100, -3, 0, 3, 100, 505]
 
 
 def reference_negatives(rows, uids, gold_uid, gold_uids, k):
-    """Every non-gold fact's per-pair cosine, all of them lexsorted."""
+    """Every non-gold fact's left-to-right cosine, all of them lexsorted."""
     j = uids.index(gold_uid)
     rank = {uid: r for r, uid in enumerate(sorted(uids))}
     kept, cosines = [], []
     for i, uid in enumerate(uids):
         if uid in gold_uids:
             continue
-        denom = rows.norms[i] * rows.norms[j]
         kept.append(uid)
-        cosines.append(rows.values[j].dot(rows.values[i]) / denom if denom != 0.0 else 0.0)
+        cosines.append(cosine_reference.cosine(rows.values[j], rows.values[i]))
     order = np.lexsort(([rank[uid] for uid in kept], -np.array(cosines, dtype=float)))
     return [kept[i] for i in order[:k]]
 
@@ -115,7 +116,8 @@ class TestCutMargin:
         assert dense_cut_margin(dense_rows(np.array([[0.0, 0.0], [1.0, 2.0]]))) is not None
 
     def test_no_cut_above_the_dimension_limit(self):
-        assert dense_cut_margin(Rows(np.zeros((1, 0)), np.ones(1), 2**16 + 1)) is None
+        rows = Rows(np.zeros((1, 0)), np.ones(1), 2**16 + 1, np.zeros((1, 0), dtype=np.intp))
+        assert dense_cut_margin(rows) is None
 
     def test_rescores_only_facts_near_the_cut(self, monkeypatch):
         rng = np.random.default_rng(5)

@@ -11,12 +11,14 @@ from explainrank.textsim import (
     STOPWORDS,
     Rows,
     TfidfProvider,
+    Window,
     default_provider,
     dense_rows,
     load_dense,
     tokenize,
 )
 
+import cosine_reference
 from synth import random_corpus
 
 
@@ -36,6 +38,11 @@ def sparse_rows(weight_maps, dim=12):
 def cos(rows, i, j, other=None):
     """Cosine of row i of rows with row j of other (default rows) as a float."""
     return float(rows.cosines(j, other, among=[i])[0])
+
+
+def hexes(values):
+    """float.hex of each value, so that -0.0 and 0.0 differ."""
+    return [float(x).hex() for x in values]
 
 
 def row_weights(rows, i):
@@ -141,6 +148,40 @@ class TestDenseVectors:
         provider = load_dense(path)
         assert provider.dim == 2
         assert provider.rows(["a"]).values[0].tolist() == [1.0, 0.0]
+
+    def test_repeated_token_warns_and_keeps_last(self, tmp_path, caplog):
+        path = tmp_path / "v.txt"
+        self.write_vectors(path, ["a 1 0", "b 0 1", "a 0 1", "b 1 1", "a 2 2"])
+        with caplog.at_level("WARNING"):
+            provider = load_dense(path)
+        assert provider.rows(["a"]).values[0].tolist() == [2.0, 2.0]
+        assert provider.rows(["b"]).values[0].tolist() == [1.0, 1.0]
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"{path}: 3 repeated token(s), first at line 3, last vector kept"
+        ]
+
+    def test_header_count_mismatch_warns(self, tmp_path, caplog):
+        path = tmp_path / "v.txt"
+        self.write_vectors(path, ["5 2", "a 1 0", "b 0 1"])
+        with caplog.at_level("WARNING"):
+            provider = load_dense(path)
+        assert sorted(provider.vectors) == ["a", "b"]
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"{path} line 1: the header counts 5 vector(s), 2 read"
+        ]
+        caplog.clear()
+        self.write_vectors(path, ["5 2", "a 1 0", "a 0 1"])  # repeats count as read
+        with caplog.at_level("WARNING"):
+            assert load_dense(path).rows(["a"]).values[0].tolist() == [0.0, 1.0]
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"{path}: 1 repeated token(s), first at line 3, last vector kept",
+            f"{path} line 1: the header counts 5 vector(s), 2 read",
+        ]
+        caplog.clear()
+        self.write_vectors(path, ["2 2", "a 1 0", "a 0 1"])
+        with caplog.at_level("WARNING"):
+            load_dense(path)
+        assert "the header counts" not in caplog.text
 
     def test_oov_only_sentence_zero_vector(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -285,15 +326,43 @@ class TestCosine:
                 expected.append(dot / norms if norms else 0.0)
             assert rows.cosines(j).tolist() == expected
 
-    def test_dense_is_one_dot_per_pair(self):
-        rng = np.random.default_rng(16)
-        rows = dense_rows(rng.normal(size=(40, 7)))
-        for j in range(40):
-            expected = [
-                float(np.dot(rows.values[j], v)) / (rows.norms[j] * norm)
-                for v, norm in zip(rows.values, rows.norms)
-            ]
-            assert rows.cosines(j).tolist() == expected
+    def test_dense_is_one_left_to_right_loop(self):
+        # norms, Rows.cosines and Window must give, by float.hex, the loops of
+        # cosine_reference: products added left to right from the first one
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        cells = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]),
+                          st.floats(-1e6, 1e6))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(data=st.data(), dim=st.integers(1, 8), n=st.integers(1, 8))
+        def check(data, dim, n):
+            vectors = data.draw(st.lists(st.lists(cells, min_size=dim, max_size=dim),
+                                         min_size=n, max_size=n))
+            queries = data.draw(st.lists(st.lists(cells, min_size=dim, max_size=dim),
+                                         min_size=1, max_size=4))
+            rows, other = dense_rows(vectors), dense_rows(queries)
+            assert hexes(rows.norms) == [cosine_reference.norm(v).hex() for v in vectors]
+            for j, query in enumerate(queries):
+                expected = [cosine_reference.cosine(query, v).hex() for v in vectors]
+                assert hexes(rows.cosines(j, other)) == expected
+            width = data.draw(st.integers(1, 2 * n))
+            top = np.array(data.draw(st.lists(
+                st.lists(st.integers(0, n - 1), min_size=width, max_size=width),
+                min_size=len(queries), max_size=len(queries))))
+            last = np.array(data.draw(st.lists(st.integers(0, width - 1),
+                                               min_size=len(top), max_size=len(top))))
+            upto = data.draw(st.integers(0, width))
+            window = Window(rows, top)
+            for q, (picks, got, got_with) in enumerate(
+                zip(top.tolist(), window.cosines(last, upto), window.cosines_with(other, upto))
+            ):
+                facts = [vectors[i] for i in picks[:upto]]
+                chosen = vectors[picks[last[q]]]
+                assert hexes(got) == [cosine_reference.cosine(chosen, v).hex() for v in facts]
+                assert hexes(got_with) == [cosine_reference.cosine(queries[q], v).hex() for v in facts]
+
+        check()
 
     def test_among_and_other_select_rows(self):
         rows = dense_rows([[1, 0], [0, 1], [1, 1]])
