@@ -272,35 +272,65 @@ class TfidfProvider:
         return Rows(values, norms, dim, ids)
 
 
+_TEXT_BLOCK = 256  # texts averaged at once; one gather of every text at once raises the peak
+
+
 class DenseWordVectors:
     """Word-vector table; a sentence vector is the mean of the vectors of its
     in-vocabulary tokens (stop words included), the zero vector if none
-    are in vocabulary."""
+    are in vocabulary.
 
-    def __init__(self, vectors: dict[str, np.ndarray], dim: int):
-        self.vectors = vectors
-        self.dim = dim
+    The table is one float matrix: row term_ids[token] holds token's vector,
+    and one last row of -0.0 pads shorter texts, since x + -0.0 is x for
+    every x, -0.0 included. A mean adds its tokens' vectors left to right in
+    token order, starting from the first, then divides once by their count,
+    so its bits depend on no BLAS library.
+    """
+
+    def __init__(self, term_ids: dict[str, int], vectors: np.ndarray):
+        """vectors[term_ids[token]] is token's vector."""
+        self.term_ids = term_ids
+        self.table = np.vstack([vectors, np.full((1, vectors.shape[1]), -0.0)])
+        self.table.flags.writeable = False
+        self.dim = vectors.shape[1]
 
     def rows(self, texts: Sequence[str]) -> Rows:
-        values = np.zeros((len(texts), self.dim))
-        for i, text in enumerate(texts):
-            found = [self.vectors[t] for t in tokenize(text) if t in self.vectors]
-            if found:
-                values[i] = np.mean(found, axis=0)
+        """Each text's mean: a block of texts at a time, the vectors of every
+        text's first token are gathered into its row, then each later token
+        column is added, and each row is divided once by its count."""
+        term_ids, table = self.term_ids, self.table
+        values = np.empty((len(texts), self.dim))
+        for start in range(0, len(texts), _TEXT_BLOCK):
+            flat, lengths = array("q"), array("q")
+            for text in texts[start : start + _TEXT_BLOCK]:
+                ids = [term_ids[t] for t in tokenize(text) if t in term_ids]
+                flat.extend(ids)
+                lengths.append(len(ids))
+            n = np.frombuffer(lengths, dtype=np.int64)
+            index = np.full((len(n), max(1, n.max())), len(term_ids), dtype=np.intp)
+            index[np.arange(index.shape[1]) < n[:, None]] = np.frombuffer(flat, dtype=np.int64)
+            out = values[start : start + len(n)]
+            table.take(index[:, 0], axis=0, out=out)
+            for column in index.T[1:]:
+                out += table.take(column, axis=0)
+            out /= np.maximum(n, 1)[:, None]
+            out[n == 0] = 0.0  # not the padding row's -0.0
         return dense_rows(values)
 
 
 def load_dense(path: str | Path) -> DenseWordVectors:
     """Load word vectors from text format: an optional "count dim" first line,
     then one token followed by its components per line, space-separated.
+    The components fill one table, a token's row after the last.
 
     A vector whose norm is above MAX_NORM is a FormatError: every sentence
     vector, a mean of word vectors, then stays within it, so the product of
     two norms, and every dot product, is finite. A repeated token keeps its
-    last vector, and a header count that differs from the number of vectors
-    read is only warned about."""
+    row and takes its last vector, and a header count that differs from the
+    number of vectors read is only warned about."""
     path = Path(path)
-    vectors: dict[str, np.ndarray] = {}
+    term_ids: dict[str, int] = {}
+    table = array("d")  # each token's components, one token after another
     dim: int | None = None
     count: int | None = None
     repeats, first_repeat = 0, None
@@ -316,7 +346,7 @@ def load_dense(path: str | Path) -> DenseWordVectors:
                 pass
         token, *rest = fields
         try:
-            values = [float(x) for x in rest]
+            values = list(map(float, rest))
         except ValueError:
             raise FormatError(f"{path} line {lineno}: non-numeric vector component") from None
         if not math.hypot(*values) <= MAX_NORM:  # nan for a nan component
@@ -329,21 +359,24 @@ def load_dense(path: str | Path) -> DenseWordVectors:
             raise FormatError(
                 f"{path} line {lineno}: expected {dim} components, found {len(values)}"
             )
-        if token in vectors:
+        row = term_ids.setdefault(token, len(term_ids))
+        if row * dim < len(table):  # a repeated token
             repeats += 1
             first_repeat = first_repeat or lineno
-        vectors[token] = np.asarray(values, dtype=float)
-    if dim is None or not vectors:
+            table[row * dim : (row + 1) * dim] = array("d", values)
+        else:
+            table.extend(values)
+    if dim is None or not term_ids:
         raise FormatError(f"{path}: no word vectors found")
     if repeats:
         log.warning(
             "%s: %d repeated token(s), first at line %d, last vector kept", path, repeats, first_repeat
         )
-    if count is not None and count != len(vectors) + repeats:
+    if count is not None and count != len(term_ids) + repeats:
         log.warning(
-            "%s line 1: the header counts %d vector(s), %d read", path, count, len(vectors) + repeats
+            "%s line 1: the header counts %d vector(s), %d read", path, count, len(term_ids) + repeats
         )
-    return DenseWordVectors(vectors, dim)
+    return DenseWordVectors(term_ids, np.frombuffer(table).reshape(len(term_ids), dim))
 
 
 def fact_vectors(corpus: Corpus, provider) -> Rows:

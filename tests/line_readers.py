@@ -1,5 +1,6 @@
-"""Per-line scores and predictions readers: the reference the block readers
-in explainrank.scorer and explainrank.evaluation are tested against.
+"""Per-line scores, predictions and word-vector readers: the reference the
+block readers in explainrank.scorer and explainrank.evaluation, and the
+one-table loader in explainrank.textsim, are tested against.
 
 These read one line per Python iteration, keep every check in file order,
 and log under the same logger names as the package readers.
@@ -17,8 +18,10 @@ import numpy as np
 from explainrank.corpus import Corpus
 from explainrank.errors import DataError, FormatError, utf8_lines
 from explainrank.scorer import RelevanceTable
+from explainrank.textsim import MAX_NORM
 
 scorer_log = logging.getLogger("explainrank.scorer")
+textsim_log = logging.getLogger("explainrank.textsim")
 
 
 def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
@@ -97,3 +100,52 @@ def read_predictions(path: str | Path) -> dict[str, list[str]]:
         bucket.add(uid)
         ranked.setdefault(qid, []).append(uid)
     return ranked
+
+
+def load_dense(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
+    """Each token's vector, in the order tokens first occur, and the dimension."""
+    path = Path(path)
+    vectors: dict[str, np.ndarray] = {}
+    dim: int | None = None
+    count: int | None = None
+    repeats, first_repeat = 0, None
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if lineno == 1 and len(fields) == 2:
+            try:
+                count, dim = map(int, fields)
+                continue
+            except ValueError:
+                pass
+        token, *rest = fields
+        try:
+            values = [float(x) for x in rest]
+        except ValueError:
+            raise FormatError(f"{path} line {lineno}: non-numeric vector component") from None
+        if not math.hypot(*values) <= MAX_NORM:  # nan for a nan component
+            if all(map(math.isfinite, values)):
+                raise FormatError(f"{path} line {lineno}: vector norm above 2**500")
+            raise FormatError(f"{path} line {lineno}: non-finite vector component")
+        if dim is None:
+            dim = len(values)
+        if dim <= 0 or len(values) != dim:
+            raise FormatError(
+                f"{path} line {lineno}: expected {dim} components, found {len(values)}"
+            )
+        if token in vectors:
+            repeats += 1
+            first_repeat = first_repeat or lineno
+        vectors[token] = np.asarray(values, dtype=float)
+    if dim is None or not vectors:
+        raise FormatError(f"{path}: no word vectors found")
+    if repeats:
+        textsim_log.warning(
+            "%s: %d repeated token(s), first at line %d, last vector kept", path, repeats, first_repeat
+        )
+    if count is not None and count != len(vectors) + repeats:
+        textsim_log.warning(
+            "%s line 1: the header counts %d vector(s), %d read", path, count, len(vectors) + repeats
+        )
+    return vectors, dim

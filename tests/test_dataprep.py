@@ -132,8 +132,8 @@ def shared_gold_corpus(seed):
 def dense_provider(seed):
     """Small integer word vectors: many sentence pairs tie on cosine."""
     rng = random.Random(seed)
-    vectors = {w: np.array([rng.randint(-1, 1) for _ in range(3)], dtype=float) for w in WORD_POOL}
-    return DenseWordVectors(vectors, 3)
+    vectors = [[rng.randint(-1, 1) for _ in range(3)] for _ in WORD_POOL]
+    return DenseWordVectors({w: i for i, w in enumerate(WORD_POOL)}, np.array(vectors, dtype=float))
 
 
 def exhaustive_negatives(corpus, provider, gold_uid, gold_uids, k):

@@ -1,13 +1,16 @@
 """Fuzzed fact tables, question files and word-vector files.
 
 Every input either loads or raises FormatError or DataError naming the file;
-no other exception escapes a loader. Word vectors that load give finite
-cosines for any sentence built from their tokens. Generated files mix line
-ends, blank lines, tabs and separators inside cells, missing and repeated
-columns, malformed annotations, huge, tiny and non-finite components, and
-bytes that are not valid UTF-8.
+no other exception escapes a loader. The word-vector loader gives the same
+tokens, table bits, warnings and errors as the per-line reference in
+line_readers.py, and word vectors that load give finite cosines for any
+sentence built from their tokens. Generated files mix line ends, blank
+lines, tabs and separators inside cells, missing and repeated columns,
+malformed annotations, huge, tiny and non-finite components, and bytes that
+are not valid UTF-8.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -22,7 +25,9 @@ from explainrank.corpus import load_facts, load_questions
 from explainrank.errors import DataError, FormatError
 from explainrank.textsim import load_dense
 
+import line_readers
 from test_bulk_readers import damages, file_bytes, line_ends
+from test_bulk_readers import outcome as read_outcome
 
 _settings = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -47,7 +52,9 @@ question_cells = cells(
 )
 components = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, width=64).map(repr),
-    st.sampled_from(["1e200", "-1e200", "1e-160", "5e-324", "3.2e150", "1_0", "0x1p3", "zz", "٣"]),
+    st.sampled_from(["1e200", "-1e200", "1e-160", "5e-324", "3.2e150", "1_0", "0x1p3", "zz", "٣",
+                     "-0.0", "-0", repr(2.0**499), repr(2.0**500), repr(math.nextafter(2.0**500, 0.0)),
+                     repr(math.nextafter(2.0**500, math.inf))]),
 )
 vector_lines = st.one_of(
     st.tuples(st.sampled_from(["a", "b", "the", "frog", "2", "é"]),
@@ -104,10 +111,25 @@ def test_question_files(header, lines, ends, final_newline, damage):
 @example(["a 2.3e150 2.3e150", "b -2.3e150 0"], ["\n"] * 8, True, None, ["a", "b", "a b"])
 @example(["a 1e-160 0", "b 0 1e-160", "frog 5e-324 5e-324"], ["\n"] * 8, True, None,
          ["a", "b a", "frog"])
+@example(["3 2", "", "a -0.0 1", "b 2 3", "a 4 5", "  "], ["\r\n", "\r", "\n"] * 3, False, None, ["a b"])
+@example([f"a {2.0**500!r}", f"b {math.nextafter(2.0**500, math.inf)!r}"], ["\n"] * 8, True, None,
+         ["a"])
+@example(["a 1 2", "b nan 1"], ["\n"] * 8, True, (3, b"\xff"), ["a"])
 def test_word_vectors(lines, ends, final_newline, damage, sentences):
-    provider = outcome(load_dense, file_bytes(lines, ends, final_newline, damage=damage))
-    if provider is not None:
-        rows = provider.rows(sentences)
-        with np.errstate(over="raise", invalid="raise"):
-            for j in range(len(sentences)):
-                assert np.isfinite(rows.cosines(j)).all()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_bytes(file_bytes(lines, ends, final_newline, damage=damage))
+        got, expected = read_outcome(load_dense, path), read_outcome(line_readers.load_dense, path)
+    if isinstance(expected[0], type):  # an error: the same class and message
+        assert got == expected and str(path) in expected[1]
+        return
+    (provider, messages), ((vectors, dim), expected_messages) = got, expected
+    assert messages == expected_messages
+    assert provider.term_ids == {token: i for i, token in enumerate(vectors)}
+    assert provider.dim == dim and provider.table.shape == (len(vectors) + 1, dim)
+    assert provider.table[:-1].tobytes() == np.array(list(vectors.values())).tobytes()
+    assert provider.table[-1].tobytes() == np.full(dim, -0.0).tobytes()
+    rows = provider.rows(sentences)
+    with np.errstate(over="raise", invalid="raise"):
+        for j in range(len(sentences)):
+            assert np.isfinite(rows.cosines(j)).all()

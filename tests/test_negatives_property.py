@@ -60,7 +60,7 @@ def word_vectors(draw):
     if draw(st.booleans()):  # mixed magnitudes
         scales = draw(st.lists(st.sampled_from(EXPONENTS), min_size=len(WORDS), max_size=len(WORDS)))
         table *= np.exp2(np.array(scales, dtype=float))[:, None]
-    return DenseWordVectors(dict(zip(WORDS, table)), dim)
+    return DenseWordVectors({w: i for i, w in enumerate(WORDS)}, table)
 
 
 @st.composite
@@ -121,10 +121,10 @@ class TestCutMargin:
 
     def test_rescores_only_facts_near_the_cut(self, monkeypatch):
         rng = np.random.default_rng(5)
-        vectors = {f"v{i}": rng.normal(size=50) for i in range(300)}
+        vectors = rng.normal(size=(300, 50))
         facts = {f"F{i:03d}": ExplanationFact(f"F{i:03d}", f"v{i}", "t") for i in range(300)}
         corpus = Corpus(facts=facts, questions=())
-        provider = DenseWordVectors(vectors, 50)
+        provider = DenseWordVectors({f"v{i}": i for i in range(300)}, vectors)
         sizes, cosines = [], Rows.cosines
 
         def counting(self, j, other=None, among=slice(None)):

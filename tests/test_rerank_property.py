@@ -60,8 +60,8 @@ def cases(draw):
     else:
         # small integer vectors: many cosines tie exactly
         components = st.lists(st.integers(-2, 2).map(float), min_size=3, max_size=3)
-        vectors = {w: np.array(draw(components)) for w in WORDS}
-        provider = DenseWordVectors(vectors, 3)
+        vectors = np.array([draw(components) for _ in WORDS])
+        provider = DenseWordVectors({w: i for i, w in enumerate(WORDS)}, vectors)
     depths = draw(st.lists(st.integers(1, len(facts) + 3), min_size=1, max_size=4))
     return corpus, provider, table, depths
 

@@ -9,6 +9,7 @@ from explainrank.corpus import Question, qa_text
 from explainrank.errors import DataError, FormatError
 from explainrank.textsim import (
     STOPWORDS,
+    DenseWordVectors,
     Rows,
     TfidfProvider,
     Window,
@@ -165,7 +166,7 @@ class TestDenseVectors:
         self.write_vectors(path, ["5 2", "a 1 0", "b 0 1"])
         with caplog.at_level("WARNING"):
             provider = load_dense(path)
-        assert sorted(provider.vectors) == ["a", "b"]
+        assert sorted(provider.term_ids) == ["a", "b"]
         assert [rec.getMessage() for rec in caplog.records] == [
             f"{path} line 1: the header counts 5 vector(s), 2 read"
         ]
@@ -201,6 +202,43 @@ class TestDenseVectors:
         self.write_vectors(path, ["a 1 zz"])
         with pytest.raises(FormatError, match="line 1"):
             load_dense(path)
+
+    def test_sentence_mean_is_one_left_to_right_loop(self):
+        # each row and norm must give, by float.hex, cosine_reference.mean of
+        # the text's in-vocabulary token vectors, and the zero vector for none.
+        # np.mean(axis=0) failed this: it sums 8 or more 1-d vectors pairwise
+        # (the first example text) and starts every sum from +0.0 ("the")
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        words, oov = ["a", "b", "frog", "the", "é"], ["zebra", "quark"]
+        cells = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 0.5, 3.0]),
+                          st.floats(-1e6, 1e6))
+
+        @st.composite
+        def cases(draw):
+            dim = draw(st.sampled_from([1, 1, 2, 3, 50]))
+            table = draw(st.lists(st.lists(cells, min_size=dim, max_size=dim),
+                                  min_size=len(words), max_size=len(words)))
+            texts = draw(st.lists(st.lists(st.sampled_from(words + oov), max_size=12)
+                                  .map(" ".join), min_size=1, max_size=6))
+            return table, texts
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(case=cases(), copies=st.sampled_from([1, 1, 90]))
+        @hypothesis.example(case=([[0.1], [0.2], [0.7], [-0.0], [3.0]],
+                                  ["b b frog b a frog b frog a", "the", "zebra quark", ""]),
+                            copies=1)
+        def check(case, copies):
+            table, texts = case
+            provider = DenseWordVectors({w: i for i, w in enumerate(words)}, np.array(table))
+            rows = provider.rows(texts * copies)  # 90 copies span several blocks of texts
+            for i, text in enumerate(texts * copies):
+                found = [table[words.index(t)] for t in text.split() if t in words]
+                mean = cosine_reference.mean(found) if found else [0.0] * len(table[0])
+                assert hexes(rows.values[i]) == hexes(mean)
+                assert rows.norms[i].hex() == cosine_reference.norm(mean).hex()
+
+        check()
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_component_names_line(self, tmp_path, bad):
@@ -325,6 +363,17 @@ class TestCosine:
                 norms = rows.norms[i] * rows.norms[j]
                 expected.append(dot / norms if norms else 0.0)
             assert rows.cosines(j).tolist() == expected
+
+    def test_window_query_term_in_no_window_fact(self):
+        # Q/A term 2 is in no fact of either window and its key sorts just
+        # before term 3's: it must not take term 3's slot
+        rows = sparse_rows([{1: 1.0}, {3: 2.0}])
+        qa = sparse_rows([{2: 1.0}, {1: 1.0, 2: 5.0}])
+        top = np.array([[0, 1], [1, 0]])
+        got = Window(rows, top).cosines_with(qa, 2)
+        assert got[0].tolist() == [0.0, 0.0]
+        for q in range(2):
+            assert hexes(got[q]) == hexes(rows.cosines(q, qa, among=top[q]))
 
     def test_dense_is_one_left_to_right_loop(self):
         # norms, Rows.cosines and Window must give, by float.hex, the loops of
