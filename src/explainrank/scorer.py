@@ -67,15 +67,17 @@ class RelevanceTable:
 
     def order(self, i: int) -> np.ndarray:
         """Row i's columns by score descending, ties by uid ascending: the
-        row's scores taken in uid order, sorted once. Distinct scores have
-        one order, which the fastest sort finds; a row with two equal
-        scores (0.0 and -0.0 included) is sorted again, stably, so equal
-        scores keep uid order."""
+        row's scores taken in uid order, sorted once by the fastest sort. Runs
+        of equal scores (0.0 and -0.0 alike, and all NaNs, which sort last)
+        go back to uid order in one integer sort of run * n + position."""
         by_uid = self._by_uid
         keys = -self.scores[i, by_uid]
         order = np.argsort(keys)
-        if not (np.diff(keys[order]) > 0.0).all():
-            order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        steps = (ranked[1:] != ranked[:-1]) & ~np.isnan(ranked[:-1])
+        if not steps.all():
+            runs = np.concatenate(([0], np.cumsum(steps)))
+            order = np.sort(runs * len(keys) + order) % len(keys)
         return by_uid[order]
 
     def ranking(self, i: int, order: np.ndarray) -> Ranking:
@@ -94,18 +96,17 @@ def score_lexical(corpus: Corpus, provider, method: str = TFIDF_COSINE) -> Relev
         raise ValueError(f"unknown scoring method {method!r}")
     kept = corpus.answerable
     qids, qa_texts = [q.qid for q, _ in kept], [qa for _, qa in kept]
+    matrix = np.empty((len(qids), len(corpus.facts)))  # filled a row at a time
     if method == TFIDF_COSINE:
         fact_rows, qa_rows = fact_vectors(corpus, provider), provider.rows(qa_texts)
-        scores = [fact_rows.cosines(i, qa_rows) for i in range(len(qids))]
+        for i in range(len(qids)):
+            matrix[i] = fact_rows.cosines(i, qa_rows)
     else:
         fact_tokens = [set(tokenize(f.text, drop_stopwords=True)) for f in corpus.facts.values()]
-        scores = []
-        for qa in qa_texts:
+        for i, qa in enumerate(qa_texts):
             qa_tokens = set(tokenize(qa, drop_stopwords=True))
-            scores.append([len(qa_tokens & t) / len(t) if t else 0.0 for t in fact_tokens])
-    uids = tuple(corpus.facts)
-    matrix = np.array(scores, dtype=float).reshape(len(qids), len(uids))
-    return RelevanceTable(tuple(qids), uids, matrix)
+            matrix[i] = [len(qa_tokens & t) / len(t) if t else 0.0 for t in fact_tokens]
+    return RelevanceTable(tuple(qids), tuple(corpus.facts), matrix)
 
 
 def write_scores(table: RelevanceTable, path: str | Path) -> None:
@@ -129,14 +130,14 @@ def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
     minimum score minus one so they rank last (with a coverage warning);
     duplicate (qid, fact) pairs keep the last value. Unknown fact uids are a
     hard error; qids not in the corpus are dropped with a warning. The file
-    is parsed a block of lines at a time.
+    is parsed a block of lines at a time, straight into one matrix.
     """
     path = Path(path)
     uids = tuple(corpus.facts)
     column = {uid: j for j, uid in enumerate(uids)}
     row = {q.qid: i for i, q in enumerate(corpus.questions)}
-    # flat matrix index and value of each accepted line, in file order
-    cells, values = array("q"), array("d")
+    matrix = np.full((len(row), len(uids)), np.nan)
+    accepted_lines = 0
     unknown_uids: dict[str, int] = {}
     unknown_qids: set[str] = set()
     for block in tsv_blocks(path, 3):
@@ -170,36 +171,35 @@ def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
             found = zip(map(block_uids.__getitem__, unknown.tolist()), block.linenos[unknown].tolist())
             unknown_uids = dict(found) | unknown_uids
         accepted = (cols >= 0) & (rows >= 0)
-        cells.frombytes((rows[accepted] * len(uids) + cols[accepted]).tobytes())
-        values.frombytes(scores[accepted].tobytes())
+        cells, values = rows[accepted] * len(uids) + cols[accepted], scores[accepted]
+        accepted_lines += len(cells)
+        matrix.put(cells, values)  # cell = row * len(uids) + column
+        if (matrix.take(cells).view(np.int64) != values.view(np.int64)).any():
+            # put keeps an unspecified one of a repeated cell's values: keep the last
+            cells, last = np.unique(cells[::-1], return_index=True)
+            matrix.put(cells, values[::-1][last])
     if unknown_uids:
         shown = sorted(unknown_uids.items(), key=lambda item: item[1])[:10]
         listing = ", ".join(f"{uid!r} (line {ln})" for uid, ln in shown)
         more = "" if len(unknown_uids) <= 10 else f" and {len(unknown_uids) - 10} more"
         raise DataError(f"{path}: {len(unknown_uids)} unknown fact uid(s): {listing}{more}")
-    scores = np.full(len(corpus.questions) * len(uids), np.nan)
-    flat, flat_values = np.frombuffer(cells, dtype=np.int64), np.frombuffer(values)
-    seen = np.zeros(len(scores), dtype=bool)
-    seen[flat] = True
-    duplicates = len(flat) - np.count_nonzero(seen)
-    if duplicates:
+    missing = np.isnan(matrix)
+    n_missing = np.count_nonzero(missing)
+    if duplicates := accepted_lines - (missing.size - n_missing):
         log.warning("%s: %d duplicate (qid, fact) pair(s), last value kept", path, duplicates)
-        # the last value of each pair: unique over the reversed lines
-        flat, last = np.unique(flat[::-1], return_index=True)
-        flat_values = flat_values[::-1][last]
     if unknown_qids:
         log.warning("%s: %d qid(s) not in the corpus, dropped", path, len(unknown_qids))
-    scores[flat] = flat_values
-    scores = scores.reshape(len(corpus.questions), len(uids))
-    covered = ~np.isnan(scores).all(axis=1)
+    covered = ~missing.all(axis=1)
     qids = tuple(q.qid for q, ok in zip(corpus.questions, covered) if ok)
-    missing = np.isnan(scores[covered])
-    scores = np.where(missing, np.nanmin(scores[covered], axis=1, keepdims=True) - 1.0, scores[covered])
+    n_missing -= (len(row) - len(qids)) * len(uids)  # only covered rows are filled
+    if n_missing:  # from the row minima np.nanmin gives; rows with no line stay NaN
+        np.copyto(matrix, np.fmin.reduce(matrix, axis=1, keepdims=True) - 1.0, where=missing)
     if len(qids) < len(row):
+        matrix = matrix[covered]
         log.warning("%s: scores cover %d of %d questions", path, len(qids), len(row))
-    if missing.any():
-        log.warning("%s: %d missing (qid, fact) pair(s) filled to rank last", path, missing.sum())
-    return RelevanceTable(qids, uids, scores)
+    if n_missing:
+        log.warning("%s: %d missing (qid, fact) pair(s) filled to rank last", path, n_missing)
+    return RelevanceTable(qids, uids, matrix)
 
 
 def all_rankings(table: RelevanceTable) -> list[Ranking]:

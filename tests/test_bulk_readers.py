@@ -110,7 +110,13 @@ def outcome(read, path):
 
 
 def same_table(a, b):
-    return a.qids == b.qids and a.uids == b.uids and np.array_equal(a.scores, b.scores)
+    """Equal ids and bit-equal scores: -0.0 is not 0.0."""
+    return (
+        a.qids == b.qids
+        and a.uids == b.uids
+        and (a.scores.dtype, a.scores.shape) == (b.scores.dtype, b.scores.shape)
+        and a.scores.tobytes() == b.scores.tobytes()
+    )
 
 
 _settings = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -124,6 +130,12 @@ _settings = settings(max_examples=300, deadline=None, suppress_health_check=[Hea
 @example(["q1\tghost\t1", "q2\tghost\t2", "q1\tf1 \t3"], ["\n"] * 40, True, 48, (0, 0), None)
 @example(["q1\tghost\t1", "q1\tf1\t2", "q1\tghost\t3"], ["\n"] * 40, True, 4, (0, 0), None)
 @example(["q1\tf1\t1.0", "q1\tf1"], ["\n"] * 40, True, 1 << 14, (2, 100), (10_000, b"\xff"))
+# at the default block size: a repeated pair out of order inside one block,
+# a -0.0 score, and a row missing one fact whose minimum is -0.0
+@example(["q1\tf2\t1.0", "q1\tf1\t2.0", "q1\tf2\t3.0"], ["\n"] * 40, True, errors._BLOCK_CHARS, (0, 0), None)
+@example(["q1\tf1\t-0.0", "q2\tf2\t0.5"], ["\n"] * 40, True, errors._BLOCK_CHARS, (0, 0), None)
+@example([f"q2\t{uid}\t{score}" for uid, score in zip(UIDS[1:], ["0.5", "-0.0", "1.0", "2.5", "3.0"])],
+         ["\n"] * 40, True, errors._BLOCK_CHARS, (0, 0), None)
 def test_load_scores_matches_per_line_reader(lines, ends, final_newline, chars, filler, damage):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(errors, "_BLOCK_CHARS", chars)

@@ -1,0 +1,63 @@
+"""Peak traced memory of building a score table: load_scores and
+score_lexical hold the float64 matrix and little beside it.
+
+numpy registers its data buffers with tracemalloc, so the traced peak
+counts the matrix, every temporary array and every Python object made
+during the call."""
+
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from explainrank.scorer import OVERLAP, RelevanceTable, load_scores, score_lexical, write_scores
+from synth import random_corpus
+
+N_QUESTIONS, N_FACTS = 300, 400
+# the float64 table, one byte per cell while missing pairs are filled, and
+# a block of lines or a row of scores at a time
+MAX_RATIO = 1.5
+
+
+def traced_peak(call):
+    """call()'s result and the traced peak above what was traced before it."""
+    if tracemalloc.is_tracing() or sys.gettrace() is not None:
+        pytest.skip("another tracer is running")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    corpus = random_corpus(n_questions=N_QUESTIONS, n_facts=N_FACTS, seed=31)
+    assert len(corpus.answerable) == N_QUESTIONS  # built once, outside the traced calls
+    return corpus
+
+
+def test_load_scores_peak_is_about_the_table(corpus, tmp_path):
+    rng = np.random.default_rng(31)
+    table = RelevanceTable(
+        tuple(q.qid for q in corpus.questions), tuple(corpus.facts), rng.normal(size=(N_QUESTIONS, N_FACTS))
+    )
+    path = tmp_path / "scores.tsv"
+    write_scores(table, path)
+    # one fact missing per question, so the missing pairs are filled too
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    del lines[::N_FACTS]
+    path.write_text("".join(lines), encoding="utf-8")
+    loaded, peak = traced_peak(lambda: load_scores(path, corpus))
+    assert loaded.scores.shape == (N_QUESTIONS, N_FACTS)
+    assert peak <= MAX_RATIO * loaded.scores.nbytes, peak / loaded.scores.nbytes
+
+
+def test_score_lexical_overlap_peak_is_about_the_table(corpus):
+    table, peak = traced_peak(lambda: score_lexical(corpus, None, method=OVERLAP))
+    assert table.scores.shape == (N_QUESTIONS, N_FACTS)
+    assert peak <= MAX_RATIO * table.scores.nbytes, peak / table.scores.nbytes

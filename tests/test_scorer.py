@@ -211,6 +211,7 @@ class TestLoadScores:
         assert "duplicate" not in caplog.text
         reference = line_readers.load_scores(tmp_path / "s.tsv", corpus)
         assert table.qids == reference.qids == tuple(q.qid for q in corpus.questions[1:])
+        assert (table.scores.dtype, table.scores.shape) == (reference.scores.dtype, reference.scores.shape)
         assert table.scores.tobytes() == reference.scores.tobytes()
 
     def test_unknown_qid_dropped_with_warning(self, tmp_path, caplog):
@@ -255,12 +256,16 @@ class TestInitialRanking:
         assert [r.qid for r in all_rankings(table)] == ["q2", "q1"]
 
     def test_order_equals_two_key_lexsort(self):
-        # many exact ties, 0.0 beside -0.0, and uids whose sorted order is
-        # not column order
+        # many exact ties, 0.0 beside -0.0, NaNs (which sort last, one run in
+        # uid order), infinities, all-equal rows, and uids whose sorted order
+        # is not column order
         rng = np.random.default_rng(25)
         uids = tuple(f"u{k:03d}" for k in rng.permutation(300))
         rows = [rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=300) for _ in range(6)]
         rows += [rng.normal(size=300), np.zeros(300), np.where(rng.random(300) < 0.5, 0.0, -0.0)]
+        rows += [rng.choice([np.nan, -np.inf, np.inf, -0.0, 0.0, 1.0], size=300) for _ in range(3)]
+        rows += [np.where(rng.random(300) < 0.2, np.nan, rng.normal(size=300)), np.full(300, np.nan)]
+        rows += [np.full(300, 0.5), np.full(300, -np.inf), np.full(300, -0.0)]
         table = RelevanceTable(tuple(f"q{i}" for i in range(len(rows))), uids, np.array(rows))
         ranks = uid_ranks(uids)
         for i, row in enumerate(table.scores):
