@@ -55,7 +55,6 @@ from .rerank import (
     rerank_all,
 )
 from .scorer import (
-    Ranking,
     RelevanceTable,
     all_rankings,
     load_scores,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -83,6 +84,12 @@ class Question:
 class Corpus:
     facts: dict[str, ExplanationFact]
     questions: tuple[Question, ...]
+
+    def __post_init__(self) -> None:
+        """A DataError for a repeated qid: qids key every ranking."""
+        counts = Counter(q.qid for q in self.questions)
+        if repeated := [qid for qid, n in counts.items() if n > 1]:
+            raise DataError(f"duplicate question id {repeated[0]!r}")
 
     @cached_property
     def answerable(self) -> tuple[tuple[Question, str], ...]:

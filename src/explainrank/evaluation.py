@@ -23,10 +23,10 @@ import numpy as np
 
 from .corpus import KNOWN_ROLES, Corpus, Question, Role
 from .errors import DataError, FormatError, tsv_blocks
-from .scorer import Ranking
 
 log = logging.getLogger(__name__)
 
+# qid -> fact uids, best first: what all_rankings, rerank_all and read_predictions give
 RankedUids = Mapping[str, Sequence[str]]
 
 
@@ -203,18 +203,16 @@ def report_keyvalues(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def write_predictions(
-    rankings: Iterable[Ranking], path: str | Path, top_m: int | None = None
-) -> None:
-    """One "qid<TAB>fact_uid" line per kept position, questions in input order,
-    best fact first within each question; a question's lines are written as
-    one string."""
+def write_predictions(ranked_by_qid: RankedUids, path: str | Path, top_m: int | None = None) -> None:
+    """One "qid<TAB>fact_uid" line per kept position, questions in mapping
+    order, best fact first within each question; a question's lines are
+    written as one string."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ranking in rankings:
-            uids = ranking.uids if top_m is None else ranking.uids[:top_m]
+        for qid, uids in ranked_by_qid.items():
+            uids = uids if top_m is None else uids[:top_m]
             if uids:
-                lines = f"\n{ranking.qid}\t".join(uids)
-                fh.write(f"{ranking.qid}\t{lines}\n")
+                lines = f"\n{qid}\t".join(uids)
+                fh.write(f"{qid}\t{lines}\n")
 
 
 def read_predictions(path: str | Path) -> dict[str, list[str]]:

@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import Corpus
 from .errors import DataError
 from .evaluation import average_precisions, evaluable, mean_in_order, padded
-from .scorer import Ranking, RelevanceTable, normalized_at
+from .scorer import RelevanceTable, normalized_at
 from .textsim import Rows, Window
 
 log = logging.getLogger(__name__)
@@ -84,7 +84,7 @@ def iterative_rerank(
     a row of rows and an entry of uids. weights (strictly positive, see
     normalize()) and qa_sims, each fact's similarity to the question/answer
     text, belong to the facts at order's first 2 * depth positions (or all
-    of them); later entries are ignored.
+    of them); later entries are ignored, and fewer is a ValueError.
 
     The initial top fact is kept as the anchor. Each round considers the
     unselected facts whose initial rank index is at most depth plus the
@@ -97,8 +97,11 @@ def iterative_rerank(
 
     This is a batch of one for the greedy rerank_all and depth_sweep run.
     """
-    top = order[None, : 2 * config.depth]
-    n = top.shape[1]
+    n = min(2 * config.depth, len(order))
+    for name, given in (("weights", weights), ("qa_sims", qa_sims)):
+        if len(given) < n:
+            raise ValueError(f"{name} has {len(given)} entries; depth {config.depth} needs {n}")
+    top = order[None, :n]
     facts = np.array(uids, dtype=object)[top] if want_trace else None
     perm, rounds = _greedy(Window(rows, top), weights[None, :n], qa_sims[None, :n], config.depth, facts)
     return np.concatenate([top[0, perm[0]], order[n:]]), tuple(rounds[0]) if want_trace else ()
@@ -112,12 +115,13 @@ def _greedy(
     facts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[list[RerankRound]]]:
     """iterative_rerank's greedy for every window at once, in lockstep, on
-    each window's first min(2 * depth, width) facts. weights and qa_sims
-    hold a row per window. Every window sees the operations
+    each window's first min(2 * depth, len(weights[0])) facts; a window
+    column past them, such as a Q/A row, is never a candidate. weights and
+    qa_sims hold a row per window. Every window sees the operations
     iterative_rerank makes for one, in the same order, so the bits are the
     same. Returns each window's new order as positions in it and, when
     facts (the windows' uids) is given, each window's rounds."""
-    n = min(2 * depth, window.top.shape[1])
+    n = min(2 * depth, weights.shape[1])
     top, weights, qa_sims = window.top[:, :n], weights[:, :n], qa_sims[:, :n]
     if not (weights > 0.0).all():
         raise DataError("relevance weights must be positive; normalize scores first")
@@ -164,29 +168,30 @@ def _round(number, facts, pool, best, rel, qa_sims, score) -> list[RerankRound]:
 
 
 def _windows(corpus: Corpus, provider, table: RelevanceTable, width: int, take):
-    """The scored questions of the corpus with an answerable key, in table
-    order: their table rows, the first width facts (columns) of each one's
-    initial order from the raw scores, a Window over those facts' vectors,
-    their normalized weights and Q/A similarities, and take(row, order) of
-    each whole initial order. Orders are sorted one row at a time and not
-    kept, and only facts in some window are vectorised."""
+    """For each scored question of the corpus with an answerable key, in
+    table order: the first width facts (columns) of its initial order from
+    the raw scores, in a Window whose last column is its Q/A vector, their
+    normalized weights and Q/A similarities, and its qid mapped to
+    take(qid, order) of its whole initial order. Orders are sorted a row at
+    a time and not kept; only window facts and Q/A texts are vectorised, in
+    one call."""
     if table.uids != tuple(corpus.facts):
         raise DataError("score table columns do not match the corpus facts")
     qa_by_qid = {q.qid: qa for q, qa in corpus.answerable}
     kept = [i for i, qid in enumerate(table.qids) if qid in qa_by_qid]
     top = np.empty((len(kept), min(width, len(table.uids))), dtype=np.intp)
-    taken = []
+    taken = {}
     for n, i in enumerate(kept):
         order = table.order(i)
         top[n] = order[: top.shape[1]]
-        taken.append(take(i, order))
+        taken[table.qids[i]] = take(table.qids[i], order)
     facts, local = np.unique(top, return_inverse=True)
     texts = [fact.text for fact in corpus.facts.values()]
-    window = Window(provider.rows([texts[j] for j in facts.tolist()]), local.reshape(top.shape))
-    qa_rows = provider.rows([qa_by_qid[table.qids[i]] for i in kept])
-    qa_sims = window.cosines_with(qa_rows, top.shape[1])
+    rows = provider.rows([texts[j] for j in facts.tolist()] + [qa_by_qid[qid] for qid in taken])
+    window = Window(rows, local.reshape(top.shape), np.arange(len(facts), rows.values.shape[0]))
+    qa_sims = window.cosines(np.full(len(kept), top.shape[1]), top.shape[1])
     weights = normalized_at(table, np.array(kept, dtype=np.intp), top)
-    return kept, top, window, weights, qa_sims, taken
+    return top, window, weights, qa_sims, taken
 
 
 def rerank_all(
@@ -196,18 +201,20 @@ def rerank_all(
     config: RerankConfig,
     *,
     want_trace: bool = False,
-) -> tuple[list[Ranking], dict[str, RerankTrace]]:
-    """Re-rank every scored question in table order. The base order and its
-    tie-break come from the raw scores; normalized scores are only weights."""
-    kept, top, window, weights, qa_sims, rankings = _windows(
-        corpus, provider, table, 2 * config.depth, table.ranking
-    )
+) -> tuple[dict[str, list[str]], dict[str, RerankTrace]]:
+    """Re-rank every scored question with an answerable key. Returns each
+    one's qid mapped to its fact uids, best first, in table order, and its
+    trace when want_trace is set. The base order and its tie-break come
+    from the raw scores; normalized scores are only weights."""
     uids = np.array(table.uids, dtype=object)
+    top, window, weights, qa_sims, rankings = _windows(
+        corpus, provider, table, 2 * config.depth, lambda qid, order: uids[order].tolist()
+    )
     perm, rounds = _greedy(window, weights, qa_sims, config.depth, uids[top] if want_trace else None)
     # each initial ranking takes its new top in place, so no list is resized
-    for ranking, head in zip(rankings, np.take_along_axis(top, perm, axis=1)):
-        ranking.uids[: len(head)] = uids[head].tolist()
-    traces = {table.qids[i]: RerankTrace(table.qids[i], tuple(r)) for i, r in zip(kept, rounds)}
+    for ranking, head in zip(rankings.values(), np.take_along_axis(top, perm, axis=1)):
+        ranking[: len(head)] = uids[head].tolist()
+    traces = {qid: RerankTrace(qid, tuple(r)) for qid, r in zip(rankings, rounds)}
     return rankings, traces
 
 
@@ -226,17 +233,17 @@ def depth_sweep(
     column = {uid: j for j, uid in enumerate(table.uids) if uid in wanted}
     gold = {qid: [column[u] for u in uids if u in column] for qid, uids in gold_uids.items()}
 
-    def gold_positions(i: int, order: np.ndarray) -> np.ndarray:
+    def gold_positions(qid: str, order: np.ndarray) -> np.ndarray:
         is_gold = np.zeros(len(order), dtype=bool)
-        is_gold[gold[table.qids[i]]] = True
+        is_gold[gold[qid]] = True
         return np.flatnonzero(is_gold[order])
 
-    kept, _, window, weights, qa_sims, found = _windows(corpus, provider, table, width, gold_positions)
-    batch_row = {table.qids[i]: n for n, i in enumerate(kept)}
-    questions = evaluable(batch_row, corpus)
+    _, window, weights, qa_sims, found = _windows(corpus, provider, table, width, gold_positions)
+    questions = evaluable(found, corpus)
+    batch_row = {qid: n for n, qid in enumerate(found)}
     rows_of = np.array([batch_row[q.qid] for q in questions])
     # each evaluable question's gold positions in its initial order, inf-padded
-    initial = padded([found[n] for n in rows_of])
+    initial = padded([found[q.qid] for q in questions])
     n_relevant = np.array([len(q.gold_uid_set) for q in questions])
     cell_rows = np.broadcast_to(rows_of[:, None], initial.shape)
     results = []

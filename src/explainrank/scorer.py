@@ -3,8 +3,9 @@
 Scores come either from the built-in lexical scorers (a desk-scale stand-in
 for an externally trained relevance model) or from a scores TSV produced by
 such a model. A score table is one float64 matrix, a row per scored question
-and a column per corpus fact. Rankings sort by score descending with uid as
-the tie-break, so the same table always yields the same ranking.
+and a column per corpus fact. The rankings map each qid to its fact uids, best
+first: by score descending with uid as the tie-break, so the same table
+always yields the same rankings.
 """
 
 from __future__ import annotations
@@ -32,14 +33,6 @@ OVERLAP = "overlap"
 # floor of the per-question min-max rescale; keeps every relevance weight
 # strictly positive for the weighted re-ranking average
 NORM_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class Ranking:
-    """Fact uids for one question, best first."""
-
-    qid: str
-    uids: list[str]
 
 
 def uid_ranks(uids: Sequence[str]) -> np.ndarray:
@@ -79,10 +72,6 @@ class RelevanceTable:
             runs = np.concatenate(([0], np.cumsum(steps)))
             order = np.sort(runs * len(keys) + order) % len(keys)
         return by_uid[order]
-
-    def ranking(self, i: int, order: np.ndarray) -> Ranking:
-        """Row i's question with its facts in the given column order."""
-        return Ranking(self.qids[i], self._uid_array[order].tolist())
 
 
 def score_lexical(corpus: Corpus, provider, method: str = TFIDF_COSINE) -> RelevanceTable:
@@ -202,9 +191,10 @@ def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
     return RelevanceTable(qids, uids, matrix)
 
 
-def all_rankings(table: RelevanceTable) -> list[Ranking]:
-    """Each row's facts by score descending, ties by uid ascending."""
-    return [table.ranking(i, table.order(i)) for i in range(len(table.qids))]
+def all_rankings(table: RelevanceTable) -> dict[str, list[str]]:
+    """Each row's qid mapped to its fact uids by score descending, ties by
+    uid ascending, in table order."""
+    return {qid: table._uid_array[table.order(i)].tolist() for i, qid in enumerate(table.qids)}
 
 
 def normalize(table: RelevanceTable) -> RelevanceTable:

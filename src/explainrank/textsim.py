@@ -74,18 +74,14 @@ class Rows:
         whichever side is the query.
         """
         other = self if other is None else other
-        self._check(other)
-        query = np.zeros(self.dim + 1)  # the padding id's weight stays 0.0
-        query[other.ids[j]] = other.values[j]
-        dots = _dots(query, self.ids[among].T, self.values[among].T)
-        return _over_norms(dots, self.norms[among] * other.norms[j])
-
-    def _check(self, other: Rows) -> None:
-        """A DataError unless other's vectors can be compared with these."""
         if self.dense != other.dense:
             raise DataError("cannot compare sparse and dense sentence vectors")
         if self.dim != other.dim:
             raise DataError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        query = np.zeros(self.dim + 1)  # the padding id's weight stays 0.0
+        query[other.ids[j]] = other.values[j]
+        dots = _dots(query, self.ids[among].T, self.values[among].T)
+        return _over_norms(dots, self.norms[among] * other.norms[j])
 
 
 def _dots(query: np.ndarray, index: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -113,58 +109,51 @@ _WINDOW_BLOCK = 64  # windows keyed at once; larger blocks raise the peak, not t
 class Window:
     """Cosines with the facts near the top of many rankings at once.
 
-    Row q of top holds window q: row indices of rows, best first. Each
-    method gives row q, bit for bit, what one Rows.cosines call gives for
-    window q alone: the same products, added by _dots in the same order.
-    Query weights are spread over one buffer with a slot for each (window,
-    term) pair, and the window facts' weights and slots are laid out a
-    column at a time.
+    Row q of top holds window q: row indices of rows, best first, then, with
+    queries, one last column queries[q] that is only ever a query, as each
+    question's Q/A row is in rerank. cosines gives row q, bit for bit, what
+    one Rows.cosines call gives for window q alone: the same products, added
+    by _dots in the same order. Query weights are spread over one buffer
+    with a slot for each (window, term) pair. The window facts' slots and
+    weights are laid out a term column at a time, as wide as the widest
+    window fact: a query row's further terms get slots apart, not columns.
     """
 
-    def __init__(self, rows: Rows, top: np.ndarray):
-        self.rows, self.top = rows, top
-        # window q's terms are keyed q * (dim + 1) + id, so windows share no
-        # key and each block of windows' keys sort after the block before;
-        # keying a block at a time keeps the peak low for wide (dense) rows
-        keys, self._slots = [], np.empty((rows.ids.shape[1], *top.shape), dtype=np.intp)
+    def __init__(self, rows: Rows, top: np.ndarray, queries: np.ndarray | None = None):
+        width = max(1, int(np.count_nonzero(rows.ids < rows.dim, axis=1)[top].max(initial=0)))
+        self.rows, self.top = rows, top if queries is None else np.column_stack([top, queries])
+        queried = self.top[:, top.shape[1] :]  # the query column, if any
+        self._slots = np.empty((width, *self.top.T.shape), dtype=np.intp)
+        self._wide = np.empty((rows.ids.shape[1] - width, *queried.T.shape), dtype=np.intp)
+        # window q's terms are keyed q * (dim + 1) + id, so windows share no slot;
+        # keying a block of windows at a time keeps the peak low for wide (dense) rows
+        n_slots = 0
         for start in range(0, len(top), _WINDOW_BLOCK):
             part = slice(start, start + _WINDOW_BLOCK)
-            block = rows.ids.T[:, top[part]]
-            block += np.arange(len(top))[part, None] * (rows.dim + 1)
-            block_keys, slots = np.unique(block, return_inverse=True)
-            self._slots[:, part] = slots.reshape(block.shape) + sum(map(len, keys))
-            keys.append(block_keys)
-        # the last key, above every window's, takes the query terms no window fact has
-        self._keys = np.concatenate([*keys, [len(top) * (rows.dim + 1)]])
-        self._values = rows.values.T[:, top]
-        self._query = np.zeros(len(self._keys))
+            head, wide = rows.ids.T[:width, self.top[part].T], rows.ids.T[width:, queried[part].T]
+            for block in head, wide:
+                block += np.arange(len(top))[part] * (rows.dim + 1)
+            distinct, slots = np.unique(np.concatenate([head, wide], axis=None), return_inverse=True)
+            slots += n_slots
+            self._slots[:, :, part] = slots[: head.size].reshape(head.shape)
+            self._wide[:, :, part] = slots[head.size :].reshape(wide.shape)
+            n_slots += len(distinct)
+        self._values = rows.values.T[:width][:, top.T]
+        self._query = np.zeros(n_slots)
 
     def cosines(self, last: np.ndarray, n: int) -> np.ndarray:
-        """Row q: rows.cosines(top[q, last[q]], among=top[q, :n])."""
-        each = np.arange(len(self.top))
-        return self._cosines(self.rows, self.top[each, last], self._slots[:, each, last].T, n)
-
-    def cosines_with(self, other: Rows, n: int) -> np.ndarray:
-        """Row q: rows.cosines(q, other, among=top[q, :n]); other has a row
-        per window."""
-        self.rows._check(other)
-        each = np.arange(len(self.top))
-        keys = other.ids + each[:, None] * (other.dim + 1)
-        slots = np.searchsorted(self._keys, keys)
-        slots[self._keys[slots] != keys] = len(self._keys) - 1
-        return self._cosines(other, each, slots, n)
-
-    def _cosines(self, other: Rows, js: np.ndarray, slots: np.ndarray, n: int) -> np.ndarray:
-        """Row q compares row js[q] of other, whose terms sit at slots[q],
-        with the first n facts of window q."""
-        rows, top = self.rows, self.top[:, :n]
-        if top.size == 0:
-            return np.zeros(top.shape)
-        query = self._query
-        query[slots] = other.values[js]
-        dots = _dots(query, self._slots[:, :, :n], self._values[:, :, :n])
-        query[slots] = 0.0
-        return _over_norms(dots, rows.norms[top] * other.norms[js][:, None])
+        """Row q: rows.cosines(top[q, last[q]], among=top[q, :n]), n no more
+        than the window facts."""
+        rows, top, width = self.rows, self.top[:, :n], len(self._slots)
+        each = np.arange(len(top))
+        js, slots = self.top[each, last], self._slots[:, last, each]
+        asks = last >= self.top.shape[1] - self._wide.shape[1]  # only query rows pass width
+        wide = self._wide[:, :, asks]
+        self._query[wide] = rows.values[js[asks], width:].T[:, None]
+        self._query[slots] = rows.values[js, :width].T
+        dots = _dots(self._query, self._slots[:, :n], self._values[:, :n]).T
+        self._query[slots] = self._query[wide] = 0.0
+        return _over_norms(dots, rows.norms[top] * rows.norms[js][:, None])
 
 
 def dense_rows(vectors) -> Rows:
@@ -259,16 +248,16 @@ class TfidfProvider:
         width = max(1, int(n_terms.max(initial=0)))
         starts = np.cumsum(n_terms) - n_terms
         col = np.arange(len(keys)) - starts[row]
-        ids = np.full((n, width), dim, dtype=np.intp)
-        values = np.zeros((n, width))
-        ids[row, col] = term
-        values[row, col] = weights
         # sorted by first position the entries stay grouped by text, in text
         # order, so the same cells take each text's squares in the order its
-        # terms first occur
-        squares = np.zeros((n, width))
-        squares[row, col] = np.square(weights[np.argsort(first)])
-        norms = np.sqrt(np.cumsum(squares, axis=1, out=squares)[:, -1])
+        # terms first occur; the squares' buffer then takes the weights
+        values = np.zeros((n, width))
+        values[row, col] = np.square(weights[np.argsort(first)])
+        norms = np.sqrt(np.cumsum(values, axis=1, out=values)[:, -1])
+        values.fill(0.0)
+        values[row, col] = weights
+        ids = np.full((n, width), dim, dtype=np.intp)
+        ids[row, col] = term
         return Rows(values, norms, dim, ids)
 
 

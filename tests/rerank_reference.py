@@ -16,7 +16,7 @@ import numpy as np
 from eval_reference import map_overall
 from explainrank.errors import DataError
 from explainrank.rerank import CandidateScore, RerankConfig, RerankRound, RerankTrace
-from explainrank.scorer import Ranking, RelevanceTable, normalize, uid_ranks
+from explainrank.scorer import RelevanceTable, normalize, uid_ranks
 from explainrank.textsim import Rows, fact_vectors
 
 
@@ -79,12 +79,12 @@ def _questions(corpus, provider, table: RelevanceTable, rows: Rows, depth: int):
 
 def rerank_all(corpus, provider, table: RelevanceTable, config: RerankConfig, *, want_trace=False):
     rows = fact_vectors(corpus, provider)
-    rankings, traces = [], {}
+    rankings, traces = {}, {}
     for i, order, weights, qa_sims in _questions(corpus, provider, table, rows, config.depth):
         new_order, rounds = iterative_rerank(
             order, weights, qa_sims, rows, table.uids, config, want_trace=want_trace
         )
-        rankings.append(Ranking(table.qids[i], [table.uids[j] for j in new_order]))
+        rankings[table.qids[i]] = [table.uids[j] for j in new_order]
         if want_trace:
             traces[table.qids[i]] = RerankTrace(qid=table.qids[i], rounds=rounds)
     return rankings, traces

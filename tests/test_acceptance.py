@@ -63,12 +63,10 @@ def test_rerank_identity_at_depth_one():
     table = score_lexical(corpus, provider)
     initial = all_rankings(table)
     reranked, _ = rerank_all(corpus, provider, table, RerankConfig(depth=1))
-    assert [r.uids for r in reranked] == [r.uids for r in initial]
+    assert list(reranked.items()) == list(initial.items())
     payloads = []
     for rankings in (initial, reranked):
-        lines = []
-        for ranking in rankings:
-            lines.extend(f"{ranking.qid}\t{uid}" for uid in ranking.uids)
+        lines = [f"{qid}\t{uid}" for qid, uids in rankings.items() for uid in uids]
         payloads.append(("\n".join(lines) + "\n").encode("utf-8"))
     assert payloads[0] == payloads[1]
     elapsed = time.perf_counter() - started
@@ -166,9 +164,9 @@ def test_directional_multihop_improvement():
     corpus = chain_corpus(n_questions=20)
     provider = default_provider(corpus)
     table = score_lexical(corpus, provider)
-    initial_map = map_overall({r.qid: r.uids for r in all_rankings(table)}, corpus)
+    initial_map = map_overall(all_rankings(table), corpus)
     reranked, _ = rerank_all(corpus, provider, table, RerankConfig(depth=10))
-    reranked_map = map_overall({r.qid: r.uids for r in reranked}, corpus)
+    reranked_map = map_overall(reranked, corpus)
     assert initial_map < reranked_map, (initial_map, reranked_map)
     _pass(
         "directional multi-hop improvement "
@@ -189,7 +187,7 @@ def test_external_scores_depth_sweep_structure(tmp_path):
     write_scores(score_lexical(corpus, provider, "overlap"), external_path)
     table = load_scores(external_path, corpus)
 
-    no_rerank_map = map_overall({r.qid: r.uids for r in all_rankings(table)}, corpus)
+    no_rerank_map = map_overall(all_rankings(table), corpus)
     rows = depth_sweep(corpus, provider, table, DEFAULT_SWEEP)
     assert [depth for depth, _ in rows] == [1, 3, 5, 10, 15, 20, 30]
     assert abs(rows[0][1] - no_rerank_map) <= 1e-9
@@ -222,8 +220,7 @@ def test_map_shape_by_gold_length_real_data():
     corpus = load_corpus(fact_paths, os.environ["EXPLAINRANK_QUESTIONS"])
     provider = default_provider(corpus)
     table = score_lexical(corpus, provider)
-    ranked = {r.qid: r.uids for r in all_rankings(table)}
-    buckets = evaluate_rankings(ranked, corpus).per_length
+    buckets = evaluate_rankings(all_rankings(table), corpus).per_length
 
     def weighted(sizes):
         rows = [(count, value) for size, (count, value) in buckets.items() if size in sizes]

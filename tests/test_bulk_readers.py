@@ -26,7 +26,7 @@ from explainrank import errors
 from explainrank.corpus import Corpus, ExplanationFact, Question
 from explainrank.errors import PipelineError
 from explainrank.evaluation import read_predictions, write_predictions
-from explainrank.scorer import Ranking, RelevanceTable, load_scores, write_scores
+from explainrank.scorer import RelevanceTable, load_scores, write_scores
 
 QIDS = ["q1", "q2", "ø3"]
 UIDS = ["f1", "f2", "é3", "f\u20284", "f 5", "f\x0c6\x1c"]
@@ -215,16 +215,19 @@ def test_scores_round_trip(qids, uids, data, chars):
     chars=block_chars,
 )
 def test_predictions_round_trip(qids, uids, top_m, data, chars):
-    rankings = [Ranking(qid, data.draw(st.permutations(uids))) for qid in qids]
+    rankings = {qid: data.draw(st.permutations(uids)) for qid in qids}
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(errors, "_BLOCK_CHARS", chars)
-        path = Path(tmp) / "predictions.tsv"
+        path, again = Path(tmp) / "predictions.tsv", Path(tmp) / "again.tsv"
         write_predictions(rankings, path, top_m)
         written = path.read_bytes()
         back = read_predictions(path)
-    expected = "".join(f"{r.qid}\t{uid}\n" for r in rankings for uid in r.uids[:top_m])
+        write_predictions(back, again)
+        rewritten = again.read_bytes()
+    expected = "".join(f"{qid}\t{uid}\n" for qid, ranked in rankings.items() for uid in ranked[:top_m])
     assert written == expected.encode("utf-8")
-    assert back == {r.qid: r.uids[:top_m] for r in rankings}
+    assert list(back.items()) == [(qid, ranked[:top_m]) for qid, ranked in rankings.items()]
+    assert rewritten == written
 
 
 def test_equal_uids_share_one_string(tmp_path):

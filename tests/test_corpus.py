@@ -241,6 +241,17 @@ class TestAnswerable:
         assert caplog.text.count("question q2: answer key 'Z' matches no choice") == 1
 
 
+class TestCorpus:
+    def test_repeated_qid_refused(self):
+        questions = (
+            Question("q1", "Stem", {"A": "x"}, "A"),
+            Question("q2", "Stem", {"A": "x"}, "A"),
+            Question("q1", "Other", {"A": "y"}, "A"),
+        )
+        with pytest.raises(DataError, match="^duplicate question id 'q1'$"):
+            Corpus(facts={}, questions=questions)
+
+
 class TestValidate:
     def make_corpus(self, gold, n_facts=20):
         facts = {

@@ -20,7 +20,6 @@ from explainrank.evaluation import (
     report_keyvalues,
     write_predictions,
 )
-from explainrank.scorer import Ranking
 
 
 def brute_force_ap(ranked, relevant):
@@ -316,24 +315,29 @@ class TestEvalReport:
 
 class TestPredictions:
     def test_write_order_and_count(self, tmp_path):
-        rankings = [Ranking("q1", ["a", "b", "c"])]
         path = tmp_path / "p.tsv"
-        write_predictions(rankings, path)
+        write_predictions({"q1": ["a", "b", "c"]}, path)
         assert path.read_text(encoding="utf-8") == "q1\ta\nq1\tb\nq1\tc\n"
 
     def test_top_m_truncates(self, tmp_path):
         path = tmp_path / "p.tsv"
-        write_predictions([Ranking("q1", [f"f{i:03d}" for i in range(60)])], path, top_m=30)
+        write_predictions({"q1": [f"f{i:03d}" for i in range(60)]}, path, top_m=30)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 30
 
     def test_round_trip_preserves_ap(self, tmp_path):
         corpus = make_corpus([Question("q1", "s", {"A": "a"}, "A", (("f2", CENTRAL),))])
-        ranking = Ranking("q1", [f"f{i}" for i in range(10)])
-        in_memory = map_overall({"q1": ranking.uids}, corpus)
+        ranked = {"q1": [f"f{i}" for i in range(10)]}
+        in_memory = map_overall(ranked, corpus)
         path = tmp_path / "p.tsv"
-        write_predictions([ranking], path)
+        write_predictions(ranked, path)
         assert map_overall(read_predictions(path), corpus) == in_memory
+
+    def test_rewriting_what_was_read_reproduces_the_file(self, tmp_path):
+        path, again = tmp_path / "p.tsv", tmp_path / "again.tsv"
+        path.write_text("q2\tf3\nq2\tf1\nq1\tf2\nq\u00e9\tf\u00e9\nq\u00e9\tf1\n", encoding="utf-8")
+        write_predictions(read_predictions(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_read_rejects_duplicates(self, tmp_path):
         path = tmp_path / "p.tsv"

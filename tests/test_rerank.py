@@ -345,6 +345,17 @@ class TestIterativeRerank:
         assert new_order.tolist() == []
         assert rounds == ()
 
+    @pytest.mark.parametrize("short", ["weights", "qa_sims"])
+    def test_short_inputs_refused(self, short):
+        # depth 3 over 9 facts needs 6 entries of each; 5 must not shrink the window
+        inst = random_instance(random.Random(49), n_facts=9)
+        given = {"weights": inst.rel[inst.order[:6]], "qa_sims": np.ones(6)}
+        given[short] = given[short][:5]
+        with pytest.raises(ValueError, match=f"^{short} has 5 entries; depth 3 needs 6$"):
+            iterative_rerank(
+                inst.order, given["weights"], given["qa_sims"], inst.rows, inst.uids, RerankConfig(depth=3)
+            )
+
     def test_config_rejects_nonpositive_depth(self):
         with pytest.raises(ValueError):
             RerankConfig(depth=0)
@@ -382,7 +393,7 @@ class TestTrace:
         corpus, provider, table = pinned_corpus()
         rankings, traces = rerank_all(corpus, provider, table, RerankConfig(depth=3))
         assert traces == {}
-        assert rankings[0].uids == PINNED_EXPECTED
+        assert rankings == {"q": PINNED_EXPECTED}
 
 
 def pinned_corpus():
@@ -411,8 +422,8 @@ class TestRerankAll:
         provider = default_provider(corpus)
         table = score_lexical(corpus, provider)
         rankings, _ = rerank_all(corpus, provider, table, RerankConfig(depth=5))
-        assert [r.qid for r in rankings] == list(table.qids)
-        assert all(sorted(r.uids) == sorted(corpus.facts) for r in rankings)
+        assert list(rankings) == list(table.qids)
+        assert all(sorted(uids) == sorted(corpus.facts) for uids in rankings.values())
 
     def test_table_order_not_corpus_order(self):
         corpus = random_corpus(n_questions=6, n_facts=30, seed=52)
@@ -422,7 +433,7 @@ class TestRerankAll:
         config = RerankConfig(depth=4)
         forward, _ = rerank_all(corpus, provider, table, config)
         reversed_rankings, _ = rerank_all(corpus, provider, backwards, config)
-        assert reversed_rankings == forward[::-1]
+        assert list(reversed_rankings.items()) == list(forward.items())[::-1]
 
     def test_normalized_scores_used(self):
         # negative external scores still re-rank because of normalization
@@ -435,8 +446,8 @@ class TestRerankAll:
             np.array([[-float(i) for i in range(len(uids))] for _ in corpus.questions]),
         )
         rankings, _ = rerank_all(corpus, provider, table, RerankConfig(depth=4))
-        for ranking in rankings:
-            assert sorted(ranking.uids) == sorted(corpus.facts)
+        for uids in rankings.values():
+            assert sorted(uids) == sorted(corpus.facts)
 
     def test_base_order_from_raw_scores(self):
         # min-max normalization maps 1.0 and the next float up to the same
@@ -446,7 +457,7 @@ class TestRerankAll:
         raw = {"f1": 1e9, "f2": 1.0, "f3": 1.0000000000000002, "f4": 0.0, "f5": -1.0}
         table = RelevanceTable(("q",), uids, np.array([[raw[u] for u in uids]]))
         rankings, _ = rerank_all(corpus, provider, table, RerankConfig(depth=1))
-        assert rankings[0].uids == ["f1", "f3", "f2", "f4", "f5"]
+        assert rankings == {"q": ["f1", "f3", "f2", "f4", "f5"]}
 
     def test_table_columns_must_match_corpus(self):
         corpus, provider, table = pinned_corpus()

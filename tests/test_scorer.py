@@ -150,7 +150,7 @@ class TestLoadScores:
         with caplog.at_level("WARNING"):
             table = load_scores(path, corpus)
         assert table_scores(table)["q1"]["f3"] == pytest.approx(0.2 - 1.0)
-        assert all_rankings(table)[0].uids[-1] == "f3"
+        assert all_rankings(table)["q1"][-1] == "f3"
         assert any("filled to rank last" in rec.message for rec in caplog.records)
 
     def test_unparseable_score_names_line(self, tmp_path):
@@ -237,23 +237,23 @@ class TestLoadScores:
 
 class TestInitialRanking:
     def test_descending_order(self):
-        (ranking,) = all_rankings(score_table({"q1": {"f1": 0.2, "f2": 0.9, "f3": 0.5}}))
-        assert ranking.uids == ["f2", "f3", "f1"]
+        ranked = all_rankings(score_table({"q1": {"f1": 0.2, "f2": 0.9, "f3": 0.5}}))
+        assert ranked == {"q1": ["f2", "f3", "f1"]}
 
     def test_ties_break_by_uid(self):
-        (ranking,) = all_rankings(score_table({"q1": {"b": 1.0, "c": 1.0, "a": 1.0}}))
-        assert ranking.uids == ["a", "b", "c"]
+        ranked = all_rankings(score_table({"q1": {"b": 1.0, "c": 1.0, "a": 1.0}}))
+        assert ranked == {"q1": ["a", "b", "c"]}
 
     def test_permutation_property(self):
         rng = random.Random(21)
         for _ in range(50):
             scores = {f"f{i}": rng.choice([0.0, 0.5, rng.random()]) for i in range(30)}
-            (ranking,) = all_rankings(score_table({"q": scores}))
-            assert sorted(ranking.uids) == sorted(scores)
+            (ranking,) = all_rankings(score_table({"q": scores})).values()
+            assert sorted(ranking) == sorted(scores)
 
     def test_all_rankings_follows_table_order(self):
         table = score_table({"q2": {"f1": 1.0}, "q1": {"f1": 1.0}})
-        assert [r.qid for r in all_rankings(table)] == ["q2", "q1"]
+        assert list(all_rankings(table)) == ["q2", "q1"]
 
     def test_order_equals_two_key_lexsort(self):
         # many exact ties, 0.0 beside -0.0, NaNs (which sort last, one run in
@@ -316,6 +316,6 @@ class TestNormalize:
         rng = random.Random(23)
         for _ in range(100):
             scores = {f"f{i}": rng.choice([-2.0, 0.0, rng.uniform(-5, 5)]) for i in range(15)}
-            before = all_rankings(score_table({"q": scores}))[0].uids
-            after = all_rankings(normalize(score_table({"q": scores})))[0].uids
+            before = all_rankings(score_table({"q": scores}))["q"]
+            after = all_rankings(normalize(score_table({"q": scores})))["q"]
             assert before == after

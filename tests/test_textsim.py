@@ -365,15 +365,34 @@ class TestCosine:
             assert rows.cosines(j).tolist() == expected
 
     def test_window_query_term_in_no_window_fact(self):
-        # Q/A term 2 is in no fact of either window and its key sorts just
-        # before term 3's: it must not take term 3's slot
-        rows = sparse_rows([{1: 1.0}, {3: 2.0}])
-        qa = sparse_rows([{2: 1.0}, {1: 1.0, 2: 5.0}])
+        # each window's last column is its Q/A row (rows 2 and 3); Q/A term 2
+        # is in no fact of either window and its key sits just before term
+        # 3's: its weight must meet no fact's
+        facts, qa = [{1: 1.0}, {3: 2.0}], [{2: 1.0}, {1: 1.0, 2: 5.0}]
+        rows = sparse_rows(facts + qa)
         top = np.array([[0, 1], [1, 0]])
-        got = Window(rows, top).cosines_with(qa, 2)
+        got = Window(rows, top, np.array([2, 3])).cosines(np.array([2, 2]), 2)
         assert got[0].tolist() == [0.0, 0.0]
         for q in range(2):
-            assert hexes(got[q]) == hexes(rows.cosines(q, qa, among=top[q]))
+            assert hexes(got[q]) == hexes(rows.cosines(2 + q, among=top[q, :2]))
+            apart = sparse_rows(facts).cosines(q, sparse_rows(qa), among=top[q, :2])
+            assert hexes(got[q]) == hexes(apart)
+
+    def test_window_as_wide_as_its_widest_fact(self):
+        # Q/A rows wider than every window fact add no term column to the
+        # window, and their cosines, and the facts', still match Rows.cosines
+        rng = random.Random(16)
+        words = [f"w{i}" for i in range(40)]
+        facts = [" ".join(rng.sample(words, rng.randint(1, 4))) for _ in range(12)]
+        qa = [" ".join(rng.sample(words, rng.randint(20, 30))) for _ in range(5)]
+        rows = TfidfProvider(facts + qa).rows(facts + qa)
+        top = np.array([rng.sample(range(12), 6) for _ in qa])
+        window = Window(rows, top, 12 + np.arange(5))
+        assert len(window._values) == 4 < rows.ids.shape[1]
+        for last in ([6] * 5, [0, 5, 2, 3, 1]):
+            got = window.cosines(np.array(last), 6)
+            for q, j in enumerate(window.top[np.arange(5), last]):
+                assert hexes(got[q]) == hexes(rows.cosines(j, among=top[q]))
 
     def test_dense_is_one_left_to_right_loop(self):
         # norms, Rows.cosines and Window must give, by float.hex, the loops of
@@ -402,9 +421,12 @@ class TestCosine:
             last = np.array(data.draw(st.lists(st.integers(0, width - 1),
                                                min_size=len(top), max_size=len(top))))
             upto = data.draw(st.integers(0, width))
-            window = Window(rows, top)
+            # each window's last column is its query, as rerank keeps its Q/A row
+            both = dense_rows(vectors + queries)
+            window = Window(both, top, n + np.arange(len(top)))
+            with_query = window.cosines(np.full(len(top), width), upto)
             for q, (picks, got, got_with) in enumerate(
-                zip(top.tolist(), window.cosines(last, upto), window.cosines_with(other, upto))
+                zip(top.tolist(), window.cosines(last, upto), with_query)
             ):
                 facts = [vectors[i] for i in picks[:upto]]
                 chosen = vectors[picks[last[q]]]
