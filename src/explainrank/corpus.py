@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import logging
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DataError, FormatError, read_utf8, text_lines
+from .errors import DataError, FormatError, read_utf8, text_lines, tsv_fields, utf8_blocks
 
 log = logging.getLogger(__name__)
 
@@ -117,44 +119,90 @@ def load_facts(paths: Iterable[str | Path]) -> dict[str, ExplanationFact]:
     The fact text is the single-space join of the nonempty cells whose header
     does not contain "SKIP"; the uid comes from the unique column whose header
     contains "UID". Duplicate uids across tables are a hard error because uids
-    key every downstream join.
+    key every downstream join. Blank lines are skipped. A row without a uid or
+    a text is skipped, and cells past the header's width are ignored, each
+    kind with one warning per table that gives the count and the first line.
     """
     facts: dict[str, ExplanationFact] = {}
-    sources: dict[str, str] = {}
-    for path in paths:
-        path = Path(path)
-        table = path.stem
-        lines = text_lines(read_utf8(path))
-        if not lines:
+    for path in map(Path, paths):
+        blocks = list(utf8_blocks(path))  # the whole table first: a bad byte anywhere is its error
+        if not blocks:
             raise FormatError(f"{path}: empty fact table")
-        headers = lines[0].split("\t")
+        header, _, rest = blocks[0][1].partition("\n")
+        blocks[0] = (2, rest)
+        headers = header.split("\t")
         uid_cols = [i for i, h in enumerate(headers) if "UID" in h]
         if len(uid_cols) != 1:
             raise FormatError(
                 f"{path}: expected exactly one header containing 'UID', found {len(uid_cols)}"
             )
-        uid_col = uid_cols[0]
+        uid_col, width = uid_cols[0], len(headers)
         content_cols = [i for i, h in enumerate(headers) if "SKIP" not in h]
-        for lineno, row in enumerate(lines[1:], start=2):
-            cells = row.split("\t")
-            cells += [""] * (len(headers) - len(cells))
-            uid = cells[uid_col].strip()
-            if not uid:
-                continue
-            words: list[str] = []
-            for i in content_cols:
-                words.extend(cells[i].split())
-            text = " ".join(words)
-            if not text:
-                log.warning("%s: fact %s has no text, skipped", path, uid)
-                continue
-            if uid in facts:
-                raise FormatError(
-                    f"{path} line {lineno}: duplicate fact uid {uid!r}, also in table {sources[uid]!r}"
-                )
-            facts[uid] = ExplanationFact(uid=uid, text=text, table_name=table)
-            sources[uid] = table
+        uids, texts, linenos = [], [], array("q")
+        no_uid, no_text, wide = dropped = [], [], []
+        for first, body in blocks:
+            block = _fact_block(body, first, width, uid_col, content_cols, dropped)
+            for whole, part in zip((uids, texts, linenos), block):
+                whole.extend(part)
+        for found, what, outcome in (
+            (no_uid, "row(s) without a uid", "skipped"),
+            (no_text, "fact(s) with no text", "skipped"),
+            (wide, f"row(s) with cells past the header's {width} columns", "those cells ignored"),
+        ):
+            if found:
+                log.warning("%s: %d %s, first at line %d; %s", path, len(found), what, found[0], outcome)
+        table = path.stem
+        if len(set(uids)) < len(uids) or not facts.keys().isdisjoint(uids):
+            earlier = {uid: fact.table_name for uid, fact in facts.items()}
+            for uid, lineno in zip(uids, linenos):
+                if uid in earlier:
+                    raise FormatError(
+                        f"{path} line {lineno}: duplicate fact uid {uid!r}, also in table {earlier[uid]!r}"
+                    )
+                earlier[uid] = table
+        facts.update(zip(uids, map(ExplanationFact, uids, texts, repeat(table))))
     return facts
+
+
+def _fact_block(
+    body: str, first: int, width: int, uid_col: int, content_cols: list[int], dropped: tuple
+) -> tuple[list[str], list[str], Iterable[int]]:
+    """The uids, texts and line numbers of the facts in body, a block of a
+    fact table's lines that starts at line first. A block whose rows all
+    have the header's width, a uid and a text is read a column at a time;
+    any other a row at a time, which pads a short row with empty cells,
+    skips blank lines, and adds the line of each row without a uid, of each
+    fact without a text and of each row with cells past the width to the
+    three lists in dropped."""
+    fields = tsv_fields(body, width) if content_cols else None
+    if fields is not None:
+        uids = list(map(str.strip, fields[uid_col::width]))
+        cells = map(" ".join, zip(*(fields[i::width] for i in content_cols)))
+        texts = list(map(" ".join, map(str.split, cells)))
+        if all(uids) and all(texts):
+            return uids, texts, range(first, first + len(uids))
+    uids, texts, linenos = [], [], []
+    no_uid, no_text, wide = dropped
+    lines = body.split("\n")
+    lines.pop()
+    for lineno, row in enumerate(lines, start=first):
+        cells = row.split("\t")
+        if len(cells) > width and any(map(str.strip, cells[width:])):
+            wide.append(lineno)
+        cells += [""] * (width - len(cells))
+        uid = cells[uid_col].strip()
+        if not uid:
+            if row.strip():  # a blank line is skipped silently
+                no_uid.append(lineno)
+            continue
+        text = " ".join(" ".join(map(cells.__getitem__, content_cols)).split())
+        if not text:
+            no_text.append(lineno)
+            continue
+        uids.append(uid)
+        texts.append(text)
+        linenos.append(lineno)
+    return uids, texts, linenos
 
 
 _MARKER_RE = re.compile(r"\(([A-E])\)")

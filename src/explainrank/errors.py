@@ -97,6 +97,22 @@ def utf8_blocks(path: str | Path) -> Iterator[tuple[int, str]]:
         raise
 
 
+def tsv_fields(text: str, n_fields: int) -> list[str] | None:
+    """Every field of text's lines, line after line, from one split, when
+    each line (every one ends in "\n") has exactly n_fields fields; None
+    when any line has another count."""
+    # the text's tabs and newlines in order: every line has its fields when
+    # they are line_end repeated
+    line_end = b"\t" * (n_fields - 1) + b"\n"
+    seps = text.encode("utf-8").translate(None, _NOT_SEPARATORS)
+    n_lines = seps.count(b"\n")
+    if len(seps) != len(line_end) * n_lines or seps.count(line_end) != n_lines:
+        return None
+    fields = text.replace("\n", "\t").split("\t")
+    fields.pop()
+    return fields
+
+
 class TsvBlock(NamedTuple):
     """A block of a headerless TSV file's non-blank lines."""
 
@@ -111,18 +127,12 @@ def tsv_blocks(path: str | Path, n_fields: int) -> Iterator[TsvBlock]:
     all whitespace) are skipped. The first non-blank line without exactly
     n_fields fields ends the reading: its block stops before it and names
     it in wrong_line."""
-    line_end = b"\t" * (n_fields - 1) + b"\n"
     for first, text in utf8_blocks(path):
-        # the block's tabs and newlines in order: every line has its fields
-        # when they are line_end repeated
-        seps = text.encode("utf-8").translate(None, _NOT_SEPARATORS)
-        n_lines = seps.count(b"\n")
-        if len(seps) == len(line_end) * n_lines and seps.count(line_end) == n_lines:
-            # the usual block: one split gives every field, and a line can
-            # be blank only where the first field of its run is
-            fields = text.replace("\n", "\t").split("\t")
-            fields.pop()
-            block = _block(first + np.arange(n_lines), fields, n_fields, None)
+        fields = tsv_fields(text, n_fields)
+        if fields is not None:
+            # the usual block: a line can be blank only where the first
+            # field of its run is
+            block = _block(first + np.arange(len(fields) // n_fields), fields, n_fields, None)
             run_keys = map(block.columns[0].__getitem__, block.runs[:-1])
             if all(map(str.strip, run_keys)):
                 yield block
@@ -130,6 +140,7 @@ def tsv_blocks(path: str | Path, n_fields: int) -> Iterator[TsvBlock]:
         # blank lines or a wrong field count: find them line by line
         lines = text.split("\n")
         lines.pop()
+        seps = text.encode("utf-8").translate(None, _NOT_SEPARATORS)
         tabs = np.diff(np.flatnonzero(np.frombuffer(seps, np.uint8) == 10), prepend=-1) - 1
         filled = np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
         wrong = np.flatnonzero(filled & (tabs != n_fields - 1))

@@ -15,7 +15,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import filterfalse, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError, FormatError, tsv_blocks
-from .textsim import fact_vectors, tokenize
+from .textsim import STOPWORDS, fact_vectors, token_lists
 
 log = logging.getLogger(__name__)
 
@@ -91,9 +91,10 @@ def score_lexical(corpus: Corpus, provider, method: str = TFIDF_COSINE) -> Relev
         for i in range(len(qids)):
             matrix[i] = fact_rows.cosines(i, qa_rows)
     else:
-        fact_tokens = [set(tokenize(f.text, drop_stopwords=True)) for f in corpus.facts.values()]
-        for i, qa in enumerate(qa_texts):
-            qa_tokens = set(tokenize(qa, drop_stopwords=True))
+        facts = token_lists([fact.text for fact in corpus.facts.values()])
+        fact_tokens = [set(filterfalse(STOPWORDS.__contains__, tokens)) for tokens in facts]
+        for i, qa_tokens in enumerate(token_lists(qa_texts)):
+            qa_tokens = set(filterfalse(STOPWORDS.__contains__, qa_tokens))
             matrix[i] = [len(qa_tokens & t) / len(t) if t else 0.0 for t in fact_tokens]
     return RelevanceTable(tuple(qids), tuple(corpus.facts), matrix)
 

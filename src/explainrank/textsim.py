@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import re
 from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,13 +43,68 @@ MAX_NORM = 2.0**500
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+# _TOKEN_RE over a lowercased ASCII text as one str.translate table: a letter
+# or digit becomes its lowercase, "\n" (it joins a block's texts) stays, and
+# any other character becomes a space, which str.split drops
+_ASCII_TOKENS = "".join(
+    c.lower() if _TOKEN_RE.match(c) else c if c == "\n" else " " for c in map(chr, range(128))
+)
+
+_TEXT_BLOCK = 256  # texts tokenised or averaged at once; all at once raises the peak
+
 
 def tokenize(text: str, *, drop_stopwords: bool = False) -> list[str]:
     """Lowercase and split on non-alphanumeric characters."""
-    tokens = _TOKEN_RE.findall(text.lower())
+    (tokens,) = _tokenize_block([text])
     if drop_stopwords:
         tokens = [t for t in tokens if t not in STOPWORDS]
     return tokens
+
+
+def _tokenize_block(texts: Sequence[str]) -> Iterator[list[str]]:
+    """Each text's tokens, made as they are asked for: _TOKEN_RE over the
+    text's lowercase. The block's ASCII texts without a "\n" are joined by
+    "\n", lowercased in one pass and split a text at a time; each other
+    text takes the regex on its own."""
+    plain = [text.isascii() and "\n" not in text for text in texts]
+    fast = map(str.split, "\n".join(compress(texts, plain)).translate(_ASCII_TOKENS).split("\n"))
+    slow = map(_TOKEN_RE.findall, map(str.lower, compress(texts, map(operator.not_, plain))))
+    return map(next, map((slow, fast).__getitem__, plain))
+
+
+def token_lists(texts: Sequence[str]) -> Iterator[list[str]]:
+    """Each text's tokens, as tokenize gives them, a block of texts at a time."""
+    for start in range(0, len(texts), _TEXT_BLOCK):
+        yield from _tokenize_block(texts[start : start + _TEXT_BLOCK])
+
+
+def _token_ids(
+    block: Sequence[str], ids_of: Callable[[Iterable[str]], Iterable[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """ids_of(tokens) over every token of a block of texts, one text after
+    another, without the negative ids, and how many ids each text keeps;
+    one text's tokens are alive at a time."""
+    counts = array("q")
+
+    def counted(tokens: list[str]) -> list[str]:
+        counts.append(len(tokens))
+        return tokens
+
+    ids = np.fromiter(ids_of(chain.from_iterable(map(counted, _tokenize_block(block)))), np.intc)
+    lengths = np.frombuffer(counts, np.int64)
+    known = ids >= 0
+    if known.all():
+        return ids, lengths
+    kept = np.repeat(np.arange(len(lengths)), lengths)[known]
+    return ids[known], np.bincount(kept, minlength=len(lengths))
+
+
+def _spans(pool: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """pool[starts[k] : starts[k] + lengths[k]] for each k, one after another."""
+    # 32-bit positions, as many as pool has ids: half the memory of intp
+    index = np.repeat((starts - np.cumsum(lengths) + lengths).astype(np.intc), lengths)
+    index += np.arange(len(index), dtype=np.intc)
+    return pool[index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,79 +226,99 @@ def dense_rows(vectors) -> Rows:
     return Rows(values, np.sqrt(squares), values.shape[1], ids, dense=True)
 
 
+def _number_terms(texts: list[str]) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """Each term of the texts but the stop words, numbered in the order the
+    terms first occur, the term ids of each text, one text after another,
+    and how many each text has; the texts are tokenised a block at a time."""
+    # a token not yet seen gets the next id as it is looked up; stop words are -1
+    vocabulary = defaultdict(count().__next__, dict.fromkeys(STOPWORDS, -1))
+    ids_of = partial(map, vocabulary.__getitem__)
+    # a block at a time, so that only one block's ids are ever filtered at
+    # once; no texts are one empty block
+    starts = range(0, len(texts), _TEXT_BLOCK) or [0]
+    parts = [_token_ids(texts[start : start + _TEXT_BLOCK], ids_of) for start in starts]
+    ids, lengths = map(np.concatenate, zip(*parts))
+    return dict(islice(vocabulary.items(), len(STOPWORDS), None)), ids, lengths
+
+
 class TfidfProvider:
     """TF-IDF sentence vectors over a fixed vocabulary, stop words dropped.
 
     idf(t) = ln((1 + N) / (1 + df(t))) + 1 over the N build texts; a sentence
     vector is raw term count times idf, restricted to the build vocabulary.
     Term ids are numbered in the order the terms first occur in the build
-    texts. Each distinct build text is tokenised once: its term ids are
-    kept, and rows() reuses them.
+    texts. Each distinct build text is tokenised once, a block of texts at a
+    time: its term ids are kept, and rows() reuses them.
     """
 
     def __init__(self, texts: Iterable[str]):
-        self.term_ids: dict[str, int] = {}
-        term_ids = self.term_ids
-        self._ids = array("i")  # every build text's term ids, one after another
-        self._ends = array("q")  # where each build text's ids end
-        self._index: dict[str, int] = {}  # build text -> its first position
-        for text in texts:
-            i = self._index.setdefault(text, len(self._ends))
-            if i < len(self._ends):  # a repeated text
-                self._ids.extend(self._stored(i))
-            else:
-                tokens = tokenize(text, drop_stopwords=True)
-                for token in tokens:
-                    if token not in term_ids:
-                        term_ids[token] = len(term_ids)
-                self._ids.extend(map(term_ids.__getitem__, tokens))
-            self._ends.append(len(self._ids))
-        if not term_ids:
+        texts = list(texts)
+        # each distinct build text, in the order the texts first occur, and
+        # how many build texts it is
+        repeats = Counter(texts)
+        self._index = dict(zip(repeats, count()))
+        self.term_ids, ids, lengths = _number_terms(list(repeats))
+        if not self.term_ids:
             raise DataError("cannot build TF-IDF vectors: no tokens in any input text")
-        dim, n_texts = len(term_ids), len(self._ends)
-        # df counts each text's distinct terms: sorted, a (text, term) key
-        # equal to the one before it is a repeat within one text
-        keys = self._keys(np.diff(self._ends, prepend=0), self._ids)
+        # every distinct build text's term ids, one text after another, and where they end
+        self._ids, self._ends = ids, np.cumsum(lengths)
+        # ln((1 + N) / (1 + df)) + 1; math.log, not np.log: its last bit can differ
+        df = self._df(lengths, np.fromiter(repeats.values(), float, len(repeats)))
+        ratios = (1 + len(texts)) / (1 + df)
+        self._idf = np.fromiter(map(math.log, ratios.tolist()), float, len(ratios)) + 1.0
+        self.idf = dict(zip(self.term_ids, self._idf.tolist()))
+
+    def _df(self, lengths: np.ndarray, repeats: np.ndarray) -> np.ndarray:
+        """In how many build texts each term occurs; distinct build text i
+        has lengths[i] of the ids and is repeats[i] build texts. Its keys
+        are freed before idf is made."""
+        dim = len(self.term_ids)
+        # text i's keys lie in [i * dim, (i + 1) * dim): sorted, they stay
+        # text by text, and a key equal to the one before it is a repeat
+        # within one text, which weighs nothing
+        keys = self._keys(lengths, self._ids)
         keys.sort()
-        repeat = keys[1:] == keys[:-1]
+        weights = np.repeat(repeats, lengths)
+        weights[1:][keys[1:] == keys[:-1]] = 0.0
         np.remainder(keys, dim, out=keys)
-        df = np.bincount(keys, minlength=dim) - np.bincount(keys[1:][repeat], minlength=dim)
-        self.idf = {  # math.log, not np.log: its last bit can differ
-            token: math.log((1 + n_texts) / (1 + n)) + 1.0 for token, n in zip(term_ids, df.tolist())
-        }
-        self._idf = np.fromiter(self.idf.values(), float, dim)
+        # sums of whole numbers, exact below 2**53
+        return np.bincount(keys, weights, dim).astype(np.int64)
 
-    def _stored(self, i: int) -> array:
-        """The term ids of build text i."""
-        return self._ids[self._ends[i - 1] if i else 0 : self._ends[i]]
-
-    def _keys(self, lengths, ids: array) -> np.ndarray:
+    def _keys(self, lengths: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """text * dim + term id for each of ids, which holds lengths[0] ids of
         text 0, then lengths[1] ids of text 1, and so on."""
         keys = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
         keys *= len(self.term_ids)
-        keys += np.frombuffer(ids, dtype=np.intc)
+        keys += ids
         return keys
 
     def rows(self, texts: Sequence[str]) -> Rows:
         """Raw term count times idf per in-vocabulary term; each norm is summed
         left to right in the order the terms first occur in the text. Only
         texts that were not build texts are tokenised."""
-        dim = len(self.term_ids)
-        flat, lengths = array("i"), array("q")
-        for text in texts:
-            i = self._index.get(text)
-            if i is None:
-                tokens = tokenize(text, drop_stopwords=True)
-                ids = [self.term_ids[t] for t in tokens if t in self.term_ids]
-            else:
-                ids = self._stored(i)
-            flat.extend(ids)
-            lengths.append(len(ids))
+        dim, pool = len(self.term_ids), self._ids
+        # made before the temporaries below: kept, and made after them, it would
+        # sit at the top of the heap and keep malloc from trimming what they
+        # free (about 1.8 MB for 5,000 facts)
+        norms = np.empty(len(texts))
+        at = np.fromiter(map(self._index.get, texts, repeat(-1)), np.intp, len(texts))
+        lengths = np.diff(self._ends, prepend=0)[at]
+        begins = self._ends[at] - lengths  # where each text's ids begin in pool
+        new = at < 0  # not a build text
+        if new.any():
+            new_texts, get = list(compress(texts, new.tolist())), self.term_ids.get
+            parts = [
+                _token_ids(new_texts[start : start + _TEXT_BLOCK], lambda tokens: map(get, tokens, repeat(-1)))
+                for start in range(0, len(new_texts), _TEXT_BLOCK)
+            ]
+            new_ids, lengths[new] = map(np.concatenate, zip(*parts))
+            begins[new] = len(pool) + np.cumsum(lengths[new]) - lengths[new]
+            pool = np.concatenate([pool, new_ids])
+        flat = _spans(pool, begins, lengths)
         n = len(lengths)
         # one entry per (text, term), in text order then ascending term id
         keys, first, counts = np.unique(
-            self._keys(np.frombuffer(lengths, dtype=np.int64), flat),
+            self._keys(lengths, flat),
             return_index=True, return_counts=True,
         )
         row, term = np.divmod(keys, dim)
@@ -253,15 +332,12 @@ class TfidfProvider:
         # terms first occur; the squares' buffer then takes the weights
         values = np.zeros((n, width))
         values[row, col] = np.square(weights[np.argsort(first)])
-        norms = np.sqrt(np.cumsum(values, axis=1, out=values)[:, -1])
+        np.sqrt(np.cumsum(values, axis=1, out=values)[:, -1], out=norms)
         values.fill(0.0)
         values[row, col] = weights
         ids = np.full((n, width), dim, dtype=np.intp)
         ids[row, col] = term
         return Rows(values, norms, dim, ids)
-
-
-_TEXT_BLOCK = 256  # texts averaged at once; one gather of every text at once raises the peak
 
 
 class DenseWordVectors:
@@ -290,14 +366,10 @@ class DenseWordVectors:
         term_ids, table = self.term_ids, self.table
         values = np.empty((len(texts), self.dim))
         for start in range(0, len(texts), _TEXT_BLOCK):
-            flat, lengths = array("q"), array("q")
-            for text in texts[start : start + _TEXT_BLOCK]:
-                ids = [term_ids[t] for t in tokenize(text) if t in term_ids]
-                flat.extend(ids)
-                lengths.append(len(ids))
-            n = np.frombuffer(lengths, dtype=np.int64)
+            block = texts[start : start + _TEXT_BLOCK]
+            flat, n = _token_ids(block, lambda tokens: map(term_ids.get, tokens, repeat(-1)))
             index = np.full((len(n), max(1, n.max())), len(term_ids), dtype=np.intp)
-            index[np.arange(index.shape[1]) < n[:, None]] = np.frombuffer(flat, dtype=np.int64)
+            index[np.arange(index.shape[1]) < n[:, None]] = flat
             out = values[start : start + len(n)]
             table.take(index[:, 0], axis=0, out=out)
             for column in index.T[1:]:

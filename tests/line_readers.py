@@ -1,6 +1,7 @@
-"""Per-line scores, predictions and word-vector readers: the reference the
-block readers in explainrank.scorer and explainrank.evaluation, and the
-one-table loader in explainrank.textsim, are tested against.
+"""Per-line fact-table, scores, predictions and word-vector readers: the
+reference the column reader in explainrank.corpus, the block readers in
+explainrank.scorer and explainrank.evaluation, and the one-table loader in
+explainrank.textsim are tested against.
 
 These read one line per Python iteration, keep every check in file order,
 and log under the same logger names as the package readers.
@@ -15,13 +16,60 @@ from pathlib import Path
 
 import numpy as np
 
-from explainrank.corpus import Corpus
+from explainrank.corpus import Corpus, ExplanationFact
 from explainrank.errors import DataError, FormatError, utf8_lines
 from explainrank.scorer import RelevanceTable
 from explainrank.textsim import MAX_NORM
 
+corpus_log = logging.getLogger("explainrank.corpus")
 scorer_log = logging.getLogger("explainrank.scorer")
 textsim_log = logging.getLogger("explainrank.textsim")
+
+
+def load_facts(paths) -> dict[str, ExplanationFact]:
+    facts: dict[str, ExplanationFact] = {}
+    for path in map(Path, paths):
+        lines = [line.rstrip("\n") for line in utf8_lines(path)]
+        if not lines:
+            raise FormatError(f"{path}: empty fact table")
+        headers = lines[0].split("\t")
+        uid_cols = [i for i, h in enumerate(headers) if "UID" in h]
+        if len(uid_cols) != 1:
+            raise FormatError(
+                f"{path}: expected exactly one header containing 'UID', found {len(uid_cols)}"
+            )
+        content_cols = [i for i, h in enumerate(headers) if "SKIP" not in h]
+        no_uid, no_text, wide = [], [], []
+        for lineno, row in enumerate(lines[1:], start=2):
+            if not row.strip():
+                continue
+            cells = row.split("\t")
+            if any(cell.strip() for cell in cells[len(headers) :]):
+                wide.append(lineno)
+            cells += [""] * (len(headers) - len(cells))
+            uid = cells[uid_cols[0]].strip()
+            text = " ".join(word for i in content_cols for word in cells[i].split())
+            if not uid:
+                no_uid.append(lineno)
+            elif not text:
+                no_text.append(lineno)
+            elif uid in facts:
+                raise FormatError(
+                    f"{path} line {lineno}: duplicate fact uid {uid!r}, "
+                    f"also in table {facts[uid].table_name!r}"
+                )
+            else:
+                facts[uid] = ExplanationFact(uid, text, path.stem)
+        if no_uid:
+            corpus_log.warning("%s: %d row(s) without a uid, first at line %d; skipped",
+                               path, len(no_uid), no_uid[0])
+        if no_text:
+            corpus_log.warning("%s: %d fact(s) with no text, first at line %d; skipped",
+                               path, len(no_text), no_text[0])
+        if wide:
+            corpus_log.warning("%s: %d row(s) with cells past the header's %d columns, first at "
+                               "line %d; those cells ignored", path, len(wide), len(headers), wide[0])
+    return facts
 
 
 def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:

@@ -83,10 +83,71 @@ class TestLoadFacts:
         assert list(facts) == ["x1", "x2"]
         assert not caplog.records
 
-    def test_short_rows_padded(self, tmp_path):
+    def test_short_rows_padded(self, tmp_path, caplog):
         path = tmp_path / "t.tsv"
-        write_lines(path, ["a\tb\t[SKIP] UID", "only"])
-        assert load_facts([path]) == {}  # no uid, row skipped
+        write_lines(path, ["a\tb\t[SKIP] UID", "only", "a frog\tx1"])
+        with caplog.at_level("WARNING"):
+            facts = load_facts([path])
+        assert list(facts) == []  # the uid cell is past the row's end
+        assert caplog.messages == [f"{path}: 2 row(s) without a uid, first at line 2; skipped"]
+
+    def test_duplicate_uid_within_a_table_names_its_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        write_lines(path, ["a\t[SKIP] UID", "one\tx1", "two\tx2", "three\tx1"])
+        with pytest.raises(FormatError, match=r"line 4: duplicate fact uid 'x1', also in table 't'"):
+            load_facts([path])
+
+    def test_rows_without_a_uid_warned_once_per_table(self, tmp_path, caplog):
+        path = tmp_path / "t.tsv"
+        write_lines(path, ["a\t[SKIP] UID", "a frog\tx1", "no uid\t", "", "again\t  ", "a toad\tx2"])
+        with caplog.at_level("WARNING"):
+            facts = load_facts([path])
+        assert list(facts) == ["x1", "x2"]
+        assert caplog.messages == [f"{path}: 2 row(s) without a uid, first at line 3; skipped"]
+
+    def test_facts_without_text_warned_once_per_table(self, tmp_path, caplog):
+        path = tmp_path / "t.tsv"
+        write_lines(path, ["a\t[SKIP] note\t[SKIP] UID", "a frog\tn\tx1", " \tnote only\tx2", "\t\tx3"])
+        with caplog.at_level("WARNING"):
+            facts = load_facts([path])
+        assert list(facts) == ["x1"]
+        assert caplog.messages == [f"{path}: 2 fact(s) with no text, first at line 3; skipped"]
+
+    def test_cells_past_the_header_width_warned(self, tmp_path, caplog):
+        path = tmp_path / "t.tsv"
+        write_lines(path, ["a\t[SKIP] UID", "a frog\tx1\textra", "a toad\tx2\t \t", "a newt\tx3\t\tmore"])
+        with caplog.at_level("WARNING"):
+            facts = load_facts([path])
+        assert [f.text for f in facts.values()] == ["a frog", "a toad", "a newt"]
+        assert caplog.messages == [
+            f"{path}: 2 row(s) with cells past the header's 2 columns, first at line 2; those cells ignored"
+        ]
+
+    def test_lines_named_across_read_blocks(self, tmp_path, caplog):
+        # 3,000 rows span several of the blocks a table is read in
+        rows = [f"fact number {i}\tu{i}" for i in range(3000)]
+        rows[1500] = "\tu1500"
+        path = tmp_path / "t.tsv"
+        write_lines(path, ["a\t[SKIP] UID", *rows])
+        with caplog.at_level("WARNING"):
+            facts = load_facts([path])
+        assert len(facts) == 2999 and facts["u2999"].text == "fact number 2999"
+        assert caplog.messages == [f"{path}: 1 fact(s) with no text, first at line 1502; skipped"]
+        rows[2800] = "again\tu7"
+        write_lines(path, ["a\t[SKIP] UID", *rows])
+        with pytest.raises(FormatError, match=r"line 2802: duplicate fact uid 'u7'"):
+            load_facts([path])
+
+    def test_blank_lines_skipped_silently(self, tmp_path, caplog):
+        rows = ["a\t[SKIP] UID", "a frog\tx1", "a toad\tx2"]
+        plain, blanks = tmp_path / "plain.tsv", tmp_path / "blanks.tsv"
+        write_lines(plain, rows)
+        write_lines(blanks, [rows[0], "", rows[1], "   ", "\t", rows[2], ""])
+        with caplog.at_level("WARNING"):
+            by_column, by_row = load_facts([plain]), load_facts([blanks])
+        assert [(f.uid, f.text) for f in by_row.values()] == [("x1", "a frog"), ("x2", "a toad")]
+        assert [(f.uid, f.text) for f in by_column.values()] == [("x1", "a frog"), ("x2", "a toad")]
+        assert not caplog.records
 
 
 class TestParseExplanation:

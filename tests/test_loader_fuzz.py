@@ -1,8 +1,9 @@
 """Fuzzed fact tables, question files and word-vector files.
 
 Every input either loads or raises FormatError or DataError naming the file;
-no other exception escapes a loader. The word-vector loader gives the same
-tokens, table bits, warnings and errors as the per-line reference in
+no other exception escapes a loader. The fact-table loader gives the same
+facts, in the same order, warnings and errors, and the word-vector loader the
+same tokens, table bits, warnings and errors, as the per-line references in
 line_readers.py, and word vectors that load give finite cosines for any
 sentence built from their tokens. Generated files mix line ends, blank
 lines, tabs and separators inside cells, missing and repeated columns,
@@ -81,11 +82,21 @@ def outcome(load, data):
        ends=st.lists(line_ends, min_size=9, max_size=9), final_newline=st.booleans(),
        damage=damages)
 @example("text\tUID", ["f1\tone", "f1\ttwo"], ["\n"] * 9, True, None)
+@example("text\t[SKIP] UID", ["a frog\tf1", "x y\tf2"], ["\n"] * 9, False, None)
+@example("text\t[SKIP] UID", ["a frog\tf1", "\tf2", "é\t", "x\tf3\tUID"], ["\r\n"] * 9, True, None)
 def test_fact_tables(header, lines, ends, final_newline, damage):
-    facts = outcome(lambda path: load_facts([path]), file_bytes([header, *lines], ends,
-                                                               final_newline, damage=damage))
-    if facts is not None:
-        assert all(uid == fact.uid and uid and fact.text for uid, fact in facts.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_bytes(file_bytes([header, *lines], ends, final_newline, damage=damage))
+        got = read_outcome(lambda path: load_facts([path]), path)
+        expected = read_outcome(lambda path: line_readers.load_facts([path]), path)
+    if isinstance(expected[0], type):  # an error: the same class and message
+        assert got == expected and str(path) in expected[1]
+        return
+    (facts, messages), (expected_facts, expected_messages) = got, expected
+    assert list(facts.items()) == list(expected_facts.items())
+    assert messages == expected_messages
+    assert all(uid == fact.uid and uid and fact.text for uid, fact in facts.items())
 
 
 @_settings

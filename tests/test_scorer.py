@@ -20,10 +20,11 @@ from explainrank.scorer import (
     uid_ranks,
     write_scores,
 )
-from explainrank.textsim import STOPWORDS, default_provider, tokenize
+from explainrank.textsim import default_provider
 
 import line_readers
 from synth import random_corpus, score_table, table_scores
+from tfidf_reference import tokenize
 
 
 def toy_corpus():
@@ -50,7 +51,7 @@ def oracle_tfidf_scores(corpus):
     docs = [fact.text for fact in corpus.facts.values()] + [qa]
 
     def toks(text):
-        return [t for t in tokenize(text) if t not in STOPWORDS]
+        return tokenize(text, drop_stopwords=True)
 
     df = Counter()
     for doc in docs:

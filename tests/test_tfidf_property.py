@@ -1,20 +1,23 @@
-"""TfidfProvider against the per-text reference in tfidf_reference.py.
+"""TfidfProvider and the block tokeniser against the per-text references in
+tfidf_reference.py.
 
-The provider tokenises each distinct build text once and builds rows() with
-numpy; the reference tokenises every text it is given and builds each row
-from a Counter. Vocabulary, idf and every array of rows() must be the same
-bits. Generated texts repeat, repeat tokens, hold nothing but stop words or
-nothing at all, mix case, Unicode letters, digits and underscores, and
-rows() also gets texts that were not build texts.
+The provider tokenises each distinct build text once, a block of texts at a
+time, and builds rows() with numpy; the reference tokenises every text it is
+given with its own regex and builds each row from a Counter. Vocabulary, idf
+and every array of rows() must be the same bits. Generated texts repeat,
+repeat tokens, hold nothing but stop words or nothing at all, mix case,
+Unicode letters, digits, underscores and line separators, and rows() also
+gets texts that were not build texts.
 """
 
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from explainrank import textsim
@@ -22,12 +25,12 @@ from explainrank.errors import DataError
 from explainrank.textsim import TfidfProvider, default_provider, fact_vectors
 
 from synth import random_corpus
-from tfidf_reference import TfidfReference
+from tfidf_reference import TfidfReference, tokenize
 
 WORDS = ["frog", "Frog", "FROG", "plant", "sun", "moon", "rock", "soil", "rain", "heat", "42",
          "x1", "élan", "Straße", "İzmir", "ǅemal", "猫", "ΣΊΣΥΦΟΣ", "a_b", "_", "the", "and",
          "of", "is"]
-SEPARATORS = [" ", "  ", ", ", "-", "_", "\t", "; ", " "]
+SEPARATORS = [" ", "  ", ", ", "-", "_", "\t", "; ", " ", "\n", "\x00"]
 
 
 @st.composite
@@ -75,14 +78,61 @@ def test_each_build_text_tokenised_once(monkeypatch):
     facts = [fact.text for fact in corpus.facts.values()]
     qa_texts = [qa for _, qa in corpus.answerable]
     calls = Counter()
-    tokenize = textsim.tokenize
+    tokenize_block = textsim._tokenize_block
 
-    def counting(text, **kwargs):
-        calls[text] += 1
-        return tokenize(text, **kwargs)
+    def counting(texts):
+        calls.update(texts)
+        return tokenize_block(texts)
 
-    monkeypatch.setattr(textsim, "tokenize", counting)
+    monkeypatch.setattr(textsim, "_tokenize_block", counting)
     provider = default_provider(corpus)
     fact_vectors(corpus, provider)
     provider.rows(qa_texts)
     assert calls == Counter(set(facts + qa_texts))
+
+
+# pieces of texts for the block tokeniser: ASCII words, separators that may
+# also join a block's texts, underscores, Unicode digits, and letters whose
+# lowercase is longer (İ) or depends on the letters around it (Σ)
+ASCII_PIECES = ["frog", "Frog", "x1", "42", "a_b", "_", "the", "of", " ", "\t", "\n", "\x00",
+                "\r", "\x1c", "-", "."]
+UNICODE_PIECES = ["\x85", "\u2028", "\u00a0", "٣٤", "²", "İ", "İzmir", "Σ", "ΑΣ", "ς",
+                  "ΣΊΣΥΦΟΣ", "Straße", "ǅemal", "猫", "\u0307", "e\u0301"]
+
+
+def blocks(pieces):
+    """Blocks of texts joined from pieces, texts repeating and empty ones too."""
+    text = st.lists(st.sampled_from(pieces), max_size=8).map("".join)
+    return st.lists(text, min_size=1, max_size=5).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=12)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    blocks(ASCII_PIECES),
+    blocks(ASCII_PIECES + UNICODE_PIECES),
+    st.lists(st.text(st.characters(max_codepoint=127)), max_size=6),
+    st.lists(st.text(), max_size=6),
+))
+# one block whose ASCII texts take the one-pass route and the others the regex
+@example(["Frog, sun", "élan Vital", "a\nb", "", "x\u2028y_z", "plain TEXT 42", "İzmir"] * 3)
+def test_block_tokeniser_equals_per_text_reference(texts):
+    assert list(textsim._tokenize_block(texts)) == [tokenize(text) for text in texts]
+    for text in texts:
+        assert textsim.tokenize(text) == tokenize(text)
+        assert textsim.tokenize(text, drop_stopwords=True) == tokenize(text, drop_stopwords=True)
+
+
+def test_every_ascii_character_tokenised_as_the_reference_does():
+    ascii_chars = list(map(chr, range(128)))
+    for texts in (ascii_chars, ["".join(ascii_chars)], [c + "Ab9" + c for c in ascii_chars]):
+        assert list(textsim._tokenize_block(texts)) == [tokenize(text) for text in texts]
+
+
+def test_no_character_is_both_alphanumeric_and_whitespace():
+    # the ASCII path turns each non-token character into a space and lets
+    # str.split drop it: a token character that str.split also splits at
+    # would break a token
+    chars = map(chr, range(sys.maxunicode + 1))
+    assert [c for c in chars if c.isalnum() and c.isspace()] == []

@@ -1,20 +1,30 @@
 """Per-text TF-IDF provider: the reference explainrank.textsim.TfidfProvider
 is tested against.
 
-It tokenises every text it is given, the build texts twice over, and builds
-each row from a Counter, a dict and a sorted list.
+It tokenises every text it is given, the build texts twice over, with its
+own regex a text at a time, and builds each row from a Counter, a dict and a
+sorted list.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from explainrank.errors import DataError
-from explainrank.textsim import Rows, tokenize
+from explainrank.textsim import STOPWORDS, Rows
+
+TOKEN_RE = re.compile(r"[^\W_]+")
+
+
+def tokenize(text: str, *, drop_stopwords: bool = False) -> list[str]:
+    """The reference tokens of a text: the regex over its lowercase."""
+    tokens = TOKEN_RE.findall(text.lower())
+    return [t for t in tokens if t not in STOPWORDS] if drop_stopwords else tokens
 
 
 class TfidfReference:
