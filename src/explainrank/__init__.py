@@ -15,6 +15,7 @@ from .corpus import (
     NEG,
     Corpus,
     ExplanationFact,
+    Facts,
     Question,
     Role,
     answer_text,

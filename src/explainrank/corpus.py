@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import logging
 import re
-from array import array
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from .errors import DataError, FormatError, read_utf8, text_lines, tsv_fields, utf8_blocks
 
@@ -69,6 +68,45 @@ class ExplanationFact:
     table_name: str
 
 
+class Facts(Mapping[str, ExplanationFact]):
+    """The corpus facts as a read-only uid -> ExplanationFact mapping, in
+    corpus order: three tuples, uids, texts and tables (each fact's table
+    name), and column, each uid's position in them. An ExplanationFact is
+    made only when an item is asked for; the pipeline reads the columns."""
+
+    __slots__ = ("uids", "texts", "tables", "column")
+
+    def __init__(
+        self,
+        uids: Sequence[str],
+        texts: Sequence[str],
+        tables: Sequence[str],
+        column: dict[str, int] | None = None,
+    ):
+        """column, when given, must map each uid to its position."""
+        self.uids, self.texts, self.tables = tuple(uids), tuple(texts), tuple(tables)
+        self.column = dict(zip(self.uids, count())) if column is None else column
+        if not len(self.column) == len(self.uids) == len(self.texts) == len(self.tables):
+            raise ValueError("fact columns of different lengths, or a repeated uid")
+
+    def __getitem__(self, uid: str) -> ExplanationFact:
+        j = self.column[uid]
+        return ExplanationFact(uid, self.texts[j], self.tables[j])
+
+    def __contains__(self, uid: object) -> bool:
+        return uid in self.column
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.uids)
+
+    def __len__(self) -> int:
+        return len(self.uids)
+
+    def text(self, uid: str) -> str:
+        """The text of fact uid; a KeyError if there is none."""
+        return self.texts[self.column[uid]]
+
+
 @dataclass(frozen=True)
 class Question:
     qid: str
@@ -84,11 +122,16 @@ class Question:
 
 @dataclass(frozen=True)
 class Corpus:
-    facts: dict[str, ExplanationFact]
+    facts: Facts
     questions: tuple[Question, ...]
 
     def __post_init__(self) -> None:
-        """A DataError for a repeated qid: qids key every ranking."""
+        """Any other uid -> fact mapping becomes Facts, in its iteration
+        order. A DataError for a repeated qid: qids key every ranking."""
+        if not isinstance(self.facts, Facts):
+            found = self.facts.values()
+            columns = [f.text for f in found], [f.table_name for f in found]
+            object.__setattr__(self, "facts", Facts(self.facts, *columns))
         counts = Counter(q.qid for q in self.questions)
         if repeated := [qid for qid, n in counts.items() if n > 1]:
             raise DataError(f"duplicate question id {repeated[0]!r}")
@@ -113,8 +156,8 @@ class Corpus:
         return {q.qid: q for q in self.questions}
 
 
-def load_facts(paths: Iterable[str | Path]) -> dict[str, ExplanationFact]:
-    """Load explanation facts from one or more TSV tables, keyed by uid.
+def load_facts(paths: Iterable[str | Path]) -> Facts:
+    """Load explanation facts from one or more TSV tables, in table order.
 
     The fact text is the single-space join of the nonempty cells whose header
     does not contain "SKIP"; the uid comes from the unique column whose header
@@ -123,7 +166,8 @@ def load_facts(paths: Iterable[str | Path]) -> dict[str, ExplanationFact]:
     a text is skipped, and cells past the header's width are ignored, each
     kind with one warning per table that gives the count and the first line.
     """
-    facts: dict[str, ExplanationFact] = {}
+    uids, texts, tables = [], [], []
+    column: dict[str, int] = {}
     for path in map(Path, paths):
         blocks = list(utf8_blocks(path))  # the whole table first: a bad byte anywhere is its error
         if not blocks:
@@ -138,12 +182,16 @@ def load_facts(paths: Iterable[str | Path]) -> dict[str, ExplanationFact]:
             )
         uid_col, width = uid_cols[0], len(headers)
         content_cols = [i for i, h in enumerate(headers) if "SKIP" not in h]
-        uids, texts, linenos = [], [], array("q")
+        table_uids, table_texts, linenos = [], [], []  # linenos: each block's, for errors
         no_uid, no_text, wide = dropped = [], [], []
         for first, body in blocks:
-            block = _fact_block(body, first, width, uid_col, content_cols, dropped)
-            for whole, part in zip((uids, texts, linenos), block):
-                whole.extend(part)
+            block_uids, block_texts, block_linenos = _fact_block(
+                body, first, width, uid_col, content_cols, dropped
+            )
+            table_uids += block_uids
+            table_texts += block_texts
+            linenos.append(block_linenos)
+        del blocks
         for found, what, outcome in (
             (no_uid, "row(s) without a uid", "skipped"),
             (no_text, "fact(s) with no text", "skipped"),
@@ -152,16 +200,19 @@ def load_facts(paths: Iterable[str | Path]) -> dict[str, ExplanationFact]:
             if found:
                 log.warning("%s: %d %s, first at line %d; %s", path, len(found), what, found[0], outcome)
         table = path.stem
-        if len(set(uids)) < len(uids) or not facts.keys().isdisjoint(uids):
-            earlier = {uid: fact.table_name for uid, fact in facts.items()}
-            for uid, lineno in zip(uids, linenos):
+        column.update(zip(table_uids, count(len(uids))))
+        if len(column) < len(uids) + len(table_uids):
+            earlier = dict(zip(uids, tables))
+            for uid, lineno in zip(table_uids, chain.from_iterable(linenos)):
                 if uid in earlier:
                     raise FormatError(
                         f"{path} line {lineno}: duplicate fact uid {uid!r}, also in table {earlier[uid]!r}"
                     )
                 earlier[uid] = table
-        facts.update(zip(uids, map(ExplanationFact, uids, texts, repeat(table))))
-    return facts
+        uids += table_uids
+        texts += table_texts
+        tables += repeat(table, len(table_uids))
+    return Facts(uids, texts, tables, column)
 
 
 def _fact_block(

@@ -12,6 +12,7 @@ the question and answer alone.
 from __future__ import annotations
 
 import logging
+import math
 import random
 import re
 from collections import Counter
@@ -119,8 +120,7 @@ class NegativeSampler:
     """
 
     def __init__(self, corpus: Corpus, provider):
-        self.uids = tuple(corpus.facts)
-        self.column = {uid: j for j, uid in enumerate(self.uids)}
+        self.uids, self.column = corpus.facts.uids, corpus.facts.column
         self.uid_ranks = uid_ranks(self.uids)
         self.rows = fact_vectors(corpus, provider)
         # the choice of filter: a positive margin marks the approximate one
@@ -201,7 +201,7 @@ def build_dataset(corpus: Corpus, provider, cfg: PrepConfig) -> list[TrainingExa
     """
     if isinstance(provider, NegativeSampler):
         sampler = provider
-        if sampler.uids != tuple(corpus.facts):
+        if sampler.uids != corpus.facts.uids:
             raise ValueError("the negative sampler was built over a different corpus")
     else:
         sampler = NegativeSampler(corpus, provider)
@@ -244,7 +244,7 @@ def _question_examples(
     for size in range(1, len(question.gold)):
         for _ in range(cfg.m):
             chosen = sorted(rng.sample(indices, size))
-            context = tuple(corpus.facts[question.gold[i][0]].text for i in chosen)
+            context = tuple(corpus.facts.text(question.gold[i][0]) for i in chosen)
             chosen_set = set(chosen)
             for i, (uid, role) in enumerate(question.gold):
                 if i in chosen_set:
@@ -283,11 +283,11 @@ def _pair_block(
                 )
             pos_label = FALLBACK_TARGET
         neg_label = NEGATIVE_TARGET
-    positive = TrainingExample(qid, qa, context, corpus.facts[uid].text, pos_label, role)
+    text = corpus.facts.text
+    positive = TrainingExample(qid, qa, context, text(uid), pos_label, role)
     block = [positive] * len(neg_uids)
     block.extend(
-        TrainingExample(qid, qa, context, corpus.facts[neg_uid].text, neg_label, None)
-        for neg_uid in neg_uids
+        TrainingExample(qid, qa, context, text(neg_uid), neg_label, None) for neg_uid in neg_uids
     )
     return block
 
@@ -333,6 +333,9 @@ def write_dataset(examples: Sequence[TrainingExample], path: str | Path) -> None
 
 
 def read_dataset(path: str | Path) -> list[TrainingExample]:
+    """The examples of a file write_dataset wrote. A row without six fields
+    or with a label that is not a finite number is a FormatError naming its
+    line."""
     path = Path(path)
     lines = text_lines(read_utf8(path))
     if not lines or lines[0].split("\t") != list(_COLUMNS):
@@ -349,6 +352,8 @@ def read_dataset(path: str | Path) -> list[TrainingExample]:
             label = float(label_text)
         except ValueError:
             raise FormatError(f"{path} line {lineno}: bad label {label_text!r}") from None
+        if not math.isfinite(label):
+            raise FormatError(f"{path} line {lineno}: non-finite label {label_text!r}")
         context = tuple(context_text.split(CONTEXT_SEPARATOR)) if context_text else ()
         role = Role.parse(role_label) if role_label else None
         examples.append(TrainingExample(qid, question_text, context, candidate, label, role))

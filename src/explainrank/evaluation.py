@@ -140,7 +140,7 @@ class EvalReport:
 
 def evaluate_rankings(ranked_by_qid: RankedUids, corpus: Corpus) -> EvalReport:
     questions = evaluable(ranked_by_qid, corpus)
-    unknown = set().union(*ranked_by_qid.values()).difference(corpus.facts)
+    unknown = set().union(*ranked_by_qid.values()).difference(corpus.facts.column)
     if unknown:
         raise DataError(f"rankings reference unknown fact uid(s): {sorted(unknown)[:5]}")
     skipped = sum(1 for q in corpus.questions if q.qid in ranked_by_qid and not q.gold)

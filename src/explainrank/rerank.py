@@ -175,7 +175,7 @@ def _windows(corpus: Corpus, provider, table: RelevanceTable, width: int, take):
     take(qid, order) of its whole initial order. Orders are sorted a row at
     a time and not kept; only window facts and Q/A texts are vectorised, in
     one call."""
-    if table.uids != tuple(corpus.facts):
+    if table.uids != corpus.facts.uids:
         raise DataError("score table columns do not match the corpus facts")
     qa_by_qid = {q.qid: qa for q, qa in corpus.answerable}
     kept = [i for i, qid in enumerate(table.qids) if qid in qa_by_qid]
@@ -186,7 +186,7 @@ def _windows(corpus: Corpus, provider, table: RelevanceTable, width: int, take):
         top[n] = order[: top.shape[1]]
         taken[table.qids[i]] = take(table.qids[i], order)
     facts, local = np.unique(top, return_inverse=True)
-    texts = [fact.text for fact in corpus.facts.values()]
+    texts = corpus.facts.texts
     rows = provider.rows([texts[j] for j in facts.tolist()] + [qa_by_qid[qid] for qid in taken])
     window = Window(rows, local.reshape(top.shape), np.arange(len(facts), rows.values.shape[0]))
     qa_sims = window.cosines(np.full(len(kept), top.shape[1]), top.shape[1])
@@ -228,10 +228,8 @@ def depth_sweep(
     and its initial position outside it."""
     # RerankConfig refuses a depth below 1, before any work is done
     width = 2 * max((RerankConfig(depth).depth for depth in depths), default=1)
-    gold_uids = {q.qid: q.gold_uid_set for q in corpus.questions}
-    wanted = frozenset().union(*gold_uids.values())
-    column = {uid: j for j, uid in enumerate(table.uids) if uid in wanted}
-    gold = {qid: [column[u] for u in uids if u in column] for qid, uids in gold_uids.items()}
+    column = corpus.facts.column  # the table's columns, as _windows checks
+    gold = {q.qid: [column[u] for u in q.gold_uid_set if u in column] for q in corpus.questions}
 
     def gold_positions(qid: str, order: np.ndarray) -> np.ndarray:
         is_gold = np.zeros(len(order), dtype=bool)

@@ -91,12 +91,12 @@ def score_lexical(corpus: Corpus, provider, method: str = TFIDF_COSINE) -> Relev
         for i in range(len(qids)):
             matrix[i] = fact_rows.cosines(i, qa_rows)
     else:
-        facts = token_lists([fact.text for fact in corpus.facts.values()])
+        facts = token_lists(corpus.facts.texts)
         fact_tokens = [set(filterfalse(STOPWORDS.__contains__, tokens)) for tokens in facts]
         for i, qa_tokens in enumerate(token_lists(qa_texts)):
             qa_tokens = set(filterfalse(STOPWORDS.__contains__, qa_tokens))
             matrix[i] = [len(qa_tokens & t) / len(t) if t else 0.0 for t in fact_tokens]
-    return RelevanceTable(tuple(qids), tuple(corpus.facts), matrix)
+    return RelevanceTable(tuple(qids), corpus.facts.uids, matrix)
 
 
 def write_scores(table: RelevanceTable, path: str | Path) -> None:
@@ -123,8 +123,7 @@ def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
     is parsed a block of lines at a time, straight into one matrix.
     """
     path = Path(path)
-    uids = tuple(corpus.facts)
-    column = {uid: j for j, uid in enumerate(uids)}
+    uids, column = corpus.facts.uids, corpus.facts.column
     row = {q.qid: i for i, q in enumerate(corpus.questions)}
     matrix = np.full((len(row), len(uids)), np.nan)
     accepted_lines = 0

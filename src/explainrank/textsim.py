@@ -442,11 +442,10 @@ def load_dense(path: str | Path) -> DenseWordVectors:
 
 def fact_vectors(corpus: Corpus, provider) -> Rows:
     """Vectorize every corpus fact once, one row per fact in corpus order."""
-    return provider.rows([fact.text for fact in corpus.facts.values()])
+    return provider.rows(corpus.facts.texts)
 
 
 def default_provider(corpus: Corpus) -> TfidfProvider:
     """TF-IDF provider built over all fact texts plus the question/answer
     text of every answerable question, the self-contained default backend."""
-    texts = [fact.text for fact in corpus.facts.values()]
-    return TfidfProvider(texts + [qa for _, qa in corpus.answerable])
+    return TfidfProvider([*corpus.facts.texts, *(qa for _, qa in corpus.answerable)])

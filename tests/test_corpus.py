@@ -8,6 +8,7 @@ from explainrank.corpus import (
     NEG,
     Corpus,
     ExplanationFact,
+    Facts,
     Question,
     Role,
     answer_text,
@@ -20,7 +21,8 @@ from explainrank.corpus import (
 )
 from explainrank.errors import DataError, FormatError
 
-from synth import random_corpus, write_fact_table
+import line_readers
+from synth import random_corpus, write_corpus_files, write_fact_table
 
 
 def write_lines(path, lines):
@@ -272,6 +274,71 @@ class TestLoadQuestions:
             load_questions(path)
 
 
+class TestFacts:
+    """load_facts and Corpus.facts give a read-only uid -> fact mapping over
+    three columns that behaves as the uid -> ExplanationFact dict did."""
+
+    @pytest.fixture
+    def tables(self, tmp_path):
+        paths = [tmp_path / "zeta.tsv", tmp_path / "alpha.tsv", tmp_path / "mid.tsv"]
+        write_fact_table(paths[0], [("z2", "a zebra has stripes"), ("z1", "stripes are a pattern")])
+        write_fact_table(paths[1], [("a9", "an apple is a fruit")])
+        write_fact_table(paths[2], [("m3", "a magnet attracts iron"), ("m1", "iron is a metal"),
+                                    ("m2", "a metal conducts heat")])
+        return paths
+
+    def test_corpus_order_across_tables(self, tables):
+        facts = load_facts(tables)
+        assert isinstance(facts, Facts)
+        assert list(facts) == list(facts.keys()) == ["z2", "z1", "a9", "m3", "m1", "m2"]
+        assert facts.uids == ("z2", "z1", "a9", "m3", "m1", "m2")
+        assert facts.tables == ("zeta", "zeta", "alpha", "mid", "mid", "mid")
+        assert facts.texts[2] == "an apple is a fruit"
+        assert all(type(column) is tuple for column in (facts.uids, facts.texts, facts.tables))
+        assert facts.column == {uid: j for j, uid in enumerate(facts.uids)}
+
+    def test_behaves_as_the_dict_of_facts(self, tables):
+        facts, reference = load_facts(tables), line_readers.load_facts(tables)
+        assert len(facts) == len(reference) == 6
+        assert "m1" in facts and "m4" not in facts and 3 not in facts
+        for uid in reference:
+            assert facts[uid] == reference[uid] and facts.text(uid) == reference[uid].text
+        assert list(facts.items()) == list(reference.items())
+        assert list(facts.values()) == list(reference.values())
+        assert facts == reference and reference == facts
+        assert facts != {**reference, "m4": ExplanationFact("m4", "x", "mid")}
+        assert facts.get("m4") is None
+        with pytest.raises(KeyError):
+            facts["m4"]
+        with pytest.raises(KeyError):
+            facts.text("m4")
+        with pytest.raises(TypeError):
+            facts["m4"] = ExplanationFact("m4", "x", "mid")
+
+    def test_corpus_takes_any_mapping_of_facts(self, tables):
+        facts = load_facts(tables)
+        corpus = Corpus(facts=dict(facts.items()), questions=())
+        assert isinstance(corpus.facts, Facts)
+        for column in ("uids", "texts", "tables", "column"):
+            assert getattr(corpus.facts, column) == getattr(facts, column)
+        assert Corpus(facts=facts, questions=()).facts is facts
+
+    def test_sub_corpus_keeps_the_columns(self, tmp_path):
+        corpus = random_corpus(n_questions=6, n_facts=25, seed=8)
+        loaded = load_corpus(*write_corpus_files(corpus, tmp_path))
+        sample = Corpus(facts=loaded.facts, questions=loaded.questions[:2])
+        assert sample.facts is loaded.facts
+        assert sample.facts.uids == corpus.facts.uids and sample.facts.texts == corpus.facts.texts
+        assert sample.facts.tables == ("facts",) * 25 and corpus.facts.tables == ("synth",) * 25
+        assert len(sample.facts) == 25 and [f.text for f in sample.facts.values()] == list(corpus.facts.texts)
+
+    def test_columns_of_unequal_length_refused(self):
+        with pytest.raises(ValueError):
+            Facts(("a", "b"), ("x",), ("t", "t"))
+        with pytest.raises(ValueError):
+            Facts(("a", "a"), ("x", "y"), ("t", "t"))
+
+
 class TestAnswerText:
     def test_basic(self):
         q = Question("q", "s", {"A": "rock", "B": "frog"}, "B")
@@ -384,3 +451,47 @@ class TestLoadCorpus:
         assert set(corpus.facts) == {"x1", "x2"}
         assert corpus.questions[0].gold_uid_set == frozenset({"x1"})
         assert validate(corpus).ok
+
+
+def test_no_command_builds_a_fact_object(tmp_path, monkeypatch):
+    """Every layer call a CLI command makes reads the fact columns: not one
+    ExplanationFact is made from loading to the last dataset."""
+    from explainrank.dataprep import CLASSIFICATION, REGRESSION, NegativeSampler, PrepConfig
+    from explainrank.dataprep import build_dataset, write_dataset
+    from explainrank.evaluation import evaluate_rankings, read_predictions, write_predictions
+    from explainrank.rerank import RerankConfig, depth_sweep, rerank_all
+    from explainrank.scorer import all_rankings, load_scores, score_lexical, write_scores
+    from explainrank.textsim import default_provider, load_dense, tokenize
+
+    synthetic = random_corpus(n_questions=8, n_facts=40, seed=9, gold_range=(2, 4))
+    fact_paths, question_path = write_corpus_files(synthetic, tmp_path / "data")
+    vectors = tmp_path / "vectors.txt"
+    tokens = sorted({t for f in synthetic.facts.values() for t in tokenize(f.text)} | {"word00"})
+    vectors.write_text(
+        "".join(f"{t} {i % 5 - 2} {i % 3 + 1}\n" for i, t in enumerate(tokens)), encoding="utf-8"
+    )
+    made = []
+    init = ExplanationFact.__init__
+    monkeypatch.setattr(
+        ExplanationFact, "__init__", lambda self, *args: made.append(args) or init(self, *args)
+    )
+
+    corpus = load_corpus(fact_paths, question_path)
+    provider = default_provider(corpus)
+    table = score_lexical(corpus, provider)
+    write_scores(table, tmp_path / "scores.tsv")
+    table = load_scores(tmp_path / "scores.tsv", corpus)
+    write_predictions(all_rankings(table), tmp_path / "predictions.tsv")
+    rankings, _ = rerank_all(corpus, provider, table, RerankConfig(depth=3), want_trace=True)
+    depth_sweep(corpus, provider, table, (1, 3, 5))
+    evaluate_rankings(read_predictions(tmp_path / "predictions.tsv"), corpus)
+    evaluate_rankings(rankings, corpus)
+    assert validate(corpus).ok
+    sampler = NegativeSampler(corpus, load_dense(vectors))
+    for task in (CLASSIFICATION, REGRESSION):
+        for with_context in (False, True):
+            examples = build_dataset(corpus, sampler, PrepConfig(k=3, task=task, with_context=with_context))
+            write_dataset(examples, tmp_path / f"{task}-{with_context}.tsv")
+            assert examples
+    assert made == []
+    assert corpus.facts["F0001"].text == synthetic.facts["F0001"].text and len(made) == 2  # the wrap counts

@@ -425,6 +425,26 @@ class TestDatasetIO:
         write_dataset([ex], path)
         assert read_dataset(path) == [ex]
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"])
+    def test_non_finite_label_names_file_and_line(self, tmp_path, label):
+        ex = TrainingExample("q1", "question", (), "candidate", 1.0, CENTRAL)
+        path = tmp_path / "d.tsv"
+        write_dataset([ex, ex], path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[2] = lines[2].replace("\t1.0\t", f"\t{label}\t")
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"d\.tsv line 3: non-finite label '{label}'$"):
+            read_dataset(path)
+
+    def test_unparseable_label_names_file_and_line(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text(
+            "qid\tquestion_text\tcontext\tcandidate_text\tlabel_or_target\trole\nq1\tq\t\tc\tone\t\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(FormatError, match=r"d\.tsv line 2: bad label 'one'$"):
+            read_dataset(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_text("nope\n", encoding="utf-8")

@@ -95,6 +95,9 @@ def test_fact_tables(header, lines, ends, final_newline, damage):
         return
     (facts, messages), (expected_facts, expected_messages) = got, expected
     assert list(facts.items()) == list(expected_facts.items())
+    assert facts.uids == tuple(expected_facts)
+    assert facts.texts == tuple(f.text for f in expected_facts.values())
+    assert facts.tables == tuple(f.table_name for f in expected_facts.values())
     assert messages == expected_messages
     assert all(uid == fact.uid and uid and fact.text for uid, fact in facts.items())
 

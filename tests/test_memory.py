@@ -1,23 +1,31 @@
 """Peak traced memory of building a score table: load_scores and
-score_lexical hold the float64 matrix and little beside it.
+score_lexical hold the float64 matrix and little beside it; and of loading
+a fact table: load_facts keeps columns, not an object per fact.
 
 numpy registers its data buffers with tracemalloc, so the traced peak
 counts the matrix, every temporary array and every Python object made
 during the call."""
 
+import random
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from explainrank.corpus import load_facts
 from explainrank.scorer import OVERLAP, RelevanceTable, load_scores, score_lexical, write_scores
-from synth import random_corpus
+from synth import WORD_POOL, random_corpus, write_fact_table
 
 N_QUESTIONS, N_FACTS = 300, 400
 # the float64 table, one byte per cell while missing pairs are filled, and
 # a block of lines or a row of scores at a time
 MAX_RATIO = 1.5
+# load_facts over the table's bytes: the table's text while it is read, and
+# then a uid and a text string, three tuple slots and a dict entry per fact
+# (3.77 times the bytes); a dict of one ExplanationFact per fact instead of
+# the columns reads 4.24, and 5.16 with the table's text still held
+MAX_FACT_TABLE_RATIO = 4.0
 
 
 def traced_peak(call):
@@ -61,3 +69,20 @@ def test_score_lexical_overlap_peak_is_about_the_table(corpus):
     table, peak = traced_peak(lambda: score_lexical(corpus, None, method=OVERLAP))
     assert table.scores.shape == (N_QUESTIONS, N_FACTS)
     assert peak <= MAX_RATIO * table.scores.nbytes, peak / table.scores.nbytes
+
+
+def test_load_facts_peak_has_no_object_per_fact(tmp_path):
+    rng = random.Random(31)
+    rows = [
+        (
+            "-".join(f"{rng.getrandbits(16):04x}" for _ in range(4)),
+            " ".join(rng.choices(WORD_POOL, k=rng.randint(4, 14))),
+        )
+        for _ in range(3000)
+    ]
+    path = tmp_path / "facts.tsv"
+    write_fact_table(path, rows)
+    facts, peak = traced_peak(lambda: load_facts([path]))
+    assert len(facts) == len(rows)
+    size = path.stat().st_size
+    assert peak <= MAX_FACT_TABLE_RATIO * size, peak / size
