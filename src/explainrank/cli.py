@@ -14,17 +14,36 @@ usage failure.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import logging
 import re
+import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import dataprep, evaluation, rerank, scorer
 from .corpus import Corpus, load_corpus, validate
 from .errors import DataError, FormatError, read_utf8, text_lines
-from .textsim import default_provider, load_dense
 
 log = logging.getLogger(__name__)
+
+
+def _lazy(name: str):
+    """The layer module name, bound now (in sys.modules and on the package,
+    as an import binds it) and executed on its first attribute access, so a
+    command executes only the layers it calls."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+dataprep, evaluation, rerank, scorer, textsim = map(
+    _lazy, ("dataprep", "evaluation", "rerank", "scorer", "textsim"))
 
 
 class UsageError(Exception):
@@ -49,33 +68,35 @@ def _depths(text: str) -> tuple[int, ...]:
 _ALL = ("validate", "prepare", "rank", "rerank", "evaluate")
 _WRITERS = ("prepare", "rank", "rerank", "evaluate")  # all but validate write files
 _SWITCH = argparse.BooleanOptionalAction
-_PREP = dataprep.PrepConfig
 
 # key -> (commands that take it, add_argument keywords of its flag --key);
-# a config file's key=value line is typed and checked by the same keywords
+# a config file's key=value line is typed and checked by the same keywords.
+# Defaults and choices are the layers' own values (PrepConfig, RerankConfig,
+# the scorer and task names), written out so that building the parser
+# executes no layer; tests/test_cli.py holds them equal.
 OPTIONS: dict[str, tuple[tuple[str, ...], dict]] = {
     "facts": (_ALL, dict(nargs="+", metavar="TSV", help="explanation fact tables")),
     "questions": (_ALL, dict(metavar="TSV", help="annotated question file")),
     "vectors": (_WRITERS, dict(metavar="TXT", help="dense word vectors (word2vec text)")),
     "out": (_WRITERS, dict(default="out", metavar="DIR", help="output directory (default: %(default)s)")),
     "seed": (("prepare",), dict(
-        type=int, default=_PREP.seed, help="seed for context sampling (default: %(default)s)")),
+        type=int, default=13, help="seed for context sampling (default: %(default)s)")),
     "task": (("prepare",), dict(
-        choices=[dataprep.CLASSIFICATION, dataprep.REGRESSION, "all"], default=_PREP.task,
+        choices=["classification", "regression", "all"], default="classification",
         help="dataset variant(s) to write (default: %(default)s)")),
     "with_context": (("prepare",), dict(
-        action=_SWITCH, default=_PREP.with_context, help="prepend sampled gold facts as context")),
+        action=_SWITCH, default=False, help="prepend sampled gold facts as context")),
     "k": (("prepare",), dict(
-        type=_positive_int, default=_PREP.k, help="negatives per gold fact (default: %(default)s)")),
+        type=_positive_int, default=7, help="negatives per gold fact (default: %(default)s)")),
     "m": (("prepare",), dict(
-        type=_positive_int, default=_PREP.m, help="context subsets per size (default: %(default)s)")),
+        type=_positive_int, default=3, help="context subsets per size (default: %(default)s)")),
     "method": (("rank", "rerank"), dict(
-        choices=[scorer.TFIDF_COSINE, scorer.OVERLAP], default=scorer.TFIDF_COSINE,
+        choices=["tfidf", "overlap"], default="tfidf",
         help="built-in lexical scorer, used without --scores (default: %(default)s)")),
     "scores": (("rank", "rerank", "evaluate"), dict(
         metavar="TSV", help="externally computed relevance scores, used instead of --method")),
     "depth": (("rerank",), dict(
-        type=_positive_int, default=rerank.RerankConfig.depth,
+        type=_positive_int, default=15,
         help="re-ranking depth (default: %(default)s)")),
     "top_m": (("rank", "rerank"), dict(
         type=_positive_int, metavar="N", help="facts kept per question (default: all)")),
@@ -153,14 +174,19 @@ def _check_usage(args: argparse.Namespace) -> None:
             raise UsageError("--sweep needs --scores with externally computed relevance scores")
 
 
-def _load(args: argparse.Namespace) -> Corpus:
+def _load(args: argparse.Namespace, *layers) -> Corpus:
+    """The corpus, read after executing each layer the command calls (any
+    attribute access executes a lazily bound module): a layer executed
+    mid-run would add its import to the command's peak."""
+    for layer in layers:
+        getattr(layer, "__spec__")
     return load_corpus(args.facts, args.questions)
 
 
 def _provider(args: argparse.Namespace, corpus: Corpus):
     if args.vectors:
-        return load_dense(args.vectors)
-    return default_provider(corpus)
+        return textsim.load_dense(args.vectors)
+    return textsim.default_provider(corpus)
 
 
 def _table(args: argparse.Namespace, corpus: Corpus, provider=None) -> scorer.RelevanceTable:
@@ -180,7 +206,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    corpus = _load(args)
+    corpus = _load(args, textsim, dataprep)
     # one sampler for every variant: fact rows and negatives computed once
     sampler = dataprep.NegativeSampler(corpus, _provider(args, corpus))
     if args.task == "all":
@@ -210,7 +236,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    table = _table(args, _load(args))
+    table = _table(args, _load(args, textsim, scorer, evaluation))
     scores_path = args.out / "scores.tsv"
     scorer.write_scores(table, scores_path)
     rankings = scorer.all_rankings(table)
@@ -228,7 +254,7 @@ def _trace_name(qid: str) -> str:
 
 
 def cmd_rerank(args: argparse.Namespace) -> int:
-    corpus = _load(args)
+    corpus = _load(args, textsim, scorer, rerank, evaluation)
     provider = _provider(args, corpus)
     table = _table(args, corpus, provider)
     config = rerank.RerankConfig(depth=args.depth)
@@ -248,7 +274,10 @@ def cmd_rerank(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    corpus = _load(args)
+    layers = [evaluation] if args.predictions is not None else []
+    if args.sweep is not None:
+        layers += [textsim, scorer, rerank]
+    corpus = _load(args, *layers)
     if args.predictions is not None:
         ranked = evaluation.read_predictions(args.predictions)
         report = evaluation.evaluate_rankings(ranked, corpus)

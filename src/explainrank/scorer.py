@@ -11,7 +11,6 @@ always yields the same rankings.
 from __future__ import annotations
 
 import logging
-import operator
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -104,13 +103,17 @@ def write_scores(table: RelevanceTable, path: str | Path) -> None:
 
     Scores are written with repr so reading the file back reproduces the
     exact floats (and therefore the exact ranking). Each question's lines
-    are joined into one string, one matrix row converted at a time."""
-    uid_tabs = [f"{uid}\t" for uid in table.uids]
+    are one join of a list holding every line's pieces in place: the uid
+    pieces are made once, and only the qid and score pieces change from
+    row to row, so no line is built as a string of its own."""
+    n = len(table.uids)
+    pieces = [None, None, None, "\n"] * n  # qid<TAB>, uid<TAB>, score, newline of each line
+    pieces[1::4] = [f"{uid}\t" for uid in table.uids]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for qid, row in zip(table.qids, table.scores):
-            if uid_tabs:
-                lines = f"\n{qid}\t".join(map(operator.add, uid_tabs, map(repr, row.tolist())))
-                fh.write(f"{qid}\t{lines}\n")
+            pieces[0::4] = [f"{qid}\t"] * n
+            pieces[2::4] = map(repr, row.tolist())
+            fh.write("".join(pieces))
 
 
 def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:

@@ -230,6 +230,49 @@ def test_predictions_round_trip(qids, uids, top_m, data, chars):
     assert rewritten == written
 
 
+def reference_write_scores(table, path):
+    """One repr per cell, one line at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for qid, row in zip(table.qids, table.scores):
+            for uid, score in zip(table.uids, row.tolist()):
+                fh.write(f"{qid}\t{uid}\t{score!r}\n")
+
+
+def _bits(*values):
+    return [int(v) for v in np.array(values).view(np.int64)]
+
+
+# signed zeros, NaNs with payloads and both signs, ±inf, subnormals, and
+# neighbours that repr tells apart
+SPECIAL_BITS = [
+    *_bits(0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+           1.0, np.nextafter(1.0, 2.0), 0.1),
+    0x7FF0000000000001, 0x7FF8000000000123, -0x0007FFFFFFFFFFFF, -1,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    columns=st.integers(1, 12),
+    pool=st.lists(st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(-(2**63), 2**63 - 1)),
+                  min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 5), min_size=48, max_size=48),
+)
+@example(rows=3, columns=5, pool=_bits(-0.0), picks=[0] * 48)  # all-equal rows
+@example(rows=2, columns=1, pool=SPECIAL_BITS, picks=list(range(48)))  # a one-fact table
+def test_write_scores_matches_per_cell_repr(rows, columns, pool, picks):
+    bits = [pool[i % len(pool)] for i in picks[: rows * columns]]
+    scores = np.array(bits, dtype=np.int64).view(np.float64).reshape(rows, columns)
+    table = RelevanceTable(tuple(f"q{i}" for i in range(rows)),
+                           tuple(f"f{j}" for j in range(columns)), scores)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "scores.tsv", Path(tmp) / "reference.tsv"
+        write_scores(table, path)
+        reference_write_scores(table, reference)
+        assert path.read_bytes() == reference.read_bytes()
+
+
 def test_equal_uids_share_one_string(tmp_path):
     path = tmp_path / "predictions.tsv"
     path.write_text("q1\tf1\nq1\tf2\nq2\tf2\nq2\tf1\n", encoding="utf-8")

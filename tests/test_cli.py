@@ -13,10 +13,11 @@ from explainrank.corpus import (
     load_facts,
     load_questions,
 )
-from explainrank.dataprep import read_dataset
+from explainrank.dataprep import CLASSIFICATION, REGRESSION, PrepConfig, read_dataset
 from explainrank.errors import FormatError
 from explainrank.evaluation import read_predictions
-from explainrank.scorer import load_scores
+from explainrank.rerank import RerankConfig
+from explainrank.scorer import OVERLAP, TFIDF_COSINE, load_scores
 from explainrank.textsim import load_dense
 
 from synth import random_corpus, write_corpus_files, write_fact_table
@@ -230,7 +231,7 @@ class TestRankCommand:
         def refuse(corpus):
             raise AssertionError("rank --scores built a TF-IDF provider")
 
-        monkeypatch.setattr(cli, "default_provider", refuse)
+        monkeypatch.setattr(cli.textsim, "default_provider", refuse)
         assert run(*base, "--out", unbuilt) == 0
         for out in (malformed, unbuilt):
             for name in ("scores.tsv", "predictions.tsv"):
@@ -249,7 +250,7 @@ class TestRankCommand:
         def refuse(corpus):
             raise AssertionError("rank --method overlap built a TF-IDF provider")
 
-        monkeypatch.setattr(cli, "default_provider", refuse)
+        monkeypatch.setattr(cli.textsim, "default_provider", refuse)
         assert run(*base, "--out", unbuilt) == 0
         for out in (malformed, unbuilt):
             for name in ("scores.tsv", "predictions.tsv"):
@@ -686,6 +687,17 @@ def resolved(argv):
 class TestOptionTable:
     def test_every_option_sampled(self):
         assert set(_FLAG_AND_KEY) == set(OPTIONS)
+
+    def test_defaults_and_choices_are_the_layers_own(self):
+        # OPTIONS spells these out so that building the parser executes no layer
+        prep = PrepConfig()
+        spec = {key: OPTIONS[key][1] for key in OPTIONS}
+        for key in ("k", "m", "seed", "with_context", "task"):
+            assert spec[key]["default"] == getattr(prep, key), key
+        assert spec["task"]["choices"] == [CLASSIFICATION, REGRESSION, "all"]
+        assert spec["depth"]["default"] == RerankConfig().depth
+        assert spec["method"]["choices"] == [TFIDF_COSINE, OVERLAP]
+        assert spec["method"]["default"] == TFIDF_COSINE
 
     @pytest.mark.parametrize("key", sorted(OPTIONS))
     def test_flag_and_config_key_resolve_alike(self, key, tmp_path):

@@ -1,0 +1,134 @@
+"""The package namespace resolves each public name on first access, and each
+CLI command executes only the layer modules it calls."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import explainrank
+from explainrank.evaluation import write_predictions
+from explainrank.scorer import all_rankings, score_lexical, write_scores
+from explainrank.textsim import default_provider
+
+from synth import random_corpus, write_corpus_files
+
+# every name the package exported when __init__ imported each layer eagerly
+EXPORTS = {
+    "corpus": [
+        "BACKGROUND", "CENTRAL", "GROUNDING", "LEXGLUE", "NEG", "Corpus", "ExplanationFact",
+        "Facts", "Question", "Role", "answer_text", "load_corpus", "load_facts",
+        "load_questions", "parse_explanation", "qa_text", "validate", "write_questions",
+    ],
+    "dataprep": [
+        "CLASSIFICATION", "REGRESSION", "NegativeSampler", "PrepConfig", "TrainingExample",
+        "build_dataset", "dataset_stats", "read_dataset", "sample_negatives", "write_dataset",
+    ],
+    "errors": ["DataError", "FormatError", "PipelineError"],
+    "evaluation": [
+        "EvalReport", "average_precision", "evaluate_rankings", "map_overall",
+        "read_predictions", "write_predictions",
+    ],
+    "rerank": ["RerankConfig", "RerankTrace", "depth_sweep", "iterative_rerank", "rerank_all"],
+    "scorer": [
+        "RelevanceTable", "all_rankings", "load_scores", "normalize", "score_lexical",
+        "write_scores",
+    ],
+    "textsim": [
+        "STOPWORDS", "DenseWordVectors", "TfidfProvider", "Rows", "default_provider",
+        "dense_rows", "fact_vectors", "load_dense", "tokenize",
+    ],
+}
+NAMES = [name for names in EXPORTS.values() for name in names]
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
+def test_name_is_its_module_attribute(module, name):
+    layer = __import__(f"explainrank.{module}", fromlist=[name])
+    assert getattr(explainrank, name) is getattr(layer, name)
+
+
+def test_all_and_dir_list_every_name_and_star_binds_them():
+    assert len(NAMES) == 57
+    assert sorted(explainrank.__all__) == sorted(NAMES)
+    assert set(NAMES) <= set(dir(explainrank))
+    namespace = {}
+    exec("from explainrank import *", namespace)
+    assert {name: namespace[name] for name in NAMES} == {
+        name: getattr(explainrank, name) for name in NAMES
+    }
+    assert explainrank.__version__ == "0.1.0"
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        explainrank.no_such_name
+
+
+# runs one CLI command in a fresh interpreter and writes its exit code and the
+# source file of every module body executed, as the "exec" audit event sees it
+DRIVER = """
+import json, sys
+executed = []
+sys.addaudithook(lambda event, args: executed.append(args[0].co_filename)
+                 if event == "exec" and getattr(args[0], "co_name", None) == "<module>" else None)
+from explainrank.cli import main
+try:
+    code = main(sys.argv[2:])
+except SystemExit as exc:
+    code = exc.code
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump([code, executed], fh)
+"""
+
+PACKAGE = Path(explainrank.__file__).resolve().parent
+BASE = {"explainrank", "explainrank.cli", "explainrank.corpus", "explainrank.errors"}
+SCORING = {"explainrank.textsim", "explainrank.scorer"}
+RERANKING = SCORING | {"explainrank.rerank", "explainrank.evaluation"}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("imports")
+    corpus = random_corpus(n_questions=6, n_facts=30, seed=17, gold_range=(1, 3))
+    facts, questions = write_corpus_files(corpus, directory / "data")
+    table = score_lexical(corpus, default_provider(corpus))
+    write_scores(table, directory / "scores.tsv")
+    write_predictions(all_rankings(table), directory / "predictions.tsv")
+    return directory, ["--facts", *map(str, facts), "--questions", str(questions)]
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["--help"], set()),
+        (["validate"], set()),
+        (["evaluate", "--predictions", "{d}/predictions.tsv"], {"explainrank.evaluation"}),
+        (["evaluate", "--scores", "{d}/scores.tsv", "--sweep", "1,3"], RERANKING),
+        (["rank"], SCORING | {"explainrank.evaluation"}),
+        (["rerank", "--depth", "3"], RERANKING),
+        (["prepare", "--task", "all"], SCORING | {"explainrank.dataprep"}),
+    ],
+    ids=["help", "validate", "evaluate-predictions", "evaluate-sweep", "rank", "rerank", "prepare"],
+)
+def test_command_executes_only_its_layers(argv, layers, inputs, tmp_path):
+    directory, corpus_argv = inputs
+    argv = [arg.format(d=directory) for arg in argv]
+    if argv != ["--help"]:
+        argv += corpus_argv + ([] if argv[0] == "validate" else ["--out", str(tmp_path / "out")])
+    pythonpath = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    record = tmp_path / "executed.json"
+    subprocess.run([sys.executable, "-c", DRIVER, str(record), *argv], env=env, check=True,
+                   capture_output=True)
+    code, executed = json.loads(record.read_text(encoding="utf-8"))
+    assert code == 0
+    modules = {
+        "explainrank" + ("" if path.stem == "__init__" else f".{path.stem}")
+        for path in map(Path, executed)
+        if path.resolve().parent == PACKAGE
+    }
+    assert modules == BASE | layers
