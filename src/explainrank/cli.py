@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import logging
-import re
 import sys
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -100,7 +100,8 @@ OPTIONS: dict[str, tuple[tuple[str, ...], dict]] = {
         help="re-ranking depth (default: %(default)s)")),
     "top_m": (("rank", "rerank"), dict(
         type=_positive_int, metavar="N", help="facts kept per question (default: all)")),
-    "trace": (("rerank",), dict(action=_SWITCH, default=False, help="write per-question traces")),
+    "trace": (("rerank",), dict(
+        action=_SWITCH, default=False, help="write each round's candidates to traces.tsv")),
     "predictions": (("evaluate",), dict(metavar="TSV", help="predictions file to evaluate")),
     "sweep": (("evaluate",), dict(
         type=_depths, metavar="N,N,...", help="re-rank --scores at each depth, e.g. 1,3,5,10,15")),
@@ -247,10 +248,16 @@ def cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_name(qid: str) -> str:
-    """qid as a file name: each UTF-8 byte of a character outside [\\w.-],
-    % included, becomes %XX, so two qids never share a name."""
-    return re.sub(r"[^\w.-]", lambda m: "".join(f"%{b:02X}" for b in m[0].encode()), qid)
+def _trace_lines(trace) -> str:
+    """A question's traces.tsv lines: one per candidate per round, floats
+    by repr, 1 on the round's pick."""
+    lines = []
+    for rnd in trace.rounds:
+        picked = ["0\n"] * len(rnd.candidates)
+        picked[rnd.candidates.index(rnd.selected)] = "1\n"
+        values = (map(repr, a.tolist()) for a in (rnd.weighted_rel, rnd.qa_sim, rnd.score))
+        lines += map("\t".join, zip(repeat(f"{trace.qid}\t{rnd.number}"), rnd.candidates, *values, picked))
+    return "".join(lines)
 
 
 def cmd_rerank(args: argparse.Namespace) -> int:
@@ -263,13 +270,12 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     evaluation.write_predictions(rankings, predictions_path, args.top_m)
     print(f"wrote {predictions_path} ({len(rankings)} questions, depth {args.depth})")
     if args.trace:
-        trace_dir = args.out / "traces"
-        trace_dir.mkdir(exist_ok=True)
-        for qid, trace in traces.items():
-            (trace_dir / f"{_trace_name(qid)}.trace.txt").write_text(
-                "\n".join(trace.format_lines()) + "\n", encoding="utf-8"
-            )
-        print(f"wrote {len(traces)} trace file(s) under {trace_dir}")
+        trace_path = args.out / "traces.tsv"
+        with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("qid\tround\tfact_uid\tweighted_rel\tqa_sim\tscore\tselected\n")
+            for trace in traces.values():
+                fh.write(_trace_lines(trace))
+        print(f"wrote {trace_path} ({len(traces)} questions)")
     return 0
 
 

@@ -109,7 +109,8 @@ class NegativeSampler:
 
     The fact rows are built once. Each (gold fact, gold set, k) result is
     computed on first use and kept, so the four prepare variants sample
-    every question's negatives once.
+    every question's negatives once, and a result short of k is warned
+    about once.
 
     Dense cosines are first approximated with one BLAS matrix-vector
     product over all facts. Only the non-gold facts within dense_cut_margin
@@ -132,13 +133,13 @@ class NegativeSampler:
         best = self._memo.get(key)
         if best is None:
             best = self._memo[key] = self._negatives(*key)
-        if len(best) < k:
-            log.warning(
-                "gold fact %s: only %d non-gold fact(s) available for k=%d",
-                gold_uid,
-                len(best),
-                k,
-            )
+            if len(best) < k:
+                log.warning(
+                    "gold fact %s: only %d non-gold fact(s) available for k=%d",
+                    gold_uid,
+                    len(best),
+                    k,
+                )
         return list(best)
 
     def _negatives(self, gold_uid: str, gold_uids: frozenset[str], k: int) -> tuple[str, ...]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -38,34 +39,24 @@ class RerankConfig:
             raise ValueError("re-ranking depth must be >= 1")
 
 
-@dataclass(frozen=True)
-class CandidateScore:
-    uid: str
-    weighted_rel: float
-    qa_sim: float
-    score: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RerankRound:
+    """One greedy commit. candidates are the pool's uids, best initial rank
+    first; weighted_rel, qa_sim and score hold their values in that order,
+    each a row of the round's float arrays. Rounds compare by identity."""
+
     number: int
     selected: str
-    candidates: tuple[CandidateScore, ...]
+    candidates: tuple[str, ...]
+    weighted_rel: np.ndarray
+    qa_sim: np.ndarray
+    score: np.ndarray
 
 
 @dataclass(frozen=True)
 class RerankTrace:
     qid: str
     rounds: tuple[RerankRound, ...]
-
-    def format_lines(self) -> list[str]:
-        """One line per round: the committed uid and the top 3 candidates."""
-        lines = []
-        for rnd in self.rounds:
-            top = sorted(rnd.candidates, key=lambda c: (-c.score, c.uid))[:3]
-            shown = " ".join(f"{c.uid}:{c.score:.6f}" for c in top)
-            lines.append(f"round {rnd.number}\tselected {rnd.selected}\ttop {shown}")
-        return lines
 
 
 def iterative_rerank(
@@ -157,14 +148,13 @@ def _greedy(
 
 def _round(number, facts, pool, best, rel, qa_sims, score) -> list[RerankRound]:
     """Each window's trace of one lockstep round: its pool's candidates,
-    best initial rank first, and its pick. facts holds the windows' uids."""
+    best initial rank first, a row each of the round's values, and its
+    pick. facts holds the windows' uids."""
     cand = np.nonzero(pool)[1].reshape(len(pool), -1)  # every pool has one size
-    values = [np.take_along_axis(a, cand, axis=1).tolist() for a in (rel, qa_sims, score)]
+    values = [np.take_along_axis(a, cand, axis=1) for a in (rel, qa_sims, score)]
     picks = facts[np.arange(len(pool)), best].tolist()
-    return [
-        RerankRound(number, pick, tuple(map(CandidateScore, uids, *columns)))
-        for pick, uids, *columns in zip(picks, np.take_along_axis(facts, cand, axis=1).tolist(), *values)
-    ]
+    uids = map(tuple, np.take_along_axis(facts, cand, axis=1).tolist())
+    return list(map(partial(RerankRound, number), picks, uids, *values))
 
 
 def _windows(corpus: Corpus, provider, table: RelevanceTable, width: int, take):

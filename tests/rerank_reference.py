@@ -15,7 +15,7 @@ import numpy as np
 
 from eval_reference import map_overall
 from explainrank.errors import DataError
-from explainrank.rerank import CandidateScore, RerankConfig, RerankRound, RerankTrace
+from explainrank.rerank import RerankConfig, RerankRound, RerankTrace
 from explainrank.scorer import RelevanceTable, normalize, uid_ranks
 from explainrank.textsim import Rows, fact_vectors
 
@@ -55,9 +55,8 @@ def iterative_rerank(
         score = rel * qa_sims[pool]
         best = pool[np.argmax(score)]
         if want_trace:
-            facts = [uids[f] for f in top[pool]]
-            scored = map(CandidateScore, facts, rel.tolist(), qa_sims[pool].tolist(), score.tolist())
-            rounds.append(RerankRound(len(rounds) + 1, uids[top[best]], tuple(scored)))
+            facts = tuple(uids[f] for f in top[pool])
+            rounds.append(RerankRound(len(rounds) + 1, uids[top[best]], facts, rel, qa_sims[pool], score))
         selected.append(best)
         waiting[best] = False
         denom += weights[best]

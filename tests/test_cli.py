@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from explainrank.corpus import (
     GROUNDING,
     NEG,
     Corpus,
+    load_corpus,
     load_facts,
     load_questions,
 )
@@ -17,10 +19,11 @@ from explainrank.dataprep import CLASSIFICATION, REGRESSION, PrepConfig, read_da
 from explainrank.errors import FormatError
 from explainrank.evaluation import read_predictions
 from explainrank.rerank import RerankConfig
-from explainrank.scorer import OVERLAP, TFIDF_COSINE, load_scores
-from explainrank.textsim import load_dense
+from explainrank.scorer import OVERLAP, TFIDF_COSINE, load_scores, score_lexical
+from explainrank.textsim import default_provider, load_dense
 
-from synth import random_corpus, write_corpus_files, write_fact_table
+import rerank_reference
+from synth import WORD_POOL, random_corpus, write_corpus_files, write_fact_table
 
 
 @pytest.fixture()
@@ -298,7 +301,7 @@ class TestRerankCommand:
             rank_out / "predictions.tsv"
         ).read_bytes()
 
-    def test_trace_files_per_question(self, corpus_files, tmp_path):
+    def test_trace_rows_per_question(self, corpus_files, tmp_path, capsys):
         corpus, facts, questions = corpus_files
         out = tmp_path / "traced"
         code = run(
@@ -310,11 +313,26 @@ class TestRerankCommand:
             "--out", out,
         )
         assert code == 0
-        traces = list((out / "traces").glob("*.trace.txt"))
-        assert len(traces) == len(corpus.questions)
+        assert f"wrote {out / 'traces.tsv'} ({len(corpus.questions)} questions)" in capsys.readouterr().out
+        header, *lines = (out / "traces.tsv").read_text(encoding="utf-8").splitlines()
+        assert header == "qid\tround\tfact_uid\tweighted_rel\tqa_sim\tscore\tselected"
+        rows = [line.split("\t") for line in lines]
+        assert {len(row) for row in rows} == {7}
+        # questions in rankings order, each with rounds 1..depth - 1 in order
+        assert list(dict.fromkeys(row[0] for row in rows)) == [q.qid for q in corpus.questions]
+        reranked = read_predictions(out / "reranked_predictions.tsv")
+        for qid, ranking in reranked.items():
+            own = [row for row in rows if row[0] == qid]
+            rounds = [int(row[1]) for row in own]
+            assert rounds == sorted(rounds) and set(rounds) == {1, 2, 3, 4}
+            assert {row[6] for row in own} == {"0", "1"}
+            # one pick per round: the re-ranked top after the kept initial top fact
+            picks = [(int(row[1]), row[2]) for row in own if row[6] == "1"]
+            assert picks == list(enumerate(ranking[1:5], start=1))
 
-    def test_trace_names_distinct_for_every_qid(self, tmp_path, capsys):
-        # "q/1" and "q_1" once both wrote q_1.trace.txt; "%" is escaped too
+    def test_trace_keeps_every_qid_verbatim(self, tmp_path, capsys):
+        # qids that differ only in characters a file name cannot hold, or
+        # holds escaped: each is one traces.tsv cell, as it is
         facts = tmp_path / "facts.tsv"
         write_fact_table(facts, [("f1", "frogs eat insects"), ("f2", "plants need sun"),
                                  ("f3", "insects eat plants")])
@@ -329,10 +347,47 @@ class TestRerankCommand:
         out = tmp_path / "out"
         assert run("rerank", "--facts", facts, "--questions", questions, "--depth", 2,
                    "--trace", "--out", out) == 0
-        names = sorted(path.name for path in (out / "traces").iterdir())
-        assert names == sorted(["q%2F1.trace.txt", "q_1.trace.txt", "q%252F1.trace.txt",
-                                "été.trace.txt"])
-        assert f"wrote {len(names)} trace file(s)" in capsys.readouterr().out
+        assert not (out / "traces").exists()
+        _, *lines = (out / "traces.tsv").read_text(encoding="utf-8").splitlines()
+        rows = [line.split("\t") for line in lines]
+        # depth 2 over 3 facts: one round with two candidates per question
+        assert [(row[0], row[1]) for row in rows] == [(qid, "1") for qid in qids for _ in range(2)]
+        for qid in qids:
+            assert sorted(row[6] for row in rows if row[0] == qid) == ["0", "1"]
+        assert f"({len(qids)} questions)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_trace_tsv_bitwise_equal_to_reference(self, corpus_files, tmp_path, dense):
+        _, facts, questions = corpus_files
+        base = ["--facts", *facts, "--questions", questions]
+        if dense:
+            rng = random.Random(71)
+            vectors = tmp_path / "vectors.txt"
+            vectors.write_text("".join(
+                f"{word} {rng.uniform(-1, 1)!r} {rng.uniform(-1, 1)!r} {rng.uniform(-1, 1)!r}\n"
+                for word in WORD_POOL), encoding="utf-8")
+            base += ["--vectors", vectors]
+        out = tmp_path / "out"
+        assert run("rerank", *base, "--depth", 6, "--trace", "--out", out) == 0
+        corpus = load_corpus(facts, questions)
+        provider = load_dense(vectors) if dense else default_provider(corpus)
+        table = score_lexical(corpus, provider)
+        _, traces = rerank_reference.rerank_all(corpus, provider, table, RerankConfig(depth=6),
+                                                want_trace=True)
+        want = [
+            (qid, str(rnd.number), uid, *(v.hex() for v in values), str(int(uid == rnd.selected)))
+            for qid, trace in traces.items()
+            for rnd in trace.rounds
+            for uid, *values in zip(rnd.candidates, rnd.weighted_rel.tolist(), rnd.qa_sim.tolist(),
+                                    rnd.score.tolist())
+        ]
+        _, *lines = (out / "traces.tsv").read_text(encoding="utf-8").splitlines()
+        got = [
+            (qid, number, uid, *(float(v).hex() for v in values), selected)
+            for qid, number, uid, *values, selected in (line.split("\t") for line in lines)
+        ]
+        assert len(want) > 50
+        assert got == want
 
     def test_depth_one_keeps_raw_order_when_normalizing_merges_scores(self, tmp_path):
         # normalization maps 1.0 and the next float up onto one value; the

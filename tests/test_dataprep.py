@@ -185,6 +185,24 @@ class TestNegativeSampler:
         sampler = NegativeSampler(corpus, default_provider(corpus))
         assert sampler.negatives("b", {"b"}, 3) == ["a", "m", "z"]
 
+    def test_short_result_warned_once_per_gold_fact_over_all_variants(self, caplog):
+        # two gold facts leave one non-gold fact for k=3: each gold fact's
+        # result is short, and the four variants share it
+        facts = {uid: ExplanationFact(uid, text, "t") for uid, text in
+                 [("f1", "frogs eat insects"), ("f2", "insects eat plants"), ("f3", "rocks are hard")]}
+        gold = (("f1", CENTRAL), ("f2", GROUNDING))
+        q = Question("q1", "what do frogs eat", {"A": "insects"}, "A", gold)
+        corpus = Corpus(facts=facts, questions=(q,))
+        sampler = NegativeSampler(corpus, default_provider(corpus))
+        with caplog.at_level("WARNING"):
+            for task in (CLASSIFICATION, REGRESSION):
+                for with_context in (False, True):
+                    cfg = PrepConfig(k=3, task=task, with_context=with_context)
+                    assert build_dataset(corpus, sampler, cfg)
+        warned = Counter(rec.getMessage() for rec in caplog.records if "available" in rec.getMessage())
+        assert warned == {f"gold fact {uid}: only 1 non-gold fact(s) available for k=3": 1
+                          for uid in ("f1", "f2")}
+
     def test_shared_sampler_matches_per_variant_provider(self):
         corpus = random_corpus(n_questions=8, n_facts=40, seed=37, gold_range=(1, 5))
         provider = default_provider(corpus)

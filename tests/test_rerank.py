@@ -1,5 +1,6 @@
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,10 +112,21 @@ def random_instance(rng, n_facts=None) -> Instance:
     return make_instance(vectors, rel, qa)
 
 
+Candidate = namedtuple("Candidate", "uid weighted_rel qa_sim score")
+
+
+def candidates(rnd) -> list[Candidate]:
+    """A round's candidates with their values, after checking that each of
+    its value arrays holds one float64 per candidate."""
+    values = (rnd.weighted_rel, rnd.qa_sim, rnd.score)
+    assert all(a.dtype == np.float64 and a.shape == (len(rnd.candidates),) for a in values)
+    return list(map(Candidate, rnd.candidates, *(a.tolist() for a in values)))
+
+
 def first_round(vectors, rel, qa, depth):
     """Candidates of round 1 by uid."""
     _, rounds = rerank(make_instance(vectors, rel, qa), depth)
-    return {c.uid: c for c in rounds[0].candidates}
+    return {c.uid: c for c in candidates(rounds[0])}
 
 
 def convex_check(inst: Instance, depth: int) -> int:
@@ -126,7 +138,7 @@ def convex_check(inst: Instance, depth: int) -> int:
     vectors = dict(zip(inst.uids, inst.rows.values))
     checked = 0
     for rnd in rounds:
-        for c in rnd.candidates:
+        for c in candidates(rnd):
             sims = [
                 float(np.dot(vectors[c.uid], vectors[s]))
                 / (np.linalg.norm(vectors[c.uid]) * np.linalg.norm(vectors[s]))
@@ -164,7 +176,7 @@ class TestWeightedRelevance:
         _, rounds = rerank(inst, depth=4)
         assert len(rounds) == 3
         for rnd in rounds:
-            for c in rnd.candidates:
+            for c in candidates(rnd):
                 assert c.weighted_rel == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value(self):
@@ -177,7 +189,7 @@ class TestWeightedRelevance:
         )
         _, rounds = rerank(inst, depth=3)
         assert [rnd.selected for rnd in rounds] == ["aligned", "cand"]
-        (cand,) = rounds[1].candidates
+        (cand,) = candidates(rounds[1])
         assert cand.weighted_rel == pytest.approx(0.6, abs=1e-12)
 
     def test_convex_bound(self):
@@ -224,7 +236,7 @@ class TestRerankScore:
             [1.0, math.sqrt(3)],
         )
         _, rounds = rerank(inst, depth=3)
-        (cand,) = rounds[1].candidates
+        (cand,) = candidates(rounds[1])
         assert cand.qa_sim == pytest.approx(0.5, abs=1e-12)
         assert cand.score == pytest.approx(0.3, abs=1e-12)
         assert cand.score == cand.weighted_rel * cand.qa_sim
@@ -234,7 +246,7 @@ class TestRerankScore:
         inst = make_instance({"a": vec, "b": vec, "c": vec}, {"a": 0.5, "b": 0.2, "c": 0.1}, vec)
         _, rounds = rerank(inst, depth=3)
         for rnd in rounds:
-            for c in rnd.candidates:
+            for c in candidates(rnd):
                 assert c.score == pytest.approx(1.0, abs=1e-12)
 
 
@@ -375,19 +387,34 @@ class TestTrace:
     def test_candidates_recorded_with_scores(self):
         _, rounds = rerank(pinned_instance(), depth=3)
         first = rounds[0]
+        assert first.number == 1
         assert first.selected == "f2"
-        by_uid = {c.uid: c for c in first.candidates}
-        assert set(by_uid) == {"f2", "f3", "f4", "f5"}
+        assert first.candidates == ("f2", "f3", "f4", "f5")  # best initial rank first
+        by_uid = {c.uid: c for c in candidates(first)}
         assert by_uid["f2"].score == pytest.approx(0.64, abs=1e-12)
         assert by_uid["f2"].qa_sim == pytest.approx(0.8, abs=1e-12)
 
-    def test_format_lines(self):
+    def test_rerank_all_rounds(self):
         corpus, provider, table = pinned_corpus()
         _, traces = rerank_all(corpus, provider, table, RerankConfig(depth=3), want_trace=True)
-        lines = traces["q"].format_lines()
-        assert len(lines) == 2
-        assert lines[0].startswith("round 1\tselected f2")
-        assert "f2:0.64" in lines[0]
+        rounds = traces["q"].rounds
+        assert [(rnd.number, rnd.selected) for rnd in rounds] == [(1, "f2"), (2, "f5")]
+        best = max(candidates(rounds[0]), key=lambda c: c.score)
+        assert best.uid == "f2"
+        assert best.score == pytest.approx(0.64, abs=1e-12)
+
+    def test_bench_probe_counts(self):
+        # the trace accesses of perfbench/run.py's probe, through the package
+        # namespace: 10 questions at depth 15 over 40 facts give 14 rounds
+        # each, and each round's pool holds 16 candidates
+        import explainrank as er
+
+        corpus = random_corpus(n_questions=10, n_facts=40, seed=54)
+        provider = er.default_provider(corpus)
+        table = er.score_lexical(corpus, provider)
+        _, traces = er.rerank_all(corpus, provider, table, er.RerankConfig(depth=15), want_trace=True)
+        assert sum(len(t.rounds) for t in traces.values()) == 140
+        assert sum(len(r.candidates) for t in traces.values() for r in t.rounds) == 2240
 
     def test_no_trace_unless_wanted(self):
         corpus, provider, table = pinned_corpus()

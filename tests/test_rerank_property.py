@@ -69,8 +69,8 @@ def cases(draw):
 def hexed(rounds):
     """Every field of every round, floats as float.hex."""
     return [
-        (r.number, r.selected,
-         [(c.uid, c.weighted_rel.hex(), c.qa_sim.hex(), c.score.hex()) for c in r.candidates])
+        (r.number, r.selected, r.candidates,
+         *([v.hex() for v in values.tolist()] for values in (r.weighted_rel, r.qa_sim, r.score)))
         for r in rounds
     ]
 
