@@ -22,7 +22,7 @@ _EXPORTS = {
         "write_questions",
     ),
     "dataprep": (
-        "CLASSIFICATION", "REGRESSION", "NegativeSampler", "PrepConfig", "TrainingExample",
+        "CLASSIFICATION", "REGRESSION", "Dataset", "NegativeSampler", "PrepConfig",
         "build_dataset", "dataset_stats", "read_dataset", "sample_negatives", "write_dataset",
     ),
     "errors": ("DataError", "FormatError", "PipelineError"),

@@ -16,13 +16,14 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, Question, Role
+from .corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, Role
 from .errors import DataError, FormatError, read_utf8, text_lines
 from .scorer import uid_ranks
 from .textsim import Rows, _over_norms, fact_vectors
@@ -57,14 +58,21 @@ class PrepConfig:
             raise ValueError(f"unknown task {self.task!r}")
 
 
-@dataclass(frozen=True)
-class TrainingExample:
-    qid: str
-    question_text: str
-    context: tuple[str, ...]
-    candidate_text: str
-    label: float  # 0/1 for classification, {6, 5, 4, 0} for regression
-    role: Role | None  # None for sampled negatives
+@dataclass
+class Dataset:
+    """One dataset variant as six parallel columns, one entry per row. The
+    rows of one pair block share their string and tuple references."""
+
+    qids: list[str] = field(default_factory=list)
+    questions: list[str] = field(default_factory=list)  # the Q/A text
+    contexts: list[tuple[str, ...]] = field(default_factory=list)  # gold fact texts
+    candidates: list[str] = field(default_factory=list)  # a fact text
+    # 0/1 for classification, {6, 5, 4, 0} for regression
+    labels: list[float] = field(default_factory=list)
+    roles: list[Role | None] = field(default_factory=list)  # None for sampled negatives
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 def dense_cut_margin(rows: Rows) -> float | None:
@@ -188,17 +196,18 @@ def sample_negatives(
     return NegativeSampler(corpus, provider).negatives(gold_uid, gold_uids, k)
 
 
-def build_dataset(corpus: Corpus, provider, cfg: PrepConfig) -> list[TrainingExample]:
+def build_dataset(corpus: Corpus, provider, cfg: PrepConfig) -> Dataset:
     """Generate one dataset variant over all annotated questions whose
     answer key names one of their choices.
 
     provider is a vector provider, or a NegativeSampler built over this
     corpus so that several variants share its fact rows and negatives.
     Without context, each gold fact contributes one balanced block of
-    positives and negatives. With context, blocks are repeated for m sampled
-    gold subsets of every size from 1 to |gold| - 1, the candidate always
-    outside its context. Per-question RNG streams are derived from
-    (seed, qid), so output does not depend on question processing order.
+    positives and negatives: one positive copy per negative, then the
+    negatives. With context, blocks are repeated for m sampled gold subsets
+    of every size from 1 to |gold| - 1, the candidate always outside its
+    context. Per-question RNG streams are derived from (seed, qid), so
+    output does not depend on question processing order.
     """
     if isinstance(provider, NegativeSampler):
         sampler = provider
@@ -206,91 +215,64 @@ def build_dataset(corpus: Corpus, provider, cfg: PrepConfig) -> list[TrainingExa
             raise ValueError("the negative sampler was built over a different corpus")
     else:
         sampler = NegativeSampler(corpus, provider)
-    examples: list[TrainingExample] = []
-    warned_roles: set[str] = set()
-    for question, qa in corpus.answerable:
-        if not question.gold:
-            continue
-        examples.extend(_question_examples(question, qa, corpus, sampler, cfg, warned_roles))
-    return examples
-
-
-def _question_examples(
-    question: Question,
-    qa: str,
-    corpus: Corpus,
-    sampler: NegativeSampler,
-    cfg: PrepConfig,
-    warned_roles: set[str],
-) -> list[TrainingExample]:
-    gold_uids = question.gold_uid_set
-    negatives: dict[str, list[str]] = {}
-    for uid, _ in question.gold:
-        if uid not in negatives:
-            negatives[uid] = sampler.negatives(uid, gold_uids, cfg.k)
-
-    out: list[TrainingExample] = []
-    if not cfg.with_context:
-        for uid, role in question.gold:
-            out.extend(
-                _pair_block(question.qid, qa, (), uid, role, negatives[uid], corpus, cfg, warned_roles)
-            )
-        return out
-
-    if len(question.gold) < 2:
-        log.info("question %s: single gold fact, contributes no context examples", question.qid)
-        return out
-    rng = random.Random(f"{cfg.seed}|{question.qid}")
-    indices = range(len(question.gold))
-    for size in range(1, len(question.gold)):
-        for _ in range(cfg.m):
-            chosen = sorted(rng.sample(indices, size))
-            context = tuple(corpus.facts.text(question.gold[i][0]) for i in chosen)
-            chosen_set = set(chosen)
-            for i, (uid, role) in enumerate(question.gold):
-                if i in chosen_set:
-                    continue
-                out.extend(
-                    _pair_block(
-                        question.qid, qa, context, uid, role, negatives[uid], corpus, cfg, warned_roles
-                    )
-                )
-    return out
-
-
-def _pair_block(
-    qid: str,
-    qa: str,
-    context: tuple[str, ...],
-    uid: str,
-    role: Role,
-    neg_uids: list[str],
-    corpus: Corpus,
-    cfg: PrepConfig,
-    warned_roles: set[str],
-) -> list[TrainingExample]:
-    """One positive copy per negative, then the negatives; exactly balanced."""
-    if cfg.task == CLASSIFICATION:
-        pos_label, neg_label = 1.0, 0.0
-    else:
-        pos_label = ROLE_TARGETS.get(role)
-        if pos_label is None:
-            if role.label not in warned_roles:
-                warned_roles.add(role.label)
-                log.warning(
-                    "role %s has no regression target, using fallback %s",
-                    role.label,
-                    FALLBACK_TARGET,
-                )
-            pos_label = FALLBACK_TARGET
-        neg_label = NEGATIVE_TARGET
     text = corpus.facts.text
-    positive = TrainingExample(qid, qa, context, text(uid), pos_label, role)
-    block = [positive] * len(neg_uids)
-    block.extend(
-        TrainingExample(qid, qa, context, text(neg_uid), neg_label, None) for neg_uid in neg_uids
-    )
-    return block
+    positive: dict[Role, float] = {}  # each role's label, looked up once
+    negative_label = 0.0 if cfg.task == CLASSIFICATION else NEGATIVE_TARGET
+    data = Dataset()
+    single: list[str] = []
+    for question, qa in corpus.answerable:
+        gold = question.gold
+        if not gold:
+            continue
+        gold_uids = question.gold_uid_set
+        negatives = {
+            uid: [text(n) for n in sampler.negatives(uid, gold_uids, cfg.k)] for uid, _ in gold
+        }
+        gold_texts = [text(uid) for uid, _ in gold]
+        if not cfg.with_context:
+            subsets = [[]]
+        elif len(gold) < 2:
+            single.append(question.qid)
+            continue
+        else:  # m sorted samples of the gold indices per size
+            rng, indices = random.Random(f"{cfg.seed}|{question.qid}"), range(len(gold))
+            subsets = [sorted(rng.sample(indices, size))
+                       for size in range(1, len(gold)) for _ in range(cfg.m)]
+        for chosen in subsets:
+            context = tuple(map(gold_texts.__getitem__, chosen))
+            for i, (uid, role) in enumerate(gold):
+                if i in chosen:
+                    continue
+                if role not in positive:
+                    positive[role] = _positive_label(cfg.task, role)
+                block = negatives[uid]
+                n = len(block)
+                data.qids += [question.qid] * (2 * n)
+                data.questions += [qa] * (2 * n)
+                data.contexts += [context] * (2 * n)
+                data.candidates += [gold_texts[i]] * n + block
+                data.labels += [positive[role]] * n + [negative_label] * n
+                data.roles += [role] * n + [None] * n
+    if single:
+        log.info(
+            "%d question(s) with a single gold fact contribute no context examples: %s%s",
+            len(single),
+            ", ".join(single[:5]),
+            ", ..." if len(single) > 5 else "",
+        )
+    return data
+
+
+def _positive_label(task: str, role: Role) -> float:
+    """1.0 for classification, else the role's regression target; a role
+    without one gets FALLBACK_TARGET and a warning."""
+    if task == CLASSIFICATION:
+        return 1.0
+    if role not in ROLE_TARGETS:
+        log.warning(
+            "role %s has no regression target, using fallback %s", role.label, FALLBACK_TARGET
+        )
+    return ROLE_TARGETS.get(role, FALLBACK_TARGET)
 
 
 _BLOCK_ROWS = 256  # larger blocks raise the peak RSS, not the speed
@@ -299,49 +281,64 @@ _COLUMNS = ("qid", "question_text", "context", "candidate_text", "label_or_targe
 
 class _Cleaned(dict):
     """Field text by raw text, tabs and newlines replaced with spaces; each
-    distinct text is cleaned, and warned about, once."""
+    distinct text is cleaned, and warned about, once. With a separator, a
+    cleaned text that holds it, or ends in it but for its last space, splits
+    at it when read back, and is warned about once too."""
 
-    def __init__(self, what: str):
+    def __init__(self, what: str, separator: str = ""):
         super().__init__()
-        self.what = what
+        self.what, self.separator = what, separator
 
     def __missing__(self, text: str) -> str:
         cleaned = text
         if "\t" in text or "\n" in text or "\r" in text:
             log.warning("%s contains tab/newline characters, replaced with spaces", self.what)
             cleaned = re.sub(r"[\t\n\r]", " ", text)
+        sep = self.separator
+        if sep and (sep in cleaned or cleaned.endswith(sep[:-1])):
+            log.warning("%s fact %.60r may read back as more than one fact at the %r separator",
+                        self.what, cleaned, sep)
         self[text] = cleaned
         return cleaned
 
 
-def write_dataset(examples: Sequence[TrainingExample], path: str | Path) -> None:
+def write_dataset(dataset: Dataset, path: str | Path) -> None:
     """TSV with a header row; context facts joined by the [SEP] marker.
-    Rows are joined and written a block at a time."""
+    Rows are joined and written a block at a time. Columns of unequal length
+    are a ValueError."""
+    columns = (
+        dataset.qids, dataset.questions, dataset.contexts, dataset.candidates, dataset.labels,
+        dataset.roles,
+    )
+    if len(set(map(len, columns))) > 1:
+        raise ValueError("the dataset's columns differ in length")
     qids, questions = _Cleaned("qid"), _Cleaned("question text")
     candidates = _Cleaned("candidate text")
-    contexts = _Cleaned("context")  # by fact; the separator has no tab or newline
+    # by fact; the separator has no tab or newline
+    contexts = _Cleaned("context", CONTEXT_SEPARATOR)
     roles = _Cleaned("role")
+    rows = zip(*columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(_COLUMNS) + "\n")
-        for start in range(0, len(examples), _BLOCK_ROWS):
+        for _ in range(0, len(dataset), _BLOCK_ROWS):
             fh.write("".join([
-                f"{qids[ex.qid]}\t{questions[ex.question_text]}\t"
-                f"{CONTEXT_SEPARATOR.join(map(contexts.__getitem__, ex.context))}\t"
-                f"{candidates[ex.candidate_text]}\t{ex.label!r}\t"
-                f"{'' if ex.role is None else roles[ex.role.label]}\n"
-                for ex in examples[start : start + _BLOCK_ROWS]
+                f"{qids[qid]}\t{questions[qa]}\t"
+                f"{CONTEXT_SEPARATOR.join(map(contexts.__getitem__, context))}\t"
+                f"{candidates[candidate]}\t{label!r}\t"
+                f"{'' if role is None else roles[role.label]}\n"
+                for qid, qa, context, candidate, label, role in islice(rows, _BLOCK_ROWS)
             ]))
 
 
-def read_dataset(path: str | Path) -> list[TrainingExample]:
-    """The examples of a file write_dataset wrote. A row without six fields
+def read_dataset(path: str | Path) -> Dataset:
+    """The dataset of a file write_dataset wrote. A row without six fields
     or with a label that is not a finite number is a FormatError naming its
     line."""
     path = Path(path)
     lines = text_lines(read_utf8(path))
     if not lines or lines[0].split("\t") != list(_COLUMNS):
         raise FormatError(f"{path}: missing or wrong dataset header")
-    examples: list[TrainingExample] = []
+    data = Dataset()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -355,10 +352,13 @@ def read_dataset(path: str | Path) -> list[TrainingExample]:
             raise FormatError(f"{path} line {lineno}: bad label {label_text!r}") from None
         if not math.isfinite(label):
             raise FormatError(f"{path} line {lineno}: non-finite label {label_text!r}")
-        context = tuple(context_text.split(CONTEXT_SEPARATOR)) if context_text else ()
-        role = Role.parse(role_label) if role_label else None
-        examples.append(TrainingExample(qid, question_text, context, candidate, label, role))
-    return examples
+        data.qids.append(qid)
+        data.questions.append(question_text)
+        data.contexts.append(tuple(context_text.split(CONTEXT_SEPARATOR)) if context_text else ())
+        data.candidates.append(candidate)
+        data.labels.append(label)
+        data.roles.append(Role.parse(role_label) if role_label else None)
+    return data
 
 
 @dataclass(frozen=True)
@@ -395,23 +395,15 @@ class DatasetStats:
         return "\n".join(lines)
 
 
-def dataset_stats(examples: Sequence[TrainingExample]) -> DatasetStats:
-    per_label: Counter[float] = Counter()
-    per_role: Counter[str] = Counter()
-    per_question: Counter[str] = Counter()
-    positives = 0
-    for ex in examples:
-        per_label[ex.label] += 1
-        per_question[ex.qid] += 1
-        if ex.label > 0:
-            positives += 1
-        if ex.role is not None:
-            per_role[ex.role.label] += 1
+def dataset_stats(dataset: Dataset) -> DatasetStats:
+    per_label = Counter(dataset.labels)
+    positives = sum(n for label, n in per_label.items() if label > 0)
+    per_role = Counter(map(attrgetter("label"), filter(None, dataset.roles)))  # None: a negative
     return DatasetStats(
-        total=len(examples),
+        total=len(dataset),
         positives=positives,
-        negatives=len(examples) - positives,
+        negatives=len(dataset) - positives,
         per_label=dict(per_label),
         per_role=dict(per_role),
-        per_question=dict(per_question),
+        per_question=dict(Counter(dataset.qids)),
     )

@@ -110,12 +110,12 @@ def test_dataset_balance_and_exclusion():
     uid_by_text = {fact.text: uid for uid, fact in corpus.facts.items()}
     by_qid = {q.qid: q for q in corpus.questions}
     for cfg in (PrepConfig(k=4), PrepConfig(k=3, m=2, with_context=True, seed=9)):
-        examples = build_dataset(corpus, provider, cfg)
-        positives = sum(1 for ex in examples if ex.label > 0)
-        assert positives * 2 == len(examples)
-        for ex in examples:
-            if ex.label == 0:
-                assert uid_by_text[ex.candidate_text] not in by_qid[ex.qid].gold_uid_set
+        data = build_dataset(corpus, provider, cfg)
+        positives = sum(1 for label in data.labels if label > 0)
+        assert positives * 2 == len(data)
+        for qid, candidate, label in zip(data.qids, data.candidates, data.labels):
+            if label == 0:
+                assert uid_by_text[candidate] not in by_qid[qid].gold_uid_set
     _pass("dataset balance and gold exclusion")
 
 
@@ -124,11 +124,11 @@ def test_regression_target_mapping():
     annotated with the core role maps to 6."""
     corpus = random_corpus(n_questions=30, n_facts=100, seed=105, gold_range=(1, 4))
     provider = default_provider(corpus)
-    examples = build_dataset(corpus, provider, PrepConfig(k=3, task=REGRESSION))
-    assert {ex.label for ex in examples} <= {6.0, 5.0, 4.0, 0.0}
-    central = [ex for ex in examples if ex.role == CENTRAL]
+    data = build_dataset(corpus, provider, PrepConfig(k=3, task=REGRESSION))
+    assert set(data.labels) <= {6.0, 5.0, 4.0, 0.0}
+    central = [label for label, role in zip(data.labels, data.roles) if role == CENTRAL]
     assert central
-    assert all(ex.label == 6.0 for ex in central)
+    assert all(label == 6.0 for label in central)
     _pass("regression target mapping")
 
 

@@ -490,8 +490,8 @@ def test_no_command_builds_a_fact_object(tmp_path, monkeypatch):
     sampler = NegativeSampler(corpus, load_dense(vectors))
     for task in (CLASSIFICATION, REGRESSION):
         for with_context in (False, True):
-            examples = build_dataset(corpus, sampler, PrepConfig(k=3, task=task, with_context=with_context))
-            write_dataset(examples, tmp_path / f"{task}-{with_context}.tsv")
-            assert examples
+            data = build_dataset(corpus, sampler, PrepConfig(k=3, task=task, with_context=with_context))
+            write_dataset(data, tmp_path / f"{task}-{with_context}.tsv")
+            assert len(data)
     assert made == []
     assert corpus.facts["F0001"].text == synthetic.facts["F0001"].text and len(made) == 2  # the wrap counts

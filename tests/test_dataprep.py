@@ -20,9 +20,9 @@ from explainrank.dataprep import (
     CLASSIFICATION,
     CONTEXT_SEPARATOR,
     REGRESSION,
+    Dataset,
     NegativeSampler,
     PrepConfig,
-    TrainingExample,
     build_dataset,
     dataset_stats,
     read_dataset,
@@ -40,6 +40,11 @@ from explainrank.textsim import (
 )
 
 from synth import WORD_POOL, random_corpus, write_corpus_files
+
+
+def rows_dataset(*rows):
+    """A Dataset of (qid, question, context, candidate, label, role) rows."""
+    return Dataset(*map(list, zip(*rows)))
 
 
 def two_gold_corpus(n_facts=12):
@@ -253,24 +258,25 @@ class TestBuildDataset:
         cfg = PrepConfig(k=3, task=CLASSIFICATION)
         examples = build_dataset(corpus, default_provider(corpus), cfg)
         assert len(examples) == 12  # 2 gold facts x (3 positives + 3 negatives)
-        assert sum(1 for ex in examples if ex.label == 1.0) == 6
-        assert all(ex.context == () for ex in examples)
+        assert [len(column) for column in vars(examples).values()] == [12] * 6
+        assert examples.labels.count(1.0) == 6
+        assert examples.contexts == [()] * 12
 
     def test_central_regression_target(self):
         corpus = two_gold_corpus()
         cfg = PrepConfig(k=2, task=REGRESSION)
         examples = build_dataset(corpus, default_provider(corpus), cfg)
-        central = [ex for ex in examples if ex.role == CENTRAL]
-        assert central and all(ex.label == 6.0 for ex in central)
-        grounding = [ex for ex in examples if ex.role == GROUNDING]
-        assert grounding and all(ex.label == 5.0 for ex in grounding)
+        labels_of = {role: [label for label, r in zip(examples.labels, examples.roles) if r == role]
+                     for role in (CENTRAL, GROUNDING)}
+        assert labels_of[CENTRAL] and set(labels_of[CENTRAL]) == {6.0}
+        assert labels_of[GROUNDING] and set(labels_of[GROUNDING]) == {5.0}
 
     def test_lexglue_target_and_negatives_zero(self):
         facts = two_gold_corpus().facts
         q = Question("q1", "stem words", {"A": "word0"}, "A", (("f02", LEXGLUE),))
         corpus = Corpus(facts=facts, questions=(q,))
         examples = build_dataset(corpus, default_provider(corpus), PrepConfig(k=2, task=REGRESSION))
-        assert {ex.label for ex in examples} == {4.0, 0.0}
+        assert set(examples.labels) == {4.0, 0.0}
 
     def test_fallback_role_target_warns(self, caplog):
         facts = two_gold_corpus().facts
@@ -286,8 +292,7 @@ class TestBuildDataset:
             examples = build_dataset(
                 corpus, default_provider(corpus), PrepConfig(k=2, task=REGRESSION)
             )
-        positives = [ex for ex in examples if ex.label > 0]
-        assert all(ex.label == 4.0 for ex in positives)
+        assert {label for label in examples.labels if label > 0} == {4.0}
         warned = [rec.message for rec in caplog.records if "fallback" in rec.message]
         assert len(warned) == 2  # once per distinct role
 
@@ -295,9 +300,9 @@ class TestBuildDataset:
         corpus = random_corpus(n_questions=15, n_facts=60, seed=33, gold_range=(1, 4))
         examples = build_dataset(corpus, default_provider(corpus), PrepConfig(k=4))
         per_q = {}
-        for ex in examples:
-            pos, neg = per_q.setdefault(ex.qid, [0, 0])
-            per_q[ex.qid] = [pos + (ex.label > 0), neg + (ex.label == 0)]
+        for qid, label in zip(examples.qids, examples.labels):
+            pos, neg = per_q.setdefault(qid, [0, 0])
+            per_q[qid] = [pos + (label > 0), neg + (label == 0)]
         for pos, neg in per_q.values():
             assert pos == neg
 
@@ -309,7 +314,7 @@ class TestBuildDataset:
         )
         corpus = Corpus(facts=facts, questions=qs)
         examples = build_dataset(corpus, default_provider(corpus), PrepConfig(k=2))
-        assert {ex.qid for ex in examples} == {"q1"}
+        assert set(examples.qids) == {"q1"}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -332,11 +337,11 @@ class TestBuildDatasetWithContext:
         by_qid = {q.qid: q for q in corpus.questions}
         text_of = {corpus.facts[uid].text for uid in corpus.facts}
         assert text_of  # unique texts guaranteed by the generator
-        for ex in examples:
-            gold_texts = {corpus.facts[uid].text for uid in by_qid[ex.qid].gold_uid_set}
-            assert set(ex.context) <= gold_texts
-            assert ex.candidate_text not in ex.context
-            assert 1 <= len(ex.context) <= len(gold_texts) - 1
+        for qid, context, candidate in zip(examples.qids, examples.contexts, examples.candidates):
+            gold_texts = {corpus.facts[uid].text for uid in by_qid[qid].gold_uid_set}
+            assert set(context) <= gold_texts
+            assert candidate not in context
+            assert 1 <= len(context) <= len(gold_texts) - 1
 
     def test_single_gold_question_contributes_nothing(self, caplog):
         facts = two_gold_corpus().facts
@@ -346,14 +351,30 @@ class TestBuildDatasetWithContext:
             examples = build_dataset(
                 corpus, default_provider(corpus), PrepConfig(k=2, with_context=True)
             )
-        assert examples == []
+        assert examples == Dataset() and len(examples) == 0
         assert any("single gold fact" in rec.message for rec in caplog.records)
+
+    def test_single_gold_questions_logged_in_one_record(self, caplog):
+        facts = two_gold_corpus().facts
+        golds = {
+            "q1": (("f00", CENTRAL),),
+            "q2": (("f00", CENTRAL), ("f01", GROUNDING)),
+            "q3": (("f02", CENTRAL),),
+        }
+        qs = tuple(Question(qid, "stem", {"A": "word0"}, "A", gold) for qid, gold in golds.items())
+        corpus = Corpus(facts=facts, questions=qs)
+        cfg = PrepConfig(k=2, with_context=True)
+        with caplog.at_level("INFO"):
+            examples = build_dataset(corpus, default_provider(corpus), cfg)
+        assert set(examples.qids) == {"q2"}
+        (record,) = [m for m in caplog.messages if "single gold fact" in m]
+        assert record == "2 question(s) with a single gold fact contribute no context examples: q1, q3"
 
     def test_balance_holds_with_context(self):
         corpus = self.corpus()
         cfg = PrepConfig(k=3, m=2, seed=9, with_context=True)
         examples = build_dataset(corpus, default_provider(corpus), cfg)
-        positives = sum(1 for ex in examples if ex.label > 0)
+        positives = sum(1 for label in examples.labels if label > 0)
         assert positives * 2 == len(examples)
 
     def test_seed_determinism(self):
@@ -367,7 +388,7 @@ class TestBuildDatasetWithContext:
         provider = default_provider(corpus)
         a = build_dataset(corpus, provider, PrepConfig(k=2, m=3, seed=1, with_context=True))
         b = build_dataset(corpus, provider, PrepConfig(k=2, m=3, seed=2, with_context=True))
-        assert {ex.context for ex in a} != {ex.context for ex in b}
+        assert set(a.contexts) != set(b.contexts)
 
 
 class TestDatasetIO:
@@ -380,18 +401,18 @@ class TestDatasetIO:
         assert read_dataset(path) == examples
 
     def test_empty_context_round_trips(self, tmp_path):
-        ex = TrainingExample("q1", "question text", (), "candidate", 1.0, CENTRAL)
+        data = rows_dataset(("q1", "question text", (), "candidate", 1.0, CENTRAL))
         path = tmp_path / "d.tsv"
-        write_dataset([ex], path)
-        (loaded,) = read_dataset(path)
-        assert loaded.context == ()
-        assert loaded == ex
+        write_dataset(data, path)
+        loaded = read_dataset(path)
+        assert loaded.contexts == [()]
+        assert loaded == data
 
     def test_header_plus_data_lines(self, tmp_path):
-        examples = [
-            TrainingExample("q1", "qt", (), "cand a", 1.0, CENTRAL),
-            TrainingExample("q1", "qt", (), "cand b", 0.0, None),
-        ]
+        examples = rows_dataset(
+            ("q1", "qt", (), "cand a", 1.0, CENTRAL),
+            ("q1", "qt", (), "cand b", 0.0, None),
+        )
         path = tmp_path / "d.tsv"
         write_dataset(examples, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -399,12 +420,11 @@ class TestDatasetIO:
         assert lines[0].startswith("qid\t")
 
     def test_tab_replaced_with_warning(self, tmp_path, caplog):
-        ex = TrainingExample("q1", "qt", (), "has\ttab", 1.0, CENTRAL)
+        data = rows_dataset(("q1", "qt", (), "has\ttab", 1.0, CENTRAL))
         path = tmp_path / "d.tsv"
         with caplog.at_level("WARNING"):
-            write_dataset([ex], path)
-        (loaded,) = read_dataset(path)
-        assert loaded.candidate_text == "has tab"
+            write_dataset(data, path)
+        assert read_dataset(path).candidates == ["has tab"]
         assert any("replaced" in rec.message for rec in caplog.records)
 
     def test_bytes_equal_per_row_reference_and_each_text_warned_once(self, tmp_path, caplog):
@@ -414,20 +434,19 @@ class TestDatasetIO:
         rng = random.Random(8)
         texts = ["plain", "has\ttab", "line\nbreak", "cr\r\nlf", "", "é \u2028 ok"]
         roles = [None, CENTRAL, Role.parse("odd\trole")]
-        examples = [
-            TrainingExample(rng.choice(["q1", "q\t2"]), rng.choice(texts),
-                            tuple(rng.sample(texts, rng.randint(0, 3))), rng.choice(texts),
-                            rng.choice([1.0, 0.0, 6.0, -0.0, 0.1 + 0.2]), rng.choice(roles))
+        rows = [
+            (rng.choice(["q1", "q\t2"]), rng.choice(texts), tuple(rng.sample(texts, rng.randint(0, 3))),
+             rng.choice(texts), rng.choice([1.0, 0.0, 6.0, -0.0, 0.1 + 0.2]), rng.choice(roles))
             for _ in range(700)  # more than one block of rows
         ]
         path = tmp_path / "d.tsv"
         with caplog.at_level("WARNING"):
-            write_dataset(examples, path)
+            write_dataset(rows_dataset(*rows), path)
         reference = "".join(
-            "\t".join([clean(ex.qid), clean(ex.question_text), clean(CONTEXT_SEPARATOR.join(ex.context)),
-                       clean(ex.candidate_text), repr(ex.label), clean(ex.role.label if ex.role else "")])
+            "\t".join([clean(qid), clean(question), clean(CONTEXT_SEPARATOR.join(context)),
+                       clean(candidate), repr(label), clean(role.label if role else "")])
             + "\n"
-            for ex in examples
+            for qid, question, context, candidate, label, role in rows
         )
         header = "qid\tquestion_text\tcontext\tcandidate_text\tlabel_or_target\trole\n"
         assert path.read_bytes() == (header + reference).encode()
@@ -438,16 +457,49 @@ class TestDatasetIO:
     def test_line_separators_in_text_round_trip(self, tmp_path):
         # write_dataset keeps U+2028, U+0085 and form feeds; read_dataset must
         # not break a line at them
-        ex = TrainingExample("q1", "one\u2028two\x85three", (), "four\x0cfive\x1c", 1.0, CENTRAL)
+        data = rows_dataset(("q1", "one\u2028two\x85three", (), "four\x0cfive\x1c", 1.0, CENTRAL))
         path = tmp_path / "d.tsv"
-        write_dataset([ex], path)
-        assert read_dataset(path) == [ex]
+        write_dataset(data, path)
+        assert read_dataset(path) == data
+
+    def test_separator_in_a_context_fact_warned_once_per_text(self, tmp_path, caplog):
+        # a fact holding the separator, or ending in it bar its last space, reads
+        # back split; the bytes are the plain join all the same
+        glued, tail = f"a{CONTEXT_SEPARATOR}b", CONTEXT_SEPARATOR[:-1]
+        rows = [
+            ("q1", "qt", (glued, "plain"), "cand", 1.0, CENTRAL),
+            ("q1", "qt", ("plain", glued), "cand", 0.0, None),
+            ("q1", "qt", (f"x{tail}", "y"), "cand", 1.0, CENTRAL),
+            ("q1", "qt", ("y", f"z{tail}w"), "cand", 0.0, None),  # no space after: whole
+        ]
+        path = tmp_path / "d.tsv"
+        with caplog.at_level("WARNING"):
+            write_dataset(rows_dataset(*rows), path)
+        written = [line.split("\t")[2] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+        assert written == [CONTEXT_SEPARATOR.join(context) for _, _, context, *_ in rows]
+        assert read_dataset(path).contexts == [
+            ("a", "b", "plain"), ("plain", "a", "b"), ("x", "[SEP] y"), ("y", f"z{tail}w")
+        ]
+        warned = [rec.getMessage() for rec in caplog.records]
+        assert warned == [
+            f"context fact {text!r} may read back as more than one fact at the ' [SEP] ' separator"
+            for text in (glued, f"x{tail}")
+        ]
+
+    @pytest.mark.parametrize("column", ["qids", "labels", "roles"])
+    def test_columns_of_unequal_length_rejected(self, tmp_path, column):
+        row = ("q1", "qt", (), "cand", 1.0, CENTRAL)
+        data = rows_dataset(*[row] * 256)  # one whole block
+        getattr(data, column).pop()
+        with pytest.raises(ValueError, match="columns differ in length"):
+            write_dataset(data, tmp_path / "d.tsv")
+        assert not (tmp_path / "d.tsv").exists()
 
     @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"])
     def test_non_finite_label_names_file_and_line(self, tmp_path, label):
-        ex = TrainingExample("q1", "question", (), "candidate", 1.0, CENTRAL)
+        row = ("q1", "question", (), "candidate", 1.0, CENTRAL)
         path = tmp_path / "d.tsv"
-        write_dataset([ex, ex], path)
+        write_dataset(rows_dataset(row, row), path)
         lines = path.read_text(encoding="utf-8").split("\n")
         lines[2] = lines[2].replace("\t1.0\t", f"\t{label}\t")
         path.write_text("\n".join(lines), encoding="utf-8")
@@ -496,3 +548,27 @@ class TestDatasetStats:
         stats = dataset_stats(examples)
         assert stats.per_question == {"q1": 12}
         assert "balance (pos:neg): 1.0000" in stats.format_text()
+
+    def test_counts_equal_a_per_row_count(self):
+        corpus = random_corpus(
+            n_questions=10,
+            n_facts=50,
+            seed=36,
+            roles=(CENTRAL, GROUNDING, LEXGLUE, BACKGROUND, Role("ROLEX")),
+            gold_range=(1, 4),
+        )
+        cfg = PrepConfig(k=3, m=2, task=REGRESSION, with_context=True)
+        data = build_dataset(corpus, default_provider(corpus), cfg)
+        per_label, per_role, per_question, positives = Counter(), Counter(), Counter(), 0
+        for qid, label, role in zip(data.qids, data.labels, data.roles):
+            per_label[label] += 1
+            per_question[qid] += 1
+            positives += label > 0
+            if role is not None:
+                per_role[role.label] += 1
+        stats = dataset_stats(data)
+        assert (stats.total, stats.positives) == (len(data), positives)
+        assert stats.negatives == len(data) - positives
+        assert (stats.per_label, stats.per_role) == (per_label, per_role)
+        assert stats.per_question == per_question
+        assert len(per_role) == 5

@@ -16,7 +16,7 @@ from explainrank.textsim import default_provider
 
 from synth import random_corpus, write_corpus_files
 
-# every name the package exported when __init__ imported each layer eagerly
+# every name the package exports, by the layer that defines it
 EXPORTS = {
     "corpus": [
         "BACKGROUND", "CENTRAL", "GROUNDING", "LEXGLUE", "NEG", "Corpus", "ExplanationFact",
@@ -24,7 +24,7 @@ EXPORTS = {
         "load_questions", "parse_explanation", "qa_text", "validate", "write_questions",
     ],
     "dataprep": [
-        "CLASSIFICATION", "REGRESSION", "NegativeSampler", "PrepConfig", "TrainingExample",
+        "CLASSIFICATION", "REGRESSION", "Dataset", "NegativeSampler", "PrepConfig",
         "build_dataset", "dataset_stats", "read_dataset", "sample_negatives", "write_dataset",
     ],
     "errors": ["DataError", "FormatError", "PipelineError"],

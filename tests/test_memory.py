@@ -1,6 +1,7 @@
 """Peak traced memory of building a score table: load_scores and
-score_lexical hold the float64 matrix and little beside it; and of loading
-a fact table: load_facts keeps columns, not an object per fact.
+score_lexical hold the float64 matrix and little beside it; of loading a
+fact table: load_facts keeps columns, not an object per fact; and of
+building a dataset: build_dataset keeps columns, not an object per row.
 
 numpy registers its data buffers with tracemalloc, so the traced peak
 counts the matrix, every temporary array and every Python object made
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 from explainrank.corpus import load_facts
+from explainrank.dataprep import NegativeSampler, PrepConfig, build_dataset
 from explainrank.scorer import OVERLAP, RelevanceTable, load_scores, score_lexical, write_scores
+from explainrank.textsim import default_provider
 from synth import WORD_POOL, random_corpus, write_fact_table
 
 N_QUESTIONS, N_FACTS = 300, 400
@@ -26,6 +29,13 @@ MAX_RATIO = 1.5
 # (3.77 times the bytes); a dict of one ExplanationFact per fact instead of
 # the columns reads 4.24, and 5.16 with the table's text still held
 MAX_FACT_TABLE_RATIO = 4.0
+# build_dataset per row, with every negative already sampled: a slot in each
+# of the six columns (48 bytes) and the lists' spare capacity; the rows of a
+# pair block share their strings, tuple and floats. Measured 54 B/row on the
+# corpus below and 51-52 on a 300-question slice of the seed-1 perfbench
+# corpus; a list of one frozen row object per row, the positive shared within
+# its block, reads 83-85 and 82-83
+MAX_DATASET_BYTES_PER_ROW = 68
 
 
 def traced_peak(call):
@@ -86,3 +96,14 @@ def test_load_facts_peak_has_no_object_per_fact(tmp_path):
     assert len(facts) == len(rows)
     size = path.stat().st_size
     assert peak <= MAX_FACT_TABLE_RATIO * size, peak / size
+
+
+@pytest.mark.parametrize("with_context", [False, True])
+def test_build_dataset_peak_has_no_object_per_row(with_context):
+    corpus = random_corpus(n_questions=50, n_facts=200, seed=31, gold_range=(2, 6))
+    sampler = NegativeSampler(corpus, default_provider(corpus))
+    cfg = PrepConfig(k=7, with_context=with_context)
+    build_dataset(corpus, sampler, cfg)  # samples and keeps every negative
+    data, peak = traced_peak(lambda: build_dataset(corpus, sampler, cfg))
+    assert len(data) > 2000
+    assert peak <= MAX_DATASET_BYTES_PER_ROW * len(data), peak / len(data)
