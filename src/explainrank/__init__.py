@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "corpus": (
         "BACKGROUND", "CENTRAL", "GROUNDING", "LEXGLUE", "NEG", "Corpus",
-        "ExplanationFact", "Facts", "Question", "Role", "answer_text", "load_corpus",
-        "load_facts", "load_questions", "parse_explanation", "qa_text", "validate",
+        "ExplanationFact", "Facts", "Question", "answer_text", "load_corpus", "load_facts",
+        "load_questions", "parse_explanation", "parse_role", "qa_text", "validate",
         "write_questions",
     ),
     "dataprep": (

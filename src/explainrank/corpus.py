@@ -30,35 +30,18 @@ MAX_GOLD = 16
 QUESTION_COLUMNS = ("QuestionID", "question", "AnswerKey", "explanation")
 
 
-@dataclass(frozen=True)
-class Role:
-    """Annotation role of a gold explanation fact.
-
-    Unknown labels are preserved verbatim instead of rejected, so files with
-    extended annotation vocabularies still load.
-    """
-
-    label: str
-
-    @property
-    def known(self) -> bool:
-        return self.label in KNOWN_ROLES
-
-    @staticmethod
-    def parse(raw: str) -> "Role":
-        folded = raw.replace(" ", "").replace("_", "").upper()
-        if folded == "LEXICALGLUE":
-            folded = "LEXGLUE"
-        if folded in KNOWN_ROLES:
-            return Role(folded)
-        return Role(raw)
+CENTRAL, GROUNDING, LEXGLUE, BACKGROUND, NEG = KNOWN_ROLES
 
 
-CENTRAL = Role("CENTRAL")
-GROUNDING = Role("GROUNDING")
-LEXGLUE = Role("LEXGLUE")
-BACKGROUND = Role("BACKGROUND")
-NEG = Role("NEG")
+def parse_role(raw: str) -> str:
+    """The role label of a gold explanation fact: a known role whatever its
+    spacing, underscores or case ("LEXICAL GLUE" is LEXGLUE). Unknown labels
+    are kept verbatim instead of rejected, so files with extended annotation
+    vocabularies still load."""
+    folded = raw.replace(" ", "").replace("_", "").upper()
+    if folded == "LEXICALGLUE":
+        folded = LEXGLUE
+    return folded if folded in KNOWN_ROLES else raw
 
 
 @dataclass(frozen=True)
@@ -113,7 +96,7 @@ class Question:
     stem: str
     choices: dict[str, str]
     answer_key: str
-    gold: tuple[tuple[str, Role], ...] = ()
+    gold: tuple[tuple[str, str], ...] = ()  # (uid, role label)
 
     @property
     def gold_uid_set(self) -> frozenset[str]:
@@ -279,14 +262,14 @@ def _split_question(text: str) -> tuple[str, dict[str, str], bool]:
     return stem, choices, False
 
 
-def parse_explanation(cell: str) -> tuple[tuple[str, Role], ...]:
+def parse_explanation(cell: str) -> tuple[tuple[str, str], ...]:
     """Parse a whitespace-separated "uid|ROLE" annotation cell, order preserved."""
-    gold: list[tuple[str, Role]] = []
+    gold: list[tuple[str, str]] = []
     for token in cell.split():
         uid, sep, label = token.rpartition("|")
         if not sep or not uid or not label:
             raise FormatError(f"explanation token {token!r} is not of the form uid|ROLE")
-        gold.append((uid, Role.parse(label)))
+        gold.append((uid, parse_role(label)))
     return tuple(gold)
 
 
@@ -346,7 +329,15 @@ def load_questions(path: str | Path) -> list[Question]:
 
 
 def write_questions(questions: Sequence[Question], path: str | Path) -> None:
-    """Write questions in the same TSV layout load_questions reads back."""
+    """Write questions in the same TSV layout load_questions reads back. A
+    gold pair that would not read back as itself (an empty uid or role, one
+    holding whitespace, or a role holding "|") is a ValueError, raised before
+    the file is opened."""
+    for q in questions:
+        for uid, role in q.gold:
+            token = f"{uid}|{role}"
+            if not uid or not role or "|" in role or token.split() != [token]:
+                raise ValueError(f"question {q.qid}: gold token {token!r} would not read back as uid|ROLE")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(QUESTION_COLUMNS) + "\n")
         for q in questions:
@@ -354,7 +345,7 @@ def write_questions(questions: Sequence[Question], path: str | Path) -> None:
             for key in sorted(q.choices):
                 parts.append(f"({key}) {q.choices[key]}")
             combined = " ".join(parts)
-            expl = " ".join(f"{uid}|{role.label}" for uid, role in q.gold)
+            expl = " ".join(f"{uid}|{role}" for uid, role in q.gold)
             fields = [q.qid, combined, q.answer_key, expl]
             cleaned = []
             for value in fields:

@@ -18,12 +18,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, Role
+from .corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, parse_role
 from .errors import DataError, FormatError, read_utf8, text_lines
 from .scorer import uid_ranks
 from .textsim import Rows, _over_norms, fact_vectors
@@ -69,7 +68,7 @@ class Dataset:
     candidates: list[str] = field(default_factory=list)  # a fact text
     # 0/1 for classification, {6, 5, 4, 0} for regression
     labels: list[float] = field(default_factory=list)
-    roles: list[Role | None] = field(default_factory=list)  # None for sampled negatives
+    roles: list[str | None] = field(default_factory=list)  # role labels; None for sampled negatives
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -216,7 +215,7 @@ def build_dataset(corpus: Corpus, provider, cfg: PrepConfig) -> Dataset:
     else:
         sampler = NegativeSampler(corpus, provider)
     text = corpus.facts.text
-    positive: dict[Role, float] = {}  # each role's label, looked up once
+    positive: dict[str, float] = {}  # each role's training label, looked up once
     negative_label = 0.0 if cfg.task == CLASSIFICATION else NEGATIVE_TARGET
     data = Dataset()
     single: list[str] = []
@@ -263,15 +262,13 @@ def build_dataset(corpus: Corpus, provider, cfg: PrepConfig) -> Dataset:
     return data
 
 
-def _positive_label(task: str, role: Role) -> float:
+def _positive_label(task: str, role: str) -> float:
     """1.0 for classification, else the role's regression target; a role
     without one gets FALLBACK_TARGET and a warning."""
     if task == CLASSIFICATION:
         return 1.0
     if role not in ROLE_TARGETS:
-        log.warning(
-            "role %s has no regression target, using fallback %s", role.label, FALLBACK_TARGET
-        )
+        log.warning("role %s has no regression target, using fallback %s", role, FALLBACK_TARGET)
     return ROLE_TARGETS.get(role, FALLBACK_TARGET)
 
 
@@ -325,7 +322,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
                 f"{qids[qid]}\t{questions[qa]}\t"
                 f"{CONTEXT_SEPARATOR.join(map(contexts.__getitem__, context))}\t"
                 f"{candidates[candidate]}\t{label!r}\t"
-                f"{'' if role is None else roles[role.label]}\n"
+                f"{'' if role is None else roles[role]}\n"
                 for qid, qa, context, candidate, label, role in islice(rows, _BLOCK_ROWS)
             ]))
 
@@ -357,7 +354,7 @@ def read_dataset(path: str | Path) -> Dataset:
         data.contexts.append(tuple(context_text.split(CONTEXT_SEPARATOR)) if context_text else ())
         data.candidates.append(candidate)
         data.labels.append(label)
-        data.roles.append(Role.parse(role_label) if role_label else None)
+        data.roles.append(parse_role(role_label) if role_label else None)
     return data
 
 
@@ -398,7 +395,8 @@ class DatasetStats:
 def dataset_stats(dataset: Dataset) -> DatasetStats:
     per_label = Counter(dataset.labels)
     positives = sum(n for label, n in per_label.items() if label > 0)
-    per_role = Counter(map(attrgetter("label"), filter(None, dataset.roles)))  # None: a negative
+    per_role = Counter(dataset.roles)
+    per_role.pop(None, None)  # a negative
     return DatasetStats(
         total=len(dataset),
         positives=positives,

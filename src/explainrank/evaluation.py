@@ -21,7 +21,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import KNOWN_ROLES, Corpus, Question, Role
+from .corpus import KNOWN_ROLES, Corpus, Question
 from .errors import DataError, FormatError, tsv_blocks
 
 log = logging.getLogger(__name__)
@@ -110,12 +110,12 @@ def map_overall(ranked_by_qid: RankedUids, corpus: Corpus) -> float:
     return mean_in_order(_scan_gold(evaluable(ranked_by_qid, corpus), ranked_by_qid)[2])
 
 
-def _per_role(questions: Sequence[Question], found: Sequence[dict[str, int]]) -> dict[Role, float]:
+def _per_role(questions: Sequence[Question], found: Sequence[dict[str, int]]) -> dict[str, float]:
     """Mean AP per role, each question's relevant set restricted to its gold
     facts of that role; questions lacking a role do not count against it."""
-    by_role: dict[Role, tuple[list[list[int]], list[int]]] = {}
+    by_role: dict[str, tuple[list[list[int]], list[int]]] = {}
     for q, positions in zip(questions, found):
-        uids_of: dict[Role, set[str]] = {}
+        uids_of: dict[str, set[str]] = {}
         for uid, role in q.gold:
             uids_of.setdefault(role, set()).add(uid)
         for role, uids in uids_of.items():
@@ -131,7 +131,7 @@ def _per_role(questions: Sequence[Question], found: Sequence[dict[str, int]]) ->
 @dataclass(frozen=True)
 class EvalReport:
     map_overall: float
-    per_role: dict[Role, float]
+    per_role: dict[str, float]  # by role label
     per_length: dict[int, tuple[int, float]]
     n_questions: int
     skipped: int  # questions in scope without gold annotation
@@ -159,10 +159,10 @@ def evaluate_rankings(ranked_by_qid: RankedUids, corpus: Corpus) -> EvalReport:
     )
 
 
-def _role_order(role: Role) -> tuple[int, object]:
-    if role.label in KNOWN_ROLES:
-        return (0, KNOWN_ROLES.index(role.label))
-    return (1, role.label)
+def _role_order(role: str) -> tuple[int, object]:
+    if role in KNOWN_ROLES:
+        return (0, KNOWN_ROLES.index(role))
+    return (1, role)
 
 
 def format_report(report: EvalReport) -> str:
@@ -178,7 +178,7 @@ def format_report(report: EvalReport) -> str:
         "MAP by explanation role:",
     ]
     for role in sorted(report.per_role, key=_role_order):
-        lines.append(f"  {role.label:<12} {report.per_role[role]:.6f}")
+        lines.append(f"  {role:<12} {report.per_role[role]:.6f}")
     lines.append("")
     lines.append("MAP by gold explanation length:")
     for size, (count, value) in report.per_length.items():
@@ -196,7 +196,7 @@ def report_keyvalues(report: EvalReport) -> str:
     if report.unretrieved:
         lines.append(f"unretrieved={report.unretrieved}")
     for role in sorted(report.per_role, key=_role_order):
-        lines.append(f"per_role.{role.label}={report.per_role[role]!r}")
+        lines.append(f"per_role.{role}={report.per_role[role]!r}")
     for size, (count, value) in report.per_length.items():
         lines.append(f"per_length.{size}.count={count}")
         lines.append(f"per_length.{size}.map={value!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from explainrank.corpus import Corpus, Question, Role
+from explainrank.corpus import Corpus, Question
 from explainrank.errors import DataError
 from explainrank.evaluation import EvalReport, evaluable
 
@@ -51,11 +51,11 @@ def map_overall(ranked_by_qid, corpus: Corpus) -> float:
     return _mean_ap(_aps(evaluable(ranked_by_qid, corpus), ranked_by_qid))[0]
 
 
-def _per_role(questions: Sequence[Question], ranked_by_qid) -> dict[Role, float]:
-    sums: dict[Role, float] = {}
-    counts: dict[Role, int] = {}
+def _per_role(questions: Sequence[Question], ranked_by_qid) -> dict[str, float]:
+    sums: dict[str, float] = {}
+    counts: dict[str, int] = {}
     for q in questions:
-        by_role: dict[Role, set[str]] = {}
+        by_role: dict[str, set[str]] = {}
         for uid, role in q.gold:
             by_role.setdefault(role, set()).add(uid)
         for role, uids in by_role.items():

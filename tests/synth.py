@@ -18,7 +18,6 @@ from explainrank.corpus import (
     Corpus,
     ExplanationFact,
     Question,
-    Role,
 )
 
 from explainrank.scorer import RelevanceTable
@@ -30,7 +29,7 @@ def random_corpus(
     n_questions: int = 50,
     n_facts: int = 200,
     seed: int = 0,
-    roles: tuple[Role, ...] = (CENTRAL, GROUNDING, LEXGLUE),
+    roles: tuple[str, ...] = (CENTRAL, GROUNDING, LEXGLUE),
     gold_range: tuple[int, int] = (1, 5),
 ) -> Corpus:
     """Random corpus with unique fact texts and annotated questions.

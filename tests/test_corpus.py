@@ -1,21 +1,24 @@
+import re
+
 import pytest
 
 from explainrank.corpus import (
     BACKGROUND,
     CENTRAL,
     GROUNDING,
+    KNOWN_ROLES,
     LEXGLUE,
     NEG,
     Corpus,
     ExplanationFact,
     Facts,
     Question,
-    Role,
     answer_text,
     load_corpus,
     load_facts,
     load_questions,
     parse_explanation,
+    parse_role,
     validate,
     write_questions,
 )
@@ -162,8 +165,8 @@ class TestParseExplanation:
     def test_unknown_role_preserved(self):
         ((uid, role),) = parse_explanation("a|ROLEX")
         assert uid == "a"
-        assert role == Role("ROLEX")
-        assert not role.known
+        assert role == "ROLEX"
+        assert role not in KNOWN_ROLES
 
     def test_order_and_multiplicity_preserved(self):
         cell = "a|CENTRAL b|NEG a|CENTRAL c|GROUNDING"
@@ -181,14 +184,14 @@ class TestParseExplanation:
 class TestRole:
     @pytest.mark.parametrize("raw", ["LEXGLUE", "LEXICAL GLUE", "LEX_GLUE", "lexglue"])
     def test_lexglue_aliases(self, raw):
-        assert Role.parse(raw) == LEXGLUE
+        assert parse_role(raw) == LEXGLUE
 
     def test_case_insensitive(self):
-        assert Role.parse("central") == CENTRAL
-        assert Role.parse("Neg") == NEG
+        assert parse_role("central") == CENTRAL
+        assert parse_role("Neg") == NEG
 
     def test_unknown_verbatim(self):
-        assert Role.parse("MysteryRole").label == "MysteryRole"
+        assert parse_role("MysteryRole") == "MysteryRole"
 
 
 class TestLoadQuestions:
@@ -427,12 +430,25 @@ class TestRoundTrip:
             "Stem",
             {"A": "x", "B": "y"},
             "A",
-            (("u1", CENTRAL), ("u2", Role("ROLEX")), ("u3", NEG)),
+            (("u1", CENTRAL), ("u2", "ROLEX"), ("u3", NEG)),
         )
         path = tmp_path / "q.tsv"
         write_questions([q], path)
         (loaded,) = load_questions(path)
         assert loaded == q
+
+    @pytest.mark.parametrize(
+        "uid, role",
+        [("u1", "A|B"), ("u1", "Other role"), ("u 1", CENTRAL), ("u1", ""), ("", CENTRAL)],
+        ids=["bar-in-role", "space-in-role", "space-in-uid", "empty-role", "empty-uid"],
+    )
+    def test_gold_that_would_not_read_back_rejected(self, tmp_path, uid, role):
+        """A|B would read back as uid u1|A with role B; the others would not load."""
+        q = Question("q7", "Stem", {"A": "x"}, "A", (("u0", CENTRAL), (uid, role)))
+        path = tmp_path / "q.tsv"
+        with pytest.raises(ValueError, match=re.escape(f"question q7: gold token {uid + '|' + role!r}")):
+            write_questions([q], path)
+        assert not path.exists()
 
 
 class TestLoadCorpus:

@@ -13,7 +13,6 @@ from explainrank.corpus import (
     Corpus,
     ExplanationFact,
     Question,
-    Role,
 )
 from explainrank.cli import main
 from explainrank.dataprep import (
@@ -285,7 +284,7 @@ class TestBuildDataset:
             "stem words",
             {"A": "word0"},
             "A",
-            (("f02", BACKGROUND), ("f03", Role("ROLEX"))),
+            (("f02", BACKGROUND), ("f03", "ROLEX")),
         )
         corpus = Corpus(facts=facts, questions=(q,))
         with caplog.at_level("WARNING"):
@@ -433,7 +432,7 @@ class TestDatasetIO:
 
         rng = random.Random(8)
         texts = ["plain", "has\ttab", "line\nbreak", "cr\r\nlf", "", "é \u2028 ok"]
-        roles = [None, CENTRAL, Role.parse("odd\trole")]
+        roles = [None, CENTRAL, "odd\trole"]
         rows = [
             (rng.choice(["q1", "q\t2"]), rng.choice(texts), tuple(rng.sample(texts, rng.randint(0, 3))),
              rng.choice(texts), rng.choice([1.0, 0.0, 6.0, -0.0, 0.1 + 0.2]), rng.choice(roles))
@@ -444,7 +443,7 @@ class TestDatasetIO:
             write_dataset(rows_dataset(*rows), path)
         reference = "".join(
             "\t".join([clean(qid), clean(question), clean(CONTEXT_SEPARATOR.join(context)),
-                       clean(candidate), repr(label), clean(role.label if role else "")])
+                       clean(candidate), repr(label), clean(role or "")])
             + "\n"
             for qid, question, context, candidate, label, role in rows
         )
@@ -554,7 +553,7 @@ class TestDatasetStats:
             n_questions=10,
             n_facts=50,
             seed=36,
-            roles=(CENTRAL, GROUNDING, LEXGLUE, BACKGROUND, Role("ROLEX")),
+            roles=(CENTRAL, GROUNDING, LEXGLUE, BACKGROUND, "ROLEX"),
             gold_range=(1, 4),
         )
         cfg = PrepConfig(k=3, m=2, task=REGRESSION, with_context=True)
@@ -565,7 +564,7 @@ class TestDatasetStats:
             per_question[qid] += 1
             positives += label > 0
             if role is not None:
-                per_role[role.label] += 1
+                per_role[role] += 1
         stats = dataset_stats(data)
         assert (stats.total, stats.positives) == (len(data), positives)
         assert stats.negatives == len(data) - positives

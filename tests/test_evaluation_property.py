@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eval_reference as reference
-from explainrank.corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, ExplanationFact, Question, Role
+from explainrank.corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, ExplanationFact, Question
 from explainrank.errors import DataError
 from explainrank.evaluation import average_precision, evaluate_rankings, map_overall
 
-ROLES = [CENTRAL, GROUNDING, LEXGLUE, Role("weird"), Role("Other role")]
+ROLES = [CENTRAL, GROUNDING, LEXGLUE, "weird", "Other role"]
 
 
 @st.composite
@@ -56,7 +56,7 @@ def hexed(report):
     """Every field of an EvalReport, floats as float.hex."""
     return (
         report.map_overall.hex(),
-        [(role.label, value.hex()) for role, value in report.per_role.items()],
+        [(role, value.hex()) for role, value in report.per_role.items()],
         [(size, count, value.hex()) for size, (count, value) in report.per_length.items()],
         report.n_questions,
         report.skipped,

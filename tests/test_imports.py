@@ -20,8 +20,8 @@ from synth import random_corpus, write_corpus_files
 EXPORTS = {
     "corpus": [
         "BACKGROUND", "CENTRAL", "GROUNDING", "LEXGLUE", "NEG", "Corpus", "ExplanationFact",
-        "Facts", "Question", "Role", "answer_text", "load_corpus", "load_facts",
-        "load_questions", "parse_explanation", "qa_text", "validate", "write_questions",
+        "Facts", "Question", "answer_text", "load_corpus", "load_facts", "load_questions",
+        "parse_explanation", "parse_role", "qa_text", "validate", "write_questions",
     ],
     "dataprep": [
         "CLASSIFICATION", "REGRESSION", "Dataset", "NegativeSampler", "PrepConfig",

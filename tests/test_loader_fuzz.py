@@ -8,7 +8,8 @@ line_readers.py, and word vectors that load give finite cosines for any
 sentence built from their tokens. Generated files mix line ends, blank
 lines, tabs and separators inside cells, missing and repeated columns,
 malformed annotations, huge, tiny and non-finite components, and bytes that
-are not valid UTF-8.
+are not valid UTF-8. Gold annotations that write_questions writes read back
+as their parsed roles.
 """
 
 import math
@@ -22,7 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from explainrank.corpus import load_facts, load_questions
+from explainrank.corpus import Question, load_facts, load_questions, parse_role, write_questions
 from explainrank.errors import DataError, FormatError
 from explainrank.textsim import load_dense
 
@@ -61,6 +62,16 @@ vector_lines = st.one_of(
     st.tuples(st.sampled_from(["a", "b", "the", "frog", "2", "é"]),
               st.lists(components, max_size=4)).map(lambda t: " ".join([t[0], *t[1]])),
     st.sampled_from(["2 3", "3 2", "0 0", "1 -2", "", "  ", "a\t1 2"]),
+)
+
+
+# one token each: no whitespace, and no "|" in a role
+tokens = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8).filter(
+    lambda text: text.split() == [text])
+role_labels = st.one_of(
+    st.sampled_from(["CENTRAL", "central", "Lexical_Glue", "LEXICAL_GLUE", "lexglue", "Lex_Glue",
+                     "grounding", "Background", "neg", "ROLEX"]),
+    tokens.filter(lambda text: "|" not in text),
 )
 
 
@@ -147,3 +158,25 @@ def test_word_vectors(lines, ends, final_newline, damage, sentences):
     with np.errstate(over="raise", invalid="raise"):
         for j in range(len(sentences)):
             assert np.isfinite(rows.cosines(j)).all()
+
+
+@_settings
+@given(golds=st.lists(st.lists(st.tuples(tokens, role_labels), max_size=5), min_size=1, max_size=4))
+def test_gold_round_trip_gives_parsed_roles(golds):
+    questions = [Question(f"q{i}", "Stem", {"A": "x"}, "A", tuple(gold))
+                 for i, gold in enumerate(golds)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "questions.tsv"
+        write_questions(questions, path)
+        loaded = load_questions(path)
+    assert [q.gold for q in loaded] == [
+        tuple((uid, parse_role(label)) for uid, label in gold) for gold in golds
+    ]
+
+
+@_settings
+@given(raw=st.one_of(role_labels, st.text()))
+def test_parse_role_is_idempotent(raw):
+    """read_dataset parses the labels write_dataset wrote, so a dataset's
+    roles column reads back unchanged."""
+    assert parse_role(parse_role(raw)) == parse_role(raw)
