@@ -16,10 +16,24 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import logging
+import os
 import sys
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
+
+# OpenBLAS reads its thread count once, as numpy loads it. The CLI's one BLAS
+# call, prepare's negative filter, gives the same negatives on any thread
+# count, and starting the pool costs each process 70-85 ms on 2 vCPUs, so
+# numpy loads with one thread unless the user chose a count. A process that
+# loaded numpy before this module keeps its BLAS and its environment as is.
+_BLAS_THREADS = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+if "numpy" not in sys.modules and not _BLAS_THREADS & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .corpus import Corpus, load_corpus, validate
 from .errors import DataError, FormatError, read_utf8, text_lines

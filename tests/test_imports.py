@@ -85,6 +85,7 @@ with open(sys.argv[1], "w", encoding="utf-8") as fh:
 """
 
 PACKAGE = Path(explainrank.__file__).resolve().parent
+PYTHONPATH = os.pathsep.join([str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])
 BASE = {"explainrank", "explainrank.cli", "explainrank.corpus", "explainrank.errors"}
 SCORING = {"explainrank.textsim", "explainrank.scorer"}
 RERANKING = SCORING | {"explainrank.rerank", "explainrank.evaluation"}
@@ -119,8 +120,7 @@ def test_command_executes_only_its_layers(argv, layers, inputs, tmp_path):
     argv = [arg.format(d=directory) for arg in argv]
     if argv != ["--help"]:
         argv += corpus_argv + ([] if argv[0] == "validate" else ["--out", str(tmp_path / "out")])
-    pythonpath = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    env = dict(os.environ, PYTHONPATH=PYTHONPATH)
     record = tmp_path / "executed.json"
     subprocess.run([sys.executable, "-c", DRIVER, str(record), *argv], env=env, check=True,
                    capture_output=True)
@@ -132,3 +132,38 @@ def test_command_executes_only_its_layers(argv, layers, inputs, tmp_path):
         if path.resolve().parent == PACKAGE
     }
     assert modules == BASE | layers
+
+
+# prints the process's OS thread count after importing the CLI (or numpy alone),
+# and whether os.environ came back as it was
+THREADS = """
+import json, os, sys
+before = dict(os.environ)
+if sys.argv[1] == "cli":
+    from explainrank.cli import main
+else:
+    import numpy
+print(json.dumps([len(os.listdir("/proc/self/task")), dict(os.environ) == before]))
+"""
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def threads_after_import(what: str, **variables: str) -> tuple[int, bool]:
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_VARS}
+    env.update(variables, PYTHONPATH=PYTHONPATH)
+    done = subprocess.run([sys.executable, "-c", THREADS, what], env=env, check=True,
+                          capture_output=True, text=True)
+    return tuple(json.loads(done.stdout))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
+@pytest.mark.parametrize("variable", [None, *BLAS_VARS])
+def test_cli_starts_numpy_blas_with_one_thread_unless_user_chose(variable):
+    """The CLI loads numpy's OpenBLAS without its thread pool and leaves
+    os.environ as it found it; a thread count the user set still wins."""
+    if threads_after_import("numpy")[0] == 1:
+        pytest.skip("numpy starts no BLAS threads here (one CPU, or a BLAS without a pool)")
+    chosen = {} if variable is None else {variable: "2"}
+    threads, environ_kept = threads_after_import("cli", **chosen)
+    assert environ_kept
+    assert threads == (1 if variable is None else threads_after_import("numpy", **chosen)[0])

@@ -17,10 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import explainrank
 from explainrank.cli import main
 from explainrank.corpus import CENTRAL, Corpus, ExplanationFact, Question
 from explainrank.dataprep import sample_negatives
@@ -29,6 +34,7 @@ from explainrank.textsim import load_dense, tokenize
 from synth import chain_corpus, random_corpus, write_corpus_files
 
 DIGESTS = Path(__file__).with_name("parity_digests.json")
+SRC = str(Path(explainrank.__file__).resolve().parent.parent)
 VECTOR_DIM = 6
 
 
@@ -55,17 +61,23 @@ def write_exact_vectors(corpus: Corpus, path: Path, seed: int = 5) -> None:
             fh.write(word + " " + " ".join(str(v) for v in values) + "\n")
 
 
-def run_pipeline(corpus: Corpus, directory: Path, dense: bool) -> Path:
-    """rank (tfidf, overlap), rerank with traces (own and external scores),
-    evaluate predictions, evaluate a depth sweep, prepare all four datasets."""
+def corpus_argv(corpus: Corpus, directory: Path, dense: bool) -> list[str]:
+    """Writes the corpus (and, if dense, its vectors) under directory and
+    returns the flags that read them."""
     facts, questions = write_corpus_files(corpus, directory / "data")
     base = ["--facts", *map(str, facts), "--questions", str(questions)]
     if dense:
         vectors = directory / "vectors.txt"
         write_exact_vectors(corpus, vectors)
         base += ["--vectors", str(vectors)]
-    out = directory / "out"
-    steps = [
+    return base
+
+
+def pipeline_steps(out: Path) -> list[list]:
+    """rank (tfidf, overlap), rerank with traces (own and external scores),
+    evaluate predictions, evaluate a depth sweep, prepare all four datasets;
+    each step writes to its own directory under out, named by its last value."""
+    return [
         ["rank", "--out", out / "rank"],
         ["rank", "--method", "overlap", "--out", out / "overlap"],
         ["rerank", "--depth", 15, "--trace", "--out", out / "rerank"],
@@ -77,10 +89,23 @@ def run_pipeline(corpus: Corpus, directory: Path, dense: bool) -> Path:
          "--out", out / "sweep"],
         ["prepare", "--task", "all", "--k", 3, "--m", 2, "--out", out / "prepare"],
     ]
-    for command, *args in steps:
+
+
+def run_pipeline(corpus: Corpus, directory: Path, dense: bool) -> Path:
+    base = corpus_argv(corpus, directory, dense)
+    out = directory / "out"
+    for command, *args in pipeline_steps(out):
         code = main([command, *base, *map(str, args)])
         assert code == 0, (command, args)
     return out
+
+
+def digests_under(out: Path, prefix: str) -> dict[str, str]:
+    return {
+        f"{prefix}/{path.relative_to(out).as_posix()}":
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(p for p in out.rglob("*") if p.is_file())
+    }
 
 
 def output_digests(root: Path) -> dict[str, str]:
@@ -88,9 +113,7 @@ def output_digests(root: Path) -> dict[str, str]:
     for name, corpus in parity_corpora().items():
         for mode in ("tfidf", "dense"):
             out = run_pipeline(corpus, root / name / mode, dense=mode == "dense")
-            for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                key = f"{name}/{mode}/{path.relative_to(out).as_posix()}"
-                digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+            digests.update(digests_under(out, f"{name}/{mode}"))
     return digests
 
 
@@ -100,6 +123,36 @@ def test_outputs_match_pinned_digests(tmp_path):
     assert sorted(got) == sorted(pinned), "set of output files changed"
     changed = [key for key in pinned if got[key] != pinned[key]]
     assert not changed, f"{len(changed)} output file(s) changed: {changed[:10]}"
+
+
+# the CLI as the console script runs it: explainrank.cli is the process's first
+# import of numpy, so the CLI's own BLAS thread setting applies
+CLI = "import sys; from explainrank.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("blas_threads", [None, "2"], ids=["cli-default", "user-set-2"])
+def test_dense_prepare_and_rank_in_fresh_cli_match_pinned_digests(blas_threads, tmp_path):
+    """prepare's negative filter is the CLI's only BLAS product; run in a
+    fresh process, on the thread count the CLI picks and on one the user set,
+    it gives the pinned bytes."""
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [os.environ.get("PYTHONPATH")])])
+    for name, corpus in parity_corpora().items():
+        base = corpus_argv(corpus, tmp_path / name, dense=True)
+        out = tmp_path / name / "out"
+        for command, *args in pipeline_steps(out):
+            if args[-1].name in ("rank", "prepare"):
+                subprocess.run([sys.executable, "-c", CLI, command, *base, *map(str, args)],
+                               env=env, check=True, capture_output=True)
+        got = digests_under(out, f"{name}/dense")
+        assert sorted(got) == sorted(key for key in pinned if key.startswith(
+            (f"{name}/dense/rank/", f"{name}/dense/prepare/")))
+        changed = [key for key in got if got[key] != pinned[key]]
+        assert not changed, f"{len(changed)} output file(s) changed: {changed}"
 
 
 def test_dense_identical_texts_tie_break_by_uid(tmp_path):
