@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "corpus": (
         "BACKGROUND", "CENTRAL", "GROUNDING", "LEXGLUE", "NEG", "Corpus",
-        "ExplanationFact", "Facts", "Question", "answer_text", "load_corpus", "load_facts",
-        "load_questions", "parse_explanation", "parse_role", "qa_text", "validate",
-        "write_questions",
+        "ExplanationFact", "Facts", "Question", "load_corpus", "load_facts", "load_questions",
+        "parse_role", "qa_text", "validate", "write_questions",
     ),
     "dataprep": (
         "CLASSIFICATION", "REGRESSION", "Dataset", "NegativeSampler", "PrepConfig",
@@ -27,17 +26,17 @@ _EXPORTS = {
     ),
     "errors": ("DataError", "FormatError", "PipelineError"),
     "evaluation": (
-        "EvalReport", "average_precision", "evaluate_rankings", "map_overall",
-        "read_predictions", "write_predictions",
+        "EvalReport", "evaluate_rankings", "map_overall", "read_predictions",
+        "write_predictions",
     ),
-    "rerank": ("RerankConfig", "RerankTrace", "depth_sweep", "iterative_rerank", "rerank_all"),
+    "rerank": ("RerankConfig", "RerankTrace", "depth_sweep", "rerank_all"),
     "scorer": (
         "RelevanceTable", "all_rankings", "load_scores", "normalize", "score_lexical",
         "write_scores",
     ),
     "textsim": (
         "STOPWORDS", "DenseWordVectors", "TfidfProvider", "Rows", "default_provider",
-        "dense_rows", "fact_vectors", "load_dense", "tokenize",
+        "fact_vectors", "load_dense", "tokenize",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -328,32 +328,43 @@ def load_questions(path: str | Path) -> list[Question]:
     return questions
 
 
+def _row(q: Question) -> list[str]:
+    """q's cells in a question file, in QUESTION_COLUMNS order."""
+    keyed = [f"({key}) {q.choices[key]}" for key in sorted(q.choices)]
+    expl = " ".join(f"{uid}|{role}" for uid, role in q.gold)
+    return [q.qid, " ".join([q.stem, *keyed] if q.stem else keyed), q.answer_key, expl]
+
+
+def _unreadable(q: Question, row: list[str]) -> str | None:
+    """Why load_questions would not read row back as q, roles folded by parse_role, or None."""
+    for uid, role in q.gold:
+        token = f"{uid}|{role}"
+        if not uid or not role or "|" in role or token.split() != [token]:
+            return f"gold token {token!r} would not read back as uid|ROLE"
+    if bad := [cell for cell in row if re.search(r"[\t\n\r]", cell)]:
+        return f"{bad[0]!r} holds a tab or a line break"
+    if bad := [text for text in (q.qid, q.answer_key) if text != text.strip()]:
+        return f"{bad[0]!r} has surrounding whitespace"
+    stem, choices, _ = _split_question(row[1])
+    if (stem, choices) != (q.stem, q.choices):
+        return f"question text {row[1]!r} would read back as stem {stem!r} and choices {choices}"
+    if not "".join(row):
+        return "an empty question is a blank line, which is skipped"
+    return None
+
+
 def write_questions(questions: Sequence[Question], path: str | Path) -> None:
     """Write questions in the same TSV layout load_questions reads back. A
-    gold pair that would not read back as itself (an empty uid or role, one
-    holding whitespace, or a role holding "|") is a ValueError, raised before
-    the file is opened."""
-    for q in questions:
-        for uid, role in q.gold:
-            token = f"{uid}|{role}"
-            if not uid or not role or "|" in role or token.split() != [token]:
-                raise ValueError(f"question {q.qid}: gold token {token!r} would not read back as uid|ROLE")
+    question that would not read back as itself is a ValueError naming its
+    qid, raised before the file is opened."""
+    rows = [_row(q) for q in questions]
+    for q, row in zip(questions, rows):
+        if reason := _unreadable(q, row):
+            raise ValueError(f"question {q.qid}: {reason}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(QUESTION_COLUMNS) + "\n")
-        for q in questions:
-            parts = [q.stem] if q.stem else []
-            for key in sorted(q.choices):
-                parts.append(f"({key}) {q.choices[key]}")
-            combined = " ".join(parts)
-            expl = " ".join(f"{uid}|{role}" for uid, role in q.gold)
-            fields = [q.qid, combined, q.answer_key, expl]
-            cleaned = []
-            for value in fields:
-                if "\t" in value or "\n" in value or "\r" in value:
-                    log.warning("question %s: tab/newline replaced with space", q.qid)
-                    value = re.sub(r"[\t\n\r]", " ", value)
-                cleaned.append(value)
-            fh.write("\t".join(cleaned) + "\n")
+        for row in rows:
+            fh.write("\t".join(row) + "\n")
 
 
 def load_corpus(fact_paths: Iterable[str | Path], question_path: str | Path) -> Corpus:
@@ -361,22 +372,18 @@ def load_corpus(fact_paths: Iterable[str | Path], question_path: str | Path) -> 
     return Corpus(facts=facts, questions=tuple(load_questions(question_path)))
 
 
-def answer_text(question: Question) -> str:
-    """Text of the correct answer choice."""
+def qa_text(question: Question) -> str:
+    """Question stem plus the correct answer's text; the Q/A side of every
+    similarity comparison. Other answer choices are excluded. A DataError
+    if the answer key names no choice."""
     try:
-        return question.choices[question.answer_key]
+        answer = question.choices[question.answer_key]
     except KeyError:
         raise DataError(
             f"question {question.qid}: answer key {question.answer_key!r} "
             f"not among choices {sorted(question.choices)}"
         ) from None
-
-
-def qa_text(question: Question) -> str:
-    """Question stem plus the correct answer's text; the Q/A side of every
-    similarity comparison. Other answer choices are excluded."""
-    parts = [p for p in (question.stem, answer_text(question)) if p]
-    return " ".join(parts)
+    return " ".join(p for p in (question.stem, answer) if p)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -28,17 +28,6 @@ log = logging.getLogger(__name__)
 
 # qid -> fact uids, best first: what all_rankings, rerank_all and read_predictions give
 RankedUids = Mapping[str, Sequence[str]]
-
-
-def average_precision(ranked: Sequence[str], relevant: Iterable[str]) -> float:
-    """Precision accumulated at each rank position holding a relevant item,
-    divided by the number of relevant items; a relevant item the ranking
-    does not hold adds nothing."""
-    relevant = set(relevant)
-    if not relevant:
-        raise ValueError("average_precision needs a nonempty relevant set")
-    found = _positions(ranked, relevant)
-    return float(average_precisions(padded([list(found.values())]), np.array([len(relevant)]))[0])
 
 
 def _positions(ranked: Sequence[str], relevant: Collection[str]) -> dict[str, int]:

@@ -20,11 +20,9 @@ from .corpus import Corpus
 from .errors import DataError
 from .evaluation import average_precisions, evaluable, mean_in_order, padded
 from .scorer import RelevanceTable, normalized_at
-from .textsim import Rows, Window
+from .textsim import Window
 
 log = logging.getLogger(__name__)
-
-DEFAULT_SWEEP = (1, 3, 5, 10, 15, 20, 30)
 
 
 @dataclass(frozen=True)
@@ -59,45 +57,6 @@ class RerankTrace:
     rounds: tuple[RerankRound, ...]
 
 
-def iterative_rerank(
-    order: np.ndarray,
-    weights: np.ndarray,
-    qa_sims: np.ndarray,
-    rows: Rows,
-    uids: Sequence[str],
-    config: RerankConfig,
-    *,
-    want_trace: bool = False,
-) -> tuple[np.ndarray, tuple[RerankRound, ...]]:
-    """Greedily rebuild the top config.depth positions of one ranking.
-
-    order is the initial ranking as fact indices, best first; an index picks
-    a row of rows and an entry of uids. weights (strictly positive, see
-    normalize()) and qa_sims, each fact's similarity to the question/answer
-    text, belong to the facts at order's first 2 * depth positions (or all
-    of them); later entries are ignored, and fewer is a ValueError.
-
-    The initial top fact is kept as the anchor. Each round considers the
-    unselected facts whose initial rank index is at most depth plus the
-    number already selected (a window sliding forward one position per
-    round) and commits the one with the highest score: its weighted
-    relevance sum(w_k * sim(fact, k)) / sum(w_k) over the selected facts k,
-    times its qa_sim. Ties go to the better initial rank. Returns the new
-    order, selected facts first and the rest in initial order, and one
-    round per commit when want_trace is set.
-
-    This is a batch of one for the greedy rerank_all and depth_sweep run.
-    """
-    n = min(2 * config.depth, len(order))
-    for name, given in (("weights", weights), ("qa_sims", qa_sims)):
-        if len(given) < n:
-            raise ValueError(f"{name} has {len(given)} entries; depth {config.depth} needs {n}")
-    top = order[None, :n]
-    facts = np.array(uids, dtype=object)[top] if want_trace else None
-    perm, rounds = _greedy(Window(rows, top), weights[None, :n], qa_sims[None, :n], config.depth, facts)
-    return np.concatenate([top[0, perm[0]], order[n:]]), tuple(rounds[0]) if want_trace else ()
-
-
 def _greedy(
     window: Window,
     weights: np.ndarray,
@@ -105,13 +64,27 @@ def _greedy(
     depth: int,
     facts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[list[RerankRound]]]:
-    """iterative_rerank's greedy for every window at once, in lockstep, on
-    each window's first min(2 * depth, len(weights[0])) facts; a window
-    column past them, such as a Q/A row, is never a candidate. weights and
-    qa_sims hold a row per window. Every window sees the operations
-    iterative_rerank makes for one, in the same order, so the bits are the
-    same. Returns each window's new order as positions in it and, when
-    facts (the windows' uids) is given, each window's rounds."""
+    """Greedily rebuild the top depth positions of every window at once, in
+    lockstep.
+
+    Row q of window.top holds one initial ranking's facts, best first;
+    weights (strictly positive, see normalize()) and qa_sims, each fact's
+    similarity to the question/answer text, hold a row per window in that
+    order. Only each window's first n = min(2 * depth, len(weights[0]))
+    facts take part; a window column past them, such as a Q/A row, is never
+    a candidate.
+
+    The initial top fact is kept as the anchor. Each round considers the
+    unselected facts whose initial rank index is at most depth plus the
+    number already selected (a pool sliding forward one position per
+    round) and commits the one with the highest score: its weighted
+    relevance sum(w_k * sim(fact, k)) / sum(w_k) over the selected facts k,
+    times its qa_sim. Ties go to the better initial rank. A window's values
+    do not depend on the other windows: a batch of one gives the same bits.
+
+    Returns each window's new order as positions in its first n facts,
+    selected facts first and the rest in initial order, and, when facts
+    (the windows' uids) is given, each window's rounds."""
     n = min(2 * depth, weights.shape[1])
     top, weights, qa_sims = window.top[:, :n], weights[:, :n], qa_sims[:, :n]
     if not (weights > 0.0).all():

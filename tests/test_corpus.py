@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -13,12 +14,12 @@ from explainrank.corpus import (
     ExplanationFact,
     Facts,
     Question,
-    answer_text,
     load_corpus,
     load_facts,
     load_questions,
     parse_explanation,
     parse_role,
+    qa_text,
     validate,
     write_questions,
 )
@@ -207,7 +208,7 @@ class TestLoadQuestions:
         (q,) = load_questions(path)
         assert q.stem == "Which is living?"
         assert q.choices == {"A": "rock", "B": "frog"}
-        assert answer_text(q) == "frog"
+        assert q.choices[q.answer_key] == "frog"
         assert q.gold == (("x1", CENTRAL), ("x2", GROUNDING))
 
     def test_line_separator_inside_question_text(self, tmp_path):
@@ -343,18 +344,21 @@ class TestFacts:
 
 
 class TestAnswerText:
+    """qa_text: the stem and the answer key's choice text."""
+
     def test_basic(self):
         q = Question("q", "s", {"A": "rock", "B": "frog"}, "B")
-        assert answer_text(q) == "frog"
+        assert qa_text(q) == "s frog"
 
     def test_long_answer(self):
         q = Question("q", "s", {"A": "a girl eating an apple"}, "A")
-        assert answer_text(q) == "a girl eating an apple"
+        assert qa_text(q) == "s a girl eating an apple"
 
     def test_unresolvable_key(self):
         q = Question("q", "s", {"A": "x", "B": "y"}, "C")
-        with pytest.raises(DataError, match="'C'"):
-            answer_text(q)
+        message = "question q: answer key 'C' not among choices ['A', 'B']"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            qa_text(q)
 
 
 class TestAnswerable:
@@ -448,6 +452,34 @@ class TestRoundTrip:
         path = tmp_path / "q.tsv"
         with pytest.raises(ValueError, match=re.escape(f"question q7: gold token {uid + '|' + role!r}")):
             write_questions([q], path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "changes, reason",
+        [
+            (dict(qid=" q7"), "' q7' has surrounding whitespace"),
+            (dict(answer_key="A "), "'A ' has surrounding whitespace"),
+            (dict(stem="Stem "),
+             "'Stem  (A) x (B) y' would read back as stem 'Stem' and choices {'A': 'x', 'B': 'y'}"),
+            (dict(choices={"A": "x", "B": " y"}),
+             "'Stem (A) x (B)  y' would read back as stem 'Stem' and choices {'A': 'x', 'B': 'y'}"),
+            (dict(stem="Stem (B) inner"),
+             "would read back as stem 'Stem (B) inner (A) x (B) y' and choices {}"),
+            (dict(choices={"A": "x", "B": "y (C) z"}), "and choices {'A': 'x', 'B': 'y', 'C': 'z'}"),
+            (dict(choices={"A": "x", "C": "y"}), "as stem 'Stem (A) x (C) y' and choices {}"),
+            (dict(choices={"a": "x", "b": "y"}), "as stem 'Stem (a) x (b) y' and choices {}"),
+            (dict(stem="Stem\tand"), "'Stem\\tand (A) x (B) y' holds a tab or a line break"),
+            (dict(qid="", stem="", choices={}, answer_key="", gold=()),
+             "an empty question is a blank line"),
+        ],
+        ids=["qid-space", "key-space", "stem-space", "choice-space", "marker-in-stem",
+             "marker-in-choice", "keys-not-a-prefix", "keys-lowercase", "tab", "empty"],
+    )
+    def test_question_that_would_not_read_back_rejected(self, tmp_path, changes, reason):
+        q = replace(Question("q7", "Stem", {"A": "x", "B": "y"}, "A", (("u0", CENTRAL),)), **changes)
+        path = tmp_path / "q.tsv"
+        with pytest.raises(ValueError, match=re.escape(f"question {q.qid}: ") + ".*" + re.escape(reason)):
+            write_questions([Question("q1", "Stem", {"A": "x"}, "A"), q], path)
         assert not path.exists()
 
 

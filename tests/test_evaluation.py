@@ -12,7 +12,6 @@ from explainrank.corpus import (
 )
 from explainrank.errors import DataError, FormatError
 from explainrank.evaluation import (
-    average_precision,
     evaluate_rankings,
     format_report,
     map_overall,
@@ -37,31 +36,41 @@ def make_corpus(questions, n_facts=10):
     return Corpus(facts=facts, questions=tuple(questions))
 
 
+def one_question_ap(ranked, relevant):
+    """The AP of one ranking: map_overall over a corpus of one question,
+    whose gold is the relevant uids, and of a fact for every uid named."""
+    uids = dict.fromkeys([*ranked, *sorted(relevant)])
+    facts = {uid: ExplanationFact(uid, f"text {uid}", "t") for uid in uids}
+    question = Question("q", "s", {"A": "a"}, "A", tuple((uid, CENTRAL) for uid in sorted(relevant)))
+    return map_overall({"q": ranked}, Corpus(facts=facts, questions=(question,)))
+
+
 class TestAveragePrecision:
     def test_all_relevant_on_top(self):
-        assert average_precision(["a", "b", "c", "d"], {"a", "b"}) == 1.0
+        assert one_question_ap(["a", "b", "c", "d"], {"a", "b"}) == 1.0
 
     def test_single_relevant_at_rank_two(self):
-        assert average_precision(["x", "a", "y"], {"a"}) == 0.5
+        assert one_question_ap(["x", "a", "y"], {"a"}) == 0.5
 
     def test_hand_value(self):
         # hits at ranks 1 and 3: (1/1 + 2/3) / 2 = 5/6
-        value = average_precision(["a", "b", "c", "d"], {"a", "c"})
+        value = one_question_ap(["a", "b", "c", "d"], {"a", "c"})
         assert value == pytest.approx(5 / 6, abs=1e-12)
 
     def test_empty_relevant_rejected(self):
-        with pytest.raises(ValueError):
-            average_precision(["a"], set())
+        # a question without gold is never scored
+        with pytest.raises(DataError, match="no annotated questions"):
+            one_question_ap(["a"], set())
 
     def test_unretrieved_relevant_uid_adds_zero(self):
         # truncated ranking: hits at ranks 2 and 4, "ghost" never retrieved;
         # (1/2 + 2/4 + 0) / 3 = 1/3
-        value = average_precision(["x", "a", "y", "c"], {"a", "c", "ghost"})
+        value = one_question_ap(["x", "a", "y", "c"], {"a", "c", "ghost"})
         assert value == pytest.approx(1 / 3, abs=1e-12)
         assert value == brute_force_ap(["x", "a", "y", "c"], {"a", "c", "ghost"})
 
     def test_nothing_retrieved_is_zero(self):
-        assert average_precision(["a", "b"], {"ghost", "zzz"}) == 0.0
+        assert one_question_ap(["a", "b"], {"ghost", "zzz"}) == 0.0
 
     def test_bit_identical_to_full_scan_on_long_rankings(self):
         # the scan stops at the last relevant uid; the sum and its order are
@@ -76,7 +85,7 @@ class TestAveragePrecision:
                 if uid in relevant:
                     hits += 1
                     acc += hits / position
-            assert average_precision(ranked, relevant) == acc / len(relevant)
+            assert one_question_ap(ranked, relevant) == acc / len(relevant)
 
     def test_oracle_equivalence_200_random(self):
         rng = random.Random(61)
@@ -85,7 +94,7 @@ class TestAveragePrecision:
             ranked = [f"u{i}" for i in range(n)]
             rng.shuffle(ranked)
             relevant = set(rng.sample(ranked, rng.randint(1, min(5, n))))
-            assert average_precision(ranked, relevant) == pytest.approx(
+            assert one_question_ap(ranked, relevant) == pytest.approx(
                 brute_force_ap(ranked, relevant), abs=1e-12
             )
 
@@ -96,13 +105,13 @@ class TestAveragePrecision:
             ranked = [f"u{i}" for i in range(n)]
             rng.shuffle(ranked)
             relevant = set(rng.sample(ranked, rng.randint(1, n)))
-            before = average_precision(ranked, relevant)
+            before = one_question_ap(ranked, relevant)
             # move one relevant item past the non-relevant item directly above it
             for pos in range(1, n):
                 if ranked[pos] in relevant and ranked[pos - 1] not in relevant:
                     swapped = list(ranked)
                     swapped[pos - 1], swapped[pos] = swapped[pos], swapped[pos - 1]
-                    assert average_precision(swapped, relevant) >= before
+                    assert one_question_ap(swapped, relevant) >= before
                     break
 
     def test_perfect_iff_relevant_first(self):
@@ -112,7 +121,7 @@ class TestAveragePrecision:
             ranked = [f"u{i}" for i in range(n)]
             rng.shuffle(ranked)
             relevant = set(rng.sample(ranked, rng.randint(1, n - 1)))
-            value = average_precision(ranked, relevant)
+            value = one_question_ap(ranked, relevant)
             prefix_is_relevant = set(ranked[: len(relevant)]) == relevant
             assert (value == 1.0) == prefix_is_relevant
 

@@ -2,14 +2,16 @@
 eval_reference.py, bit for bit.
 
 evaluate_rankings must give the reference's EvalReport, every float
-compared by float.hex and per_role in the same order; map_overall and
-average_precision must give its values, or the same error. Generated
+compared by float.hex and per_role in the same order; map_overall must
+give its values, or the same error, on the whole corpus and on each ranked
+question alone, with all its gold or its CENTRAL gold. Generated
 rankings are truncated or full and may repeat a uid; gold may name a uid
 under two roles, carry unknown role labels or name a uid no fact has;
 some questions have no gold and some annotated ones no ranking.
 """
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 import eval_reference as reference
 from explainrank.corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, ExplanationFact, Question
 from explainrank.errors import DataError
-from explainrank.evaluation import average_precision, evaluate_rankings, map_overall
+from explainrank.evaluation import evaluate_rankings, map_overall
 
 ROLES = [CENTRAL, GROUNDING, LEXGLUE, "weird", "Other role"]
 
@@ -83,6 +85,7 @@ def test_bitwise_equal_to_scan_reference(case):
     assert_same(map_overall, reference.map_overall, ranked, corpus)
     for q in corpus.questions:
         if q.qid in ranked:
-            central = {uid for uid, role in q.gold if role == CENTRAL}  # may be empty
-            for relevant in (q.gold_uid_set, central):
-                assert_same(average_precision, reference.average_precision, ranked[q.qid], relevant)
+            central = tuple((uid, role) for uid, role in q.gold if role == CENTRAL)  # may be empty
+            for gold in (q.gold, central):
+                alone = Corpus(facts=corpus.facts, questions=(replace(q, gold=gold),))
+                assert_same(map_overall, reference.map_overall, {q.qid: ranked[q.qid]}, alone)

@@ -1,6 +1,8 @@
-"""The package namespace resolves each public name on first access, and each
-CLI command executes only the layer modules it calls."""
+"""The package namespace resolves each public name on first access, exports
+every name the benchmark script calls, and each CLI command executes only
+the layer modules it calls."""
 
+import ast
 import json
 import os
 import subprocess
@@ -20,8 +22,8 @@ from synth import random_corpus, write_corpus_files
 EXPORTS = {
     "corpus": [
         "BACKGROUND", "CENTRAL", "GROUNDING", "LEXGLUE", "NEG", "Corpus", "ExplanationFact",
-        "Facts", "Question", "answer_text", "load_corpus", "load_facts", "load_questions",
-        "parse_explanation", "parse_role", "qa_text", "validate", "write_questions",
+        "Facts", "Question", "load_corpus", "load_facts", "load_questions", "parse_role",
+        "qa_text", "validate", "write_questions",
     ],
     "dataprep": [
         "CLASSIFICATION", "REGRESSION", "Dataset", "NegativeSampler", "PrepConfig",
@@ -29,17 +31,17 @@ EXPORTS = {
     ],
     "errors": ["DataError", "FormatError", "PipelineError"],
     "evaluation": [
-        "EvalReport", "average_precision", "evaluate_rankings", "map_overall",
-        "read_predictions", "write_predictions",
+        "EvalReport", "evaluate_rankings", "map_overall", "read_predictions",
+        "write_predictions",
     ],
-    "rerank": ["RerankConfig", "RerankTrace", "depth_sweep", "iterative_rerank", "rerank_all"],
+    "rerank": ["RerankConfig", "RerankTrace", "depth_sweep", "rerank_all"],
     "scorer": [
         "RelevanceTable", "all_rankings", "load_scores", "normalize", "score_lexical",
         "write_scores",
     ],
     "textsim": [
         "STOPWORDS", "DenseWordVectors", "TfidfProvider", "Rows", "default_provider",
-        "dense_rows", "fact_vectors", "load_dense", "tokenize",
+        "fact_vectors", "load_dense", "tokenize",
     ],
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
@@ -52,7 +54,7 @@ def test_name_is_its_module_attribute(module, name):
 
 
 def test_all_and_dir_list_every_name_and_star_binds_them():
-    assert len(NAMES) == 57
+    assert len(NAMES) == 52
     assert sorted(explainrank.__all__) == sorted(NAMES)
     assert set(NAMES) <= set(dir(explainrank))
     namespace = {}
@@ -66,6 +68,27 @@ def test_all_and_dir_list_every_name_and_star_binds_them():
 def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         explainrank.no_such_name
+
+
+BENCH_SCRIPT = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+def test_bench_script_uses_only_exported_names():
+    """Every name perfbench/run.py imports from the package or reads off it
+    (as er.<name>) is exported. The script is parsed, not imported: its
+    traced runs are the only other place a missing name would show."""
+    tree = ast.parse(BENCH_SCRIPT.read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    aliases = {alias.asname or alias.name for node in nodes if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "explainrank"}
+    used = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module == "explainrank":
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+            used.add(node.attr)
+    assert aliases and used, "found no use of the package"
+    assert sorted(used - set(explainrank.__all__)) == []
 
 
 # runs one CLI command in a fresh interpreter and writes its exit code and the

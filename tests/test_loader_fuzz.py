@@ -9,12 +9,16 @@ sentence built from their tokens. Generated files mix line ends, blank
 lines, tabs and separators inside cells, missing and repeated columns,
 malformed annotations, huge, tiny and non-finite components, and bytes that
 are not valid UTF-8. Gold annotations that write_questions writes read back
-as their parsed roles.
+as their parsed roles. A question write_questions writes reads back as
+itself; one it refuses would not have: its row, written without the checks,
+reads back as another question or not at all.
 """
 
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -172,6 +176,58 @@ def test_gold_round_trip_gives_parsed_roles(golds):
     assert [q.gold for q in loaded] == [
         tuple((uid, parse_role(label)) for uid, label in gold) for gold in golds
     ]
+
+
+# question texts: clean ones read back as themselves; the others may have
+# whitespace at either end or inside, tabs, line breaks or choice markers
+clean_texts = st.lists(st.sampled_from(["x", "é", "x y", "(", "A)", "(F)", "|"]), max_size=3).map(" ".join)
+pieces = st.sampled_from(["", " ", "\u3000", "\t", "\n", "\r", "(A)", "(B)", "(C)", "(E)"])
+any_texts = st.one_of(st.tuples(pieces, pieces, pieces).map(lambda p: f"{p[0]}x{p[1]}x{p[2]}"),
+                      st.sampled_from(["", " ", "\t", "(A)"]))
+
+
+@st.composite
+def questions(draw):
+    """A question that reads back as itself (clean texts, choice keys A, B,
+    ... and uid|ROLE gold), but for at most one field: its text drawn from
+    any_texts, or the choice keys drawn from other letters in any order."""
+    keys = "ABCDE"[: draw(st.integers(0, 5))]
+    damaged = draw(st.sampled_from([None, "keys", "qid", "stem", "answer_key", *keys]))
+    if damaged == "keys":
+        keys = draw(st.lists(st.sampled_from("ABCDEab"), unique=True, min_size=1, max_size=5))
+    texts = {name: draw(any_texts if name == damaged else clean_texts)
+             for name in ("qid", "stem", *keys)}
+    key = draw(any_texts if damaged == "answer_key" else st.sampled_from([*keys, "Z", ""]))
+    gold = draw(st.lists(st.tuples(tokens, role_labels), max_size=3))
+    return Question(texts.pop("qid"), texts.pop("stem"), texts, key, tuple(gold))
+
+
+def read_back(path):
+    """load_questions' questions from path, or None when it raises FormatError."""
+    try:
+        return load_questions(path)
+    except FormatError:
+        return None
+
+
+@_settings
+@given(question=questions())
+@example(Question("q1", "Stem", {"B": "y", "A": "x"}, "B", (("u1", "central"),)))
+@example(Question("q1", "", {"A": ""}, "", ()))
+@example(Question("", "", {}, "", ()))
+def test_question_reads_back_as_itself_or_is_refused(question):
+    expected = replace(question, gold=tuple((uid, parse_role(role)) for uid, role in question.gold))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "questions.tsv"
+        try:
+            write_questions([question], path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"question {question.qid}: ") and not path.exists()
+            with mock.patch("explainrank.corpus._unreadable", return_value=None):
+                write_questions([question], path)
+            assert read_back(path) != [expected]
+            return
+        assert read_back(path) == [expected]
 
 
 @_settings

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from explainrank.errors import DataError
-from explainrank.rerank import RerankConfig, depth_sweep, iterative_rerank, rerank_all
+from explainrank.rerank import RerankConfig, _greedy, depth_sweep, rerank_all
 from explainrank.scorer import RelevanceTable, score_lexical, uid_ranks
-from explainrank.textsim import Rows, default_provider, dense_rows
+from explainrank.textsim import Rows, Window, default_provider, dense_rows
 
 from synth import random_corpus
 
@@ -87,16 +87,16 @@ def make_instance(vectors: dict[str, list[float]], rel: dict[str, float], qa) ->
 
 
 def rerank(inst: Instance, depth: int, rel: np.ndarray | None = None):
-    """Re-rank an instance the way rerank_all does one question: the initial
-    order's first 2 * depth facts with their weights and Q/A similarities."""
+    """Re-rank an instance the way rerank_all does one question, as a batch
+    of one: the initial order's first 2 * depth facts with their weights and
+    Q/A similarities. Returns the new order's uids and the rounds."""
     rel = inst.rel if rel is None else rel
-    order = inst.order
-    top = order[: 2 * depth]
-    qa_sims = inst.rows.cosines(0, dense_rows([inst.qa]), among=top)
-    new_order, rounds = iterative_rerank(
-        order, rel[top], qa_sims, inst.rows, inst.uids, RerankConfig(depth=depth), want_trace=True
-    )
-    return [inst.uids[i] for i in new_order], rounds
+    top = inst.order[None, : 2 * depth]
+    qa_sims = inst.rows.cosines(0, dense_rows([inst.qa]), among=top[0])
+    facts = np.array(inst.uids, dtype=object)[top]
+    perm, rounds = _greedy(Window(inst.rows, top), rel[top], qa_sims[None], depth, facts)
+    new_order = np.concatenate([top[0, perm[0]], inst.order[top.shape[1] :]])
+    return [inst.uids[i] for i in new_order], tuple(rounds[0])
 
 
 def pinned_instance() -> Instance:
@@ -350,23 +350,11 @@ class TestIterativeRerank:
         assert sorted(out) == sorted(inst.uids)
 
     def test_empty_ranking(self):
-        empty = np.array([], dtype=np.intp)
-        new_order, rounds = iterative_rerank(
-            empty, np.array([]), np.array([]), dense_rows([[1.0]]), [], RerankConfig(depth=5)
-        )
-        assert new_order.tolist() == []
-        assert rounds == ()
-
-    @pytest.mark.parametrize("short", ["weights", "qa_sims"])
-    def test_short_inputs_refused(self, short):
-        # depth 3 over 9 facts needs 6 entries of each; 5 must not shrink the window
-        inst = random_instance(random.Random(49), n_facts=9)
-        given = {"weights": inst.rel[inst.order[:6]], "qa_sims": np.ones(6)}
-        given[short] = given[short][:5]
-        with pytest.raises(ValueError, match=f"^{short} has 5 entries; depth 3 needs 6$"):
-            iterative_rerank(
-                inst.order, given["weights"], given["qa_sims"], inst.rows, inst.uids, RerankConfig(depth=3)
-            )
+        window = Window(dense_rows([[1.0]]), np.empty((1, 0), dtype=np.intp))
+        none = np.empty((1, 0))
+        perm, rounds = _greedy(window, none, none, 5, none.astype(object))
+        assert perm.shape == (1, 0)
+        assert rounds == [[]]
 
     def test_config_rejects_nonpositive_depth(self):
         with pytest.raises(ValueError):

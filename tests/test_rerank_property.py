@@ -1,8 +1,8 @@
 """The lockstep re-ranking against the per-question reference in
 rerank_reference.py, bit for bit.
 
-rerank_all, iterative_rerank and depth_sweep must give the reference's
-orders, every trace field (floats compared by float.hex) and sweep MAPs.
+rerank_all and depth_sweep must give the reference's orders, every trace
+field (floats compared by float.hex) and sweep MAPs.
 Generated corpora use TF-IDF or dense word vectors and have tied scores
 (0.0 and -0.0 among them), repeated fact texts (tied cosines), facts and
 Q/A texts with no known word (zero similarity), depths above the fact
@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 import rerank_reference as reference
 from explainrank.corpus import CENTRAL, Corpus, ExplanationFact, Question
 from explainrank.errors import DataError
-from explainrank.rerank import RerankConfig, depth_sweep, iterative_rerank, rerank_all
+from explainrank.rerank import RerankConfig, depth_sweep, rerank_all
 from explainrank.scorer import RelevanceTable
-from explainrank.textsim import DenseWordVectors, default_provider, fact_vectors
+from explainrank.textsim import DenseWordVectors, default_provider
 
 WORDS = ["frog", "pond", "sun", "heat", "rock", "soil", "rain", "leaf", "moon", "the", "of"]
 SCORES = [-2.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0]
@@ -87,16 +87,6 @@ def test_bitwise_equal_to_per_question_reference(case):
         assert list(got_traces) == list(want_traces)
         for qid, trace in got_traces.items():
             assert hexed(trace.rounds) == hexed(want_traces[qid].rounds)
-
-    rows = fact_vectors(corpus, provider)
-    for i, order, weights, qa_sims in reference._questions(corpus, provider, table, rows, depths[0]):
-        config = RerankConfig(depth=depths[0])
-        got_order, got_rounds = iterative_rerank(
-            order, weights, qa_sims, rows, table.uids, config, want_trace=True)
-        want_order, want_rounds = reference.iterative_rerank(
-            order, weights, qa_sims, rows, table.uids, config, want_trace=True)
-        assert got_order.tolist() == want_order.tolist()
-        assert hexed(got_rounds) == hexed(want_rounds)
 
     try:
         want_maps = reference.depth_sweep(corpus, provider, table, depths)
