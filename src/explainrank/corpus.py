@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import chain, count, repeat
 from pathlib import Path
 
-from .errors import DataError, FormatError, read_utf8, text_lines, tsv_fields, utf8_blocks
+from .errors import DataError, FormatError, read_utf8, split_cell, text_lines, tsv_fields, utf8_blocks
 
 log = logging.getLogger(__name__)
 
@@ -109,12 +109,10 @@ class Corpus:
     questions: tuple[Question, ...]
 
     def __post_init__(self) -> None:
-        """Any other uid -> fact mapping becomes Facts, in its iteration
-        order. A DataError for a repeated qid: qids key every ranking."""
+        """A TypeError unless facts is a Facts. A DataError for a repeated
+        qid: qids key every ranking."""
         if not isinstance(self.facts, Facts):
-            found = self.facts.values()
-            columns = [f.text for f in found], [f.table_name for f in found]
-            object.__setattr__(self, "facts", Facts(self.facts, *columns))
+            raise TypeError(f"Corpus facts must be a Facts, not {type(self.facts).__name__}")
         counts = Counter(q.qid for q in self.questions)
         if repeated := [qid for qid, n in counts.items() if n > 1]:
             raise DataError(f"duplicate question id {repeated[0]!r}")
@@ -341,8 +339,8 @@ def _unreadable(q: Question, row: list[str]) -> str | None:
         token = f"{uid}|{role}"
         if not uid or not role or "|" in role or token.split() != [token]:
             return f"gold token {token!r} would not read back as uid|ROLE"
-    if bad := [cell for cell in row if re.search(r"[\t\n\r]", cell)]:
-        return f"{bad[0]!r} holds a tab or a line break"
+    if reason := split_cell("field", row):
+        return reason
     if bad := [text for text in (q.qid, q.answer_key) if text != text.strip()]:
         return f"{bad[0]!r} has surrounding whitespace"
     stem, choices, _ = _split_question(row[1])
@@ -355,12 +353,13 @@ def _unreadable(q: Question, row: list[str]) -> str | None:
 
 def write_questions(questions: Sequence[Question], path: str | Path) -> None:
     """Write questions in the same TSV layout load_questions reads back. A
-    question that would not read back as itself is a ValueError naming its
-    qid, raised before the file is opened."""
-    rows = [_row(q) for q in questions]
+    question that would not read back as itself, or a qid that repeats, is
+    a ValueError naming the qid, raised before the file is opened."""
+    rows, seen = [_row(q) for q in questions], set()
     for q, row in zip(questions, rows):
-        if reason := _unreadable(q, row):
+        if reason := _unreadable(q, row) or ("the qid repeats" if q.qid in seen else None):
             raise ValueError(f"question {q.qid}: {reason}")
+        seen.add(q.qid)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(QUESTION_COLUMNS) + "\n")
         for row in rows:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, parse_role
 from .errors import DataError, FormatError, read_utf8, text_lines
-from .scorer import uid_ranks
 from .textsim import Rows, _over_norms, fact_vectors
 
 log = logging.getLogger(__name__)
@@ -77,7 +76,8 @@ class Dataset:
 def dense_cut_margin(rows: Rows) -> float | None:
     """How far below the k-th largest approximate cosine a dense candidate
     can sit and still be among the k largest exact ones; None when the
-    bound below does not hold for these rows, so no candidate may be cut.
+    bound below does not hold for these rows: NegativeSampler then cuts the
+    exact cosines at the k-th of them, as it does TF-IDF cosines.
 
     The exact cosine of rows x and y is Rows.cosines' value
     e = fl(fl(x.y) / D), whose dot product adds the d products left to right,
@@ -120,19 +120,19 @@ class NegativeSampler:
     about once.
 
     Dense cosines are first approximated with one BLAS matrix-vector
-    product over all facts. Only the non-gold facts within dense_cut_margin
-    of the k-th largest approximate value are kept, and they are rescored
-    with Rows.cosines before the sort, so the result is the same as sorting
-    every exact cosine. TF-IDF cosines come from Rows.cosines already and go
-    through the same cut with margin 0.
+    product. The non-gold facts within dense_cut_margin of the k-th largest
+    approximate value are rescored with Rows.cosines before the sort, so the
+    result is the same as sorting every exact cosine. TF-IDF rows, and dense
+    rows outside that margin's bound, take every exact cosine and cut at the
+    k-th of them.
     """
 
     def __init__(self, corpus: Corpus, provider):
         self.uids, self.column = corpus.facts.uids, corpus.facts.column
-        self.uid_ranks = uid_ranks(self.uids)
+        self.uid_ranks = np.argsort(np.argsort(np.array(self.uids, dtype=object)))  # tie-break key
         self.rows = fact_vectors(corpus, provider)
-        # the choice of filter: a positive margin marks the approximate one
-        self._margin = dense_cut_margin(self.rows) if self.rows.dense else 0.0
+        # positive when the cosines are approximated first, 0.0 when exact
+        self._margin = (dense_cut_margin(self.rows) or 0.0) if self.rows.dense else 0.0
         self._memo: dict[tuple[str, frozenset[str], int], tuple[str, ...]] = {}
 
     def negatives(self, gold_uid: str, gold_uids: frozenset[str] | set[str], k: int) -> list[str]:
@@ -153,28 +153,21 @@ class NegativeSampler:
         j = self.column.get(gold_uid)
         if j is None:
             raise DataError(f"gold fact {gold_uid!r} not in corpus")
+        rows, margin = self.rows, self._margin
         non_gold = np.ones(len(self.uids), dtype=bool)
         non_gold[[self.column[uid] for uid in gold_uids if uid in self.column]] = False
         candidates = np.flatnonzero(non_gold)
-        if self._margin is None or len(candidates) <= k:
-            sims = self.rows.cosines(j, among=candidates)
+        if margin:
+            sims = _over_norms(rows.values @ rows.values[j], rows.norms * rows.norms[j])[candidates]
         else:
-            sims = self._bulk_cosines(j)[candidates]
-            near = sims >= np.partition(sims, -k)[-k] - self._margin
+            sims = rows.cosines(j)[candidates]
+        if len(candidates) > k:
+            near = sims >= np.partition(sims, -k)[-k] - margin
             candidates, sims = candidates[near], sims[near]
-            if self._margin:
-                sims = self.rows.cosines(j, among=candidates)
+        if margin:
+            sims = rows.cosines(j, among=candidates)
         best = candidates[np.lexsort((self.uid_ranks[candidates], -sims))[:k]]
         return tuple(self.uids[i] for i in best)
-
-    def _bulk_cosines(self, j: int) -> np.ndarray:
-        """Fact j's cosine with every fact: Rows.cosines' values under margin
-        0, else one matrix-vector product divided as Rows.cosines divides,
-        within dense_cut_margin of those values."""
-        rows = self.rows
-        if not self._margin:
-            return rows.cosines(j)
-        return _over_norms(rows.values @ rows.values[j], rows.norms * rows.norms[j])
 
 
 def sample_negatives(

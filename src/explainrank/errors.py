@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,6 +33,13 @@ class FormatError(PipelineError):
 
 class DataError(PipelineError):
     """Inputs are well-formed but violate a content contract."""
+
+
+def split_cell(what: str, cells: Iterable[str]) -> str | None:
+    """Why a TSV reader would not read one of cells back as one cell: the
+    first that holds a tab, CR or LF, named as what. None if none does."""
+    bad = next((cell for cell in cells if "\t" in cell or "\n" in cell or "\r" in cell), None)
+    return None if bad is None else f"{what} {bad!r} holds a tab or a line break"
 
 
 def read_utf8(path: str | Path) -> str:

@@ -22,7 +22,7 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from .corpus import KNOWN_ROLES, Corpus, Question
-from .errors import DataError, FormatError, tsv_blocks
+from .errors import DataError, FormatError, split_cell, tsv_blocks
 
 log = logging.getLogger(__name__)
 
@@ -195,7 +195,10 @@ def report_keyvalues(report: EvalReport) -> str:
 def write_predictions(ranked_by_qid: RankedUids, path: str | Path, top_m: int | None = None) -> None:
     """One "qid<TAB>fact_uid" line per kept position, questions in mapping
     order, best fact first within each question; a question's lines are
-    written as one string."""
+    written as one string. A qid holding a tab, CR or LF is a ValueError,
+    raised before the file is opened; the uids are not checked."""
+    if reason := split_cell("qid", ranked_by_qid):
+        raise ValueError(f"{reason}; the predictions would not read back")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for qid, uids in ranked_by_qid.items():
             uids = uids if top_m is None else uids[:top_m]

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse, repeat
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .corpus import Corpus
-from .errors import DataError, FormatError, tsv_blocks
+from .errors import DataError, FormatError, split_cell, tsv_blocks
 from .textsim import STOPWORDS, fact_vectors, token_lists
 
 log = logging.getLogger(__name__)
@@ -32,11 +31,6 @@ OVERLAP = "overlap"
 # floor of the per-question min-max rescale; keeps every relevance weight
 # strictly positive for the weighted re-ranking average
 NORM_FLOOR = 1e-6
-
-
-def uid_ranks(uids: Sequence[str]) -> np.ndarray:
-    """Each uid's position in ascending uid order: the tie-break sort key."""
-    return np.argsort(np.argsort(np.array(uids, dtype=object)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +99,10 @@ def write_scores(table: RelevanceTable, path: str | Path) -> None:
     exact floats (and therefore the exact ranking). Each question's lines
     are one join of a list holding every line's pieces in place: the uid
     pieces are made once, and only the qid and score pieces change from
-    row to row, so no line is built as a string of its own."""
+    row to row, so no line is built as a string of its own. A qid or uid
+    holding a tab, CR or LF is a ValueError, raised before the file opens."""
+    if reason := split_cell("qid", table.qids) or split_cell("uid", table.uids):
+        raise ValueError(f"{reason}; the scores would not read back")
     n = len(table.uids)
     pieces = [None, None, None, "\n"] * n  # qid<TAB>, uid<TAB>, score, newline of each line
     pieces[1::4] = [f"{uid}\t" for uid in table.uids]

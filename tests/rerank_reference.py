@@ -16,13 +16,14 @@ import numpy as np
 from eval_reference import map_overall
 from explainrank.errors import DataError
 from explainrank.rerank import RerankConfig, RerankRound, RerankTrace
-from explainrank.scorer import RelevanceTable, normalize, uid_ranks
+from explainrank.scorer import RelevanceTable, normalize
 from explainrank.textsim import Rows, fact_vectors
 
 
 def lexsort_order(table: RelevanceTable, i: int) -> np.ndarray:
     """Row i's columns by score descending, ties by uid ascending."""
-    return np.lexsort((uid_ranks(table.uids), -table.scores[i]))
+    rank = {uid: r for r, uid in enumerate(sorted(table.uids))}
+    return np.lexsort(([rank[uid] for uid in table.uids], -table.scores[i]))
 
 
 def iterative_rerank(

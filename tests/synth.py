@@ -7,6 +7,7 @@ produce the same corpus, on any machine.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,19 @@ from explainrank.corpus import (
     GROUNDING,
     LEXGLUE,
     Corpus,
-    ExplanationFact,
+    Facts,
     Question,
 )
 
 from explainrank.scorer import RelevanceTable
 
 WORD_POOL = [f"word{i:02d}" for i in range(40)]
+
+
+def corpus_of(texts: Mapping[str, str], questions: Iterable[Question] = (), table: str = "t") -> Corpus:
+    """A corpus of the facts uid -> text, in mapping order and all from one
+    table, and the questions."""
+    return Corpus(Facts(texts, texts.values(), [table] * len(texts)), tuple(questions))
 
 
 def random_corpus(
@@ -38,11 +45,10 @@ def random_corpus(
     tests are unambiguous.
     """
     rng = random.Random(seed)
-    facts: dict[str, ExplanationFact] = {}
+    facts: dict[str, str] = {}
     for i in range(n_facts):
-        uid = f"F{i:04d}"
         words = [f"unique{i:04d}"] + rng.sample(WORD_POOL, rng.randint(3, 6))
-        facts[uid] = ExplanationFact(uid=uid, text=" ".join(words), table_name="synth")
+        facts[f"F{i:04d}"] = " ".join(words)
     uids = list(facts)
     questions = []
     for i in range(n_questions):
@@ -59,7 +65,7 @@ def random_corpus(
         questions.append(
             Question(qid=qid, stem=stem, choices=choices, answer_key="B", gold=gold)
         )
-    return Corpus(facts=facts, questions=tuple(questions))
+    return corpus_of(facts, questions, "synth")
 
 
 def chain_corpus(
@@ -75,34 +81,21 @@ def chain_corpus(
     chain facts in a purely lexical initial ranking while iterative
     re-ranking can walk the chain.
     """
-    facts: dict[str, ExplanationFact] = {}
+    facts: dict[str, str] = {}
     questions = []
     for i in range(n_questions):
         stem_tokens = [f"qs{i}a", f"qs{i}b", f"qs{i}c", f"qs{i}d"]
         answer = f"ans{i}"
         gold = []
         head_uid = f"q{i:02d}g0"
-        facts[head_uid] = ExplanationFact(
-            uid=head_uid,
-            text=f"{stem_tokens[0]} {stem_tokens[1]} {answer} ch{i}x0",
-            table_name="chain",
-        )
+        facts[head_uid] = f"{stem_tokens[0]} {stem_tokens[1]} {answer} ch{i}x0"
         gold.append((head_uid, CENTRAL))
         for j in range(1, chain_len):
             uid = f"q{i:02d}g{j}"
-            facts[uid] = ExplanationFact(
-                uid=uid,
-                text=f"{answer} ch{i}x{j - 1} ch{i}x{j}",
-                table_name="chain",
-            )
+            facts[uid] = f"{answer} ch{i}x{j - 1} ch{i}x{j}"
             gold.append((uid, GROUNDING))
         for j in range(n_distractors):
-            uid = f"q{i:02d}d{j}"
-            facts[uid] = ExplanationFact(
-                uid=uid,
-                text=f"{stem_tokens[2]} {stem_tokens[3]} nz{i}x{j}",
-                table_name="chain",
-            )
+            facts[f"q{i:02d}d{j}"] = f"{stem_tokens[2]} {stem_tokens[3]} nz{i}x{j}"
         questions.append(
             Question(
                 qid=f"Q{i:03d}",
@@ -112,7 +105,7 @@ def chain_corpus(
                 gold=tuple(gold),
             )
         )
-    return Corpus(facts=facts, questions=tuple(questions))
+    return corpus_of(facts, questions, "chain")
 
 
 def write_fact_table(path: Path, rows: list[tuple[str, str]], *, split: bool = True) -> None:
@@ -135,7 +128,7 @@ def write_corpus_files(corpus: Corpus, directory: Path) -> tuple[list[Path], Pat
 
     directory.mkdir(parents=True, exist_ok=True)
     facts_path = directory / "facts.tsv"
-    write_fact_table(facts_path, [(f.uid, f.text) for f in corpus.facts.values()])
+    write_fact_table(facts_path, list(zip(corpus.facts.uids, corpus.facts.texts)))
     questions_path = directory / "questions.tsv"
     write_questions(corpus.questions, questions_path)
     return [facts_path], questions_path

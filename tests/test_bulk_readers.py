@@ -23,16 +23,17 @@ from hypothesis import strategies as st
 
 import line_readers
 from explainrank import errors
-from explainrank.corpus import Corpus, ExplanationFact, Question
+from explainrank.corpus import Question
 from explainrank.errors import PipelineError
 from explainrank.evaluation import read_predictions, write_predictions
 from explainrank.scorer import RelevanceTable, load_scores, write_scores
+from synth import corpus_of
 
 QIDS = ["q1", "q2", "ø3"]
 UIDS = ["f1", "f2", "é3", "f\u20284", "f 5", "f\x0c6\x1c"]
-CORPUS = Corpus(
-    facts={uid: ExplanationFact(uid, f"fact {i}", "t") for i, uid in enumerate(UIDS)},
-    questions=tuple(Question(qid, "stem", {"A": "a"}, "A", ()) for qid in QIDS),
+CORPUS = corpus_of(
+    {uid: f"fact {i}" for i, uid in enumerate(UIDS)},
+    [Question(qid, "stem", {"A": "a"}, "A", ()) for qid in QIDS],
 )
 
 qid_texts = st.sampled_from(QIDS + ["q9", "", " q1"])
@@ -187,10 +188,8 @@ def test_scores_round_trip(qids, uids, data, chars):
     values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                 min_size=len(qids) * len(uids), max_size=len(qids) * len(uids)))
     table = RelevanceTable(tuple(qids), tuple(uids), np.array(values).reshape(len(qids), len(uids)))
-    corpus = Corpus(
-        facts={uid: ExplanationFact(uid, "text", "t") for uid in uids},
-        questions=tuple(Question(qid, "stem", {"A": "a"}, "A", ()) for qid in qids),
-    )
+    questions = [Question(qid, "stem", {"A": "a"}, "A", ()) for qid in qids]
+    corpus = corpus_of(dict.fromkeys(uids, "text"), questions)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(errors, "_BLOCK_CHARS", chars)
         path = Path(tmp) / "scores.tsv"

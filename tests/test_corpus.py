@@ -26,7 +26,7 @@ from explainrank.corpus import (
 from explainrank.errors import DataError, FormatError
 
 import line_readers
-from synth import random_corpus, write_corpus_files, write_fact_table
+from synth import corpus_of, random_corpus, write_corpus_files, write_fact_table
 
 
 def write_lines(path, lines):
@@ -253,7 +253,7 @@ class TestLoadQuestions:
         )
         (q,) = load_questions(path)
         assert q.answer_key == "C"
-        report = validate(Corpus(facts={}, questions=(q,)))
+        report = validate(corpus_of({}, [q]))
         assert not report.ok
         assert any(i.kind == "answer-key" for i in report.issues)
 
@@ -319,13 +319,11 @@ class TestFacts:
         with pytest.raises(TypeError):
             facts["m4"] = ExplanationFact("m4", "x", "mid")
 
-    def test_corpus_takes_any_mapping_of_facts(self, tables):
+    def test_corpus_takes_only_facts(self, tables):
         facts = load_facts(tables)
-        corpus = Corpus(facts=dict(facts.items()), questions=())
-        assert isinstance(corpus.facts, Facts)
-        for column in ("uids", "texts", "tables", "column"):
-            assert getattr(corpus.facts, column) == getattr(facts, column)
         assert Corpus(facts=facts, questions=()).facts is facts
+        with pytest.raises(TypeError, match="^Corpus facts must be a Facts, not dict$"):
+            Corpus(facts=dict(facts.items()), questions=())
 
     def test_sub_corpus_keeps_the_columns(self, tmp_path):
         corpus = random_corpus(n_questions=6, n_facts=25, seed=8)
@@ -368,7 +366,7 @@ class TestAnswerable:
             Question("q2", "Stem", {"A": "x"}, "Z", (("f1", CENTRAL),)),
             Question("q3", "", {"A": "x"}, "A"),
         )
-        corpus = Corpus(facts={}, questions=questions)
+        corpus = corpus_of({}, questions)
         with caplog.at_level("WARNING"):
             first, second = corpus.answerable, corpus.answerable
         assert first is second
@@ -384,16 +382,13 @@ class TestCorpus:
             Question("q1", "Other", {"A": "y"}, "A"),
         )
         with pytest.raises(DataError, match="^duplicate question id 'q1'$"):
-            Corpus(facts={}, questions=questions)
+            corpus_of({}, questions)
 
 
 class TestValidate:
     def make_corpus(self, gold, n_facts=20):
-        facts = {
-            f"x{i}": ExplanationFact(f"x{i}", f"fact {i}", "t") for i in range(n_facts)
-        }
         q = Question("q1", "Stem", {"A": "a"}, "A", gold)
-        return Corpus(facts=facts, questions=(q,))
+        return corpus_of({f"x{i}": f"fact {i}" for i in range(n_facts)}, [q])
 
     def test_clean(self):
         report = validate(self.make_corpus((("x1", CENTRAL),)))
@@ -440,6 +435,13 @@ class TestRoundTrip:
         write_questions([q], path)
         (loaded,) = load_questions(path)
         assert loaded == q
+
+    def test_repeated_qid_rejected(self, tmp_path):
+        questions = [Question(qid, "Stem", {"A": "x"}, "A") for qid in ("q1", "q2", "q1")]
+        path = tmp_path / "q.tsv"
+        with pytest.raises(ValueError, match="^question q1: the qid repeats$"):
+            write_questions(questions, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "uid, role",

@@ -11,7 +11,6 @@ from explainrank.corpus import (
     GROUNDING,
     LEXGLUE,
     Corpus,
-    ExplanationFact,
     Question,
 )
 from explainrank.cli import main
@@ -38,7 +37,7 @@ from explainrank.textsim import (
     tokenize,
 )
 
-from synth import WORD_POOL, random_corpus, write_corpus_files
+from synth import WORD_POOL, corpus_of, random_corpus, write_corpus_files
 
 
 def rows_dataset(*rows):
@@ -47,10 +46,7 @@ def rows_dataset(*rows):
 
 
 def two_gold_corpus(n_facts=12):
-    facts = {
-        f"f{i:02d}": ExplanationFact(f"f{i:02d}", f"unique{i:02d} shared word{i % 3}", "t")
-        for i in range(n_facts)
-    }
+    facts = {f"f{i:02d}": f"unique{i:02d} shared word{i % 3}" for i in range(n_facts)}
     q = Question(
         "q1",
         "shared question stem",
@@ -58,7 +54,7 @@ def two_gold_corpus(n_facts=12):
         "A",
         (("f00", CENTRAL), ("f01", GROUNDING)),
     )
-    return Corpus(facts=facts, questions=(q,))
+    return corpus_of(facts, [q])
 
 
 class TestSampleNegatives:
@@ -118,10 +114,10 @@ def shared_gold_corpus(seed):
     sets, with some facts repeating another fact's text under a new uid."""
     rng = random.Random(seed)
     base = random_corpus(n_questions=0, n_facts=rng.randint(8, 30), seed=seed)
-    facts = dict(base.facts)
+    facts = dict(zip(base.facts.uids, base.facts.texts))
     for i, uid in enumerate(rng.sample(list(base.facts), 3)):
         twin = f"{'D' if i % 2 else 'G'}{i:04d}"  # sorts before or after the F uids
-        facts[twin] = ExplanationFact(twin, base.facts[uid].text, "synth")
+        facts[twin] = base.facts.text(uid)
     uids = list(facts)
     hubs = rng.sample(uids, 2)
     questions = []
@@ -130,7 +126,7 @@ def shared_gold_corpus(seed):
         questions.append(
             Question(f"Q{i:03d}", "stem", {"A": "word00"}, "A", tuple((u, CENTRAL) for u in sorted(gold)))
         )
-    return Corpus(facts=facts, questions=tuple(questions))
+    return corpus_of(facts, questions, "synth")
 
 
 def dense_provider(seed):
@@ -180,23 +176,19 @@ class TestNegativeSampler:
             assert any("non-gold fact(s) available" in rec.message for rec in caplog.records)
 
     def test_identical_texts_tie_by_uid(self):
-        facts = {
-            uid: ExplanationFact(uid, text, "t")
-            for uid, text in [("b", "anchor words"), ("z", "same text"), ("a", "same text"), ("m", "same text")]
-        }
+        facts = {"b": "anchor words", "z": "same text", "a": "same text", "m": "same text"}
         q = Question("q1", "stem", {"A": "x"}, "A", (("b", CENTRAL),))
-        corpus = Corpus(facts=facts, questions=(q,))
+        corpus = corpus_of(facts, [q])
         sampler = NegativeSampler(corpus, default_provider(corpus))
         assert sampler.negatives("b", {"b"}, 3) == ["a", "m", "z"]
 
     def test_short_result_warned_once_per_gold_fact_over_all_variants(self, caplog):
         # two gold facts leave one non-gold fact for k=3: each gold fact's
         # result is short, and the four variants share it
-        facts = {uid: ExplanationFact(uid, text, "t") for uid, text in
-                 [("f1", "frogs eat insects"), ("f2", "insects eat plants"), ("f3", "rocks are hard")]}
+        facts = {"f1": "frogs eat insects", "f2": "insects eat plants", "f3": "rocks are hard"}
         gold = (("f1", CENTRAL), ("f2", GROUNDING))
         q = Question("q1", "what do frogs eat", {"A": "insects"}, "A", gold)
-        corpus = Corpus(facts=facts, questions=(q,))
+        corpus = corpus_of(facts, [q])
         sampler = NegativeSampler(corpus, default_provider(corpus))
         with caplog.at_level("WARNING"):
             for task in (CLASSIFICATION, REGRESSION):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,8 +7,6 @@ from explainrank.corpus import (
     CENTRAL,
     GROUNDING,
     LEXGLUE,
-    Corpus,
-    ExplanationFact,
     Question,
 )
 from explainrank.errors import DataError, FormatError
@@ -19,6 +18,8 @@ from explainrank.evaluation import (
     report_keyvalues,
     write_predictions,
 )
+
+from synth import corpus_of
 
 
 def brute_force_ap(ranked, relevant):
@@ -32,17 +33,15 @@ def brute_force_ap(ranked, relevant):
 
 
 def make_corpus(questions, n_facts=10):
-    facts = {f"f{i}": ExplanationFact(f"f{i}", f"text {i}", "t") for i in range(n_facts)}
-    return Corpus(facts=facts, questions=tuple(questions))
+    return corpus_of({f"f{i}": f"text {i}" for i in range(n_facts)}, questions)
 
 
 def one_question_ap(ranked, relevant):
     """The AP of one ranking: map_overall over a corpus of one question,
     whose gold is the relevant uids, and of a fact for every uid named."""
     uids = dict.fromkeys([*ranked, *sorted(relevant)])
-    facts = {uid: ExplanationFact(uid, f"text {uid}", "t") for uid in uids}
     question = Question("q", "s", {"A": "a"}, "A", tuple((uid, CENTRAL) for uid in sorted(relevant)))
-    return map_overall({"q": ranked}, Corpus(facts=facts, questions=(question,)))
+    return map_overall({"q": ranked}, corpus_of({uid: f"text {uid}" for uid in uids}, [question]))
 
 
 class TestAveragePrecision:
@@ -347,6 +346,13 @@ class TestPredictions:
         path.write_text("q2\tf3\nq2\tf1\nq1\tf2\nq\u00e9\tf\u00e9\nq\u00e9\tf1\n", encoding="utf-8")
         write_predictions(read_predictions(path), again)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("bad", ["q\t1", "q\r1", "q\n1"], ids=["tab", "cr", "lf"])
+    def test_qid_that_would_not_read_back_refused(self, tmp_path, bad):
+        path = tmp_path / "p.tsv"
+        with pytest.raises(ValueError, match=re.escape(f"qid {bad!r} holds a tab or a line break")):
+            write_predictions({"q0": ["a"], bad: ["a", "b"]}, path)
+        assert not path.exists()
 
     def test_read_rejects_duplicates(self, tmp_path):
         path = tmp_path / "p.tsv"

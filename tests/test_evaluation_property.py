@@ -20,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eval_reference as reference
-from explainrank.corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, ExplanationFact, Question
+from explainrank.corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, Question
 from explainrank.errors import DataError
 from explainrank.evaluation import evaluate_rankings, map_overall
+from synth import corpus_of
 
 ROLES = [CENTRAL, GROUNDING, LEXGLUE, "weird", "Other role"]
 
@@ -39,7 +40,6 @@ def rankings(draw, uids):
 @st.composite
 def cases(draw):
     uids = [f"u{k:02d}" for k in range(draw(st.integers(1, 20)))]
-    facts = {uid: ExplanationFact(uid, f"text {uid}", "t") for uid in uids}
     questions, ranked = [], {}
     # from 8 values on, numpy's pairwise sum can differ from a left-to-right one
     for k in range(draw(st.integers(1, 12))):
@@ -51,7 +51,7 @@ def cases(draw):
         questions.append(Question(f"q{k}", "s", {"A": "a"}, "A", tuple(gold)))
         if draw(st.integers(0, 4)):  # an annotated question may have no ranking
             ranked[f"q{k}"] = draw(rankings(uids))
-    return Corpus(facts=facts, questions=tuple(questions)), ranked
+    return corpus_of({uid: f"text {uid}" for uid in uids}, questions), ranked
 
 
 def hexed(report):

@@ -134,7 +134,7 @@ def inputs(tmp_path_factory):
         (["evaluate", "--scores", "{d}/scores.tsv", "--sweep", "1,3"], RERANKING),
         (["rank"], SCORING | {"explainrank.evaluation"}),
         (["rerank", "--depth", "3"], RERANKING),
-        (["prepare", "--task", "all"], SCORING | {"explainrank.dataprep"}),
+        (["prepare", "--task", "all"], {"explainrank.textsim", "explainrank.dataprep"}),
     ],
     ids=["help", "validate", "evaluate-predictions", "evaluate-sweep", "rank", "rerank", "prepare"],
 )

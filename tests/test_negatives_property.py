@@ -4,8 +4,10 @@ near-ties.
 The reference takes every non-gold fact's cosine with an explicit Python
 loop over the dimensions, left to right (cosine_reference.py), and sorts all
 of them by (-cosine, uid). The sampler filters with one matrix-vector
-product first and rescores only the facts near the k-th value, so on any
-corpus the two must return the same uids in the same order.
+product first and rescores only the facts near the k-th value, or, for
+TF-IDF rows and dense rows outside dense_cut_margin's bound, cuts the exact
+cosines at the k-th, so on any corpus the two must return the same uids in
+the same order.
 Generated corpora have small-integer or few-bit word vectors, repeated fact
 texts, facts with no in-vocabulary word (zero vectors), word vectors whose
 magnitudes differ by up to 2^1100, and k at or above the number of
@@ -22,9 +24,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cosine_reference
-from explainrank.corpus import Corpus, ExplanationFact
 from explainrank.dataprep import NegativeSampler, dense_cut_margin
-from explainrank.textsim import DenseWordVectors, Rows, dense_rows, fact_vectors
+from explainrank.textsim import DenseWordVectors, Rows, default_provider, dense_rows, fact_vectors
+from synth import corpus_of
 
 WORDS = [f"w{i}" for i in range(8)]
 OOV = ["zz", "qq"]
@@ -33,15 +35,25 @@ EXPONENTS = [-600, -510, -100, -3, 0, 3, 100, 505]
 
 
 def reference_negatives(rows, uids, gold_uid, gold_uids, k):
-    """Every non-gold fact's left-to-right cosine, all of them lexsorted."""
+    """Every non-gold fact's left-to-right cosine, all of them lexsorted.
+    TF-IDF weights are spread over the term ids first, and keep the rows'
+    norms, which add the squares in the order the terms first occur."""
     j = uids.index(gold_uid)
     rank = {uid: r for r, uid in enumerate(sorted(uids))}
+    if rows.dense:
+        vectors, norms = rows.values, [cosine_reference.norm(v) for v in rows.values]
+    else:
+        vectors = np.zeros((len(uids), rows.dim + 1))
+        vectors[np.arange(len(uids))[:, None], rows.ids] = rows.values
+        norms = rows.norms
     kept, cosines = [], []
     for i, uid in enumerate(uids):
         if uid in gold_uids:
             continue
         kept.append(uid)
-        cosines.append(cosine_reference.cosine(rows.values[j], rows.values[i]))
+        denom = norms[j] * norms[i]
+        dot = cosine_reference.dot(vectors[j], vectors[i])
+        cosines.append(dot / denom if denom != 0.0 else 0.0)
     order = np.lexsort(([rank[uid] for uid in kept], -np.array(cosines, dtype=float)))
     return [kept[i] for i in order[:k]]
 
@@ -74,8 +86,7 @@ def corpora(draw):
                           min_size=n_facts, max_size=n_facts))
     # uids whose ascending order differs from the corpus order
     uids = [f"F{p:02d}" for p in draw(st.permutations(range(n_facts)))]
-    facts = {uid: ExplanationFact(uid, texts[p], "t") for uid, p in zip(uids, picks)}
-    return Corpus(facts=facts, questions=())
+    return corpus_of({uid: texts[p] for uid, p in zip(uids, picks)})
 
 
 queries = st.lists(
@@ -100,6 +111,38 @@ def test_sampler_equals_brute_force_reference(corpus, provider, asked):
         assert len(expected) == min(k, len(uids) - len(gold_uids))
 
 
+def route_case(route):
+    """24 facts over the words w0..w7 with repeated texts, uids out of corpus
+    order and one fact of w7 alone, and the rows of one route: TF-IDF, small
+    integer word vectors, or those vectors with w7's scaled by 2^-510, so
+    that the w7 fact's norm is outside dense_cut_margin's bound."""
+    rng = np.random.default_rng(41)
+    texts = [" ".join(rng.choice(WORDS[:7], size=rng.integers(1, 4))) for _ in range(8)]
+    uids = [f"F{p:02d}" for p in rng.permutation(24)]
+    corpus = corpus_of(dict(zip(uids, [texts[i % 8] for i in range(23)] + ["w7"])))
+    if route == "tfidf":
+        return corpus, default_provider(corpus)
+    table = rng.integers(-2, 3, size=(len(WORDS), 4)).astype(float)
+    table[7] = [1.0, -2.0, 0.0, 1.0]
+    if route == "dense-unbounded":
+        table[7] *= 2.0**-510
+    return corpus, DenseWordVectors({w: i for i, w in enumerate(WORDS)}, table)
+
+
+@pytest.mark.parametrize("k", [5, 21, 30])  # 21 facts are not gold
+@pytest.mark.parametrize("route", ["tfidf", "dense", "dense-unbounded"])
+def test_each_route_equals_brute_force_reference(route, k):
+    corpus, provider = route_case(route)
+    sampler, uids = NegativeSampler(corpus, provider), list(corpus.facts.uids)
+    assert sampler.rows.dense == (route != "tfidf")
+    assert (dense_cut_margin(sampler.rows) is None) == (route == "dense-unbounded")
+    for j, gold_uid in enumerate(uids):
+        gold_uids = {gold_uid, uids[(j + 5) % 24], uids[(j + 11) % 24]}
+        expected = reference_negatives(sampler.rows, uids, gold_uid, gold_uids, k)
+        assert sampler.negatives(gold_uid, gold_uids, k) == expected
+        assert len(expected) == min(k, 21)
+
+
 class TestCutMargin:
     def test_derived_from_the_dimension(self):
         u = 2.0**-53
@@ -122,8 +165,8 @@ class TestCutMargin:
     def test_rescores_only_facts_near_the_cut(self, monkeypatch):
         rng = np.random.default_rng(5)
         vectors = rng.normal(size=(300, 50))
-        facts = {f"F{i:03d}": ExplanationFact(f"F{i:03d}", f"v{i}", "t") for i in range(300)}
-        corpus = Corpus(facts=facts, questions=())
+        facts = {f"F{i:03d}": f"v{i}" for i in range(300)}
+        corpus = corpus_of(facts)
         provider = DenseWordVectors({f"v{i}": i for i in range(300)}, vectors)
         sizes, cosines = [], Rows.cosines
 

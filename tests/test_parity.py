@@ -27,11 +27,11 @@ import pytest
 
 import explainrank
 from explainrank.cli import main
-from explainrank.corpus import CENTRAL, Corpus, ExplanationFact, Question
+from explainrank.corpus import CENTRAL, Question
 from explainrank.dataprep import sample_negatives
 from explainrank.textsim import load_dense, tokenize
 
-from synth import chain_corpus, random_corpus, write_corpus_files
+from synth import chain_corpus, corpus_of, random_corpus, write_corpus_files
 
 DIGESTS = Path(__file__).with_name("parity_digests.json")
 SRC = str(Path(explainrank.__file__).resolve().parent.parent)
@@ -158,15 +158,11 @@ def test_dense_prepare_and_rank_in_fresh_cli_match_pinned_digests(blas_threads, 
 def test_dense_identical_texts_tie_break_by_uid(tmp_path):
     """Two facts with the same text get the same dense row and so identical
     scores; the initial ranking and the negative sampler order them by uid."""
-    facts = {
-        "F3": ExplanationFact("F3", "frogs eat insects", "t"),
-        "F1": ExplanationFact("F1", "frogs eat insects", "t"),
-        "F2": ExplanationFact("F2", "rocks are hard", "t"),
-        "F0": ExplanationFact("F0", "insects fly", "t"),
-    }
+    facts = {"F3": "frogs eat insects", "F1": "frogs eat insects", "F2": "rocks are hard",
+             "F0": "insects fly"}
     question = Question("Q1", "what do frogs eat", {"A": "insects", "B": "rocks"}, "A",
                         (("F0", CENTRAL),))
-    corpus = Corpus(facts=facts, questions=(question,))
+    corpus = corpus_of(facts, [question])
     facts_paths, questions_path = write_corpus_files(corpus, tmp_path / "data")
     vectors = tmp_path / "vectors.txt"
     vectors.write_text(

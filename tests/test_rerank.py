@@ -8,10 +8,10 @@ import pytest
 
 from explainrank.errors import DataError
 from explainrank.rerank import RerankConfig, _greedy, depth_sweep, rerank_all
-from explainrank.scorer import RelevanceTable, score_lexical, uid_ranks
+from explainrank.scorer import RelevanceTable, score_lexical
 from explainrank.textsim import Rows, Window, default_provider, dense_rows
 
-from synth import random_corpus
+from synth import corpus_of, random_corpus
 
 
 def brute_force_rerank(order, rel, vectors, qa, depth):
@@ -66,7 +66,8 @@ class Instance:
 
     @property
     def order(self) -> np.ndarray:
-        return np.lexsort((uid_ranks(self.uids), -self.rel))
+        rank = {uid: r for r, uid in enumerate(sorted(self.uids))}
+        return np.lexsort(([rank[uid] for uid in self.uids], -self.rel))
 
     @property
     def initial(self) -> list[str]:
@@ -416,7 +417,7 @@ def pinned_corpus():
     question's text is "qa", and a provider maps those texts to the pinned
     vectors. Relevance is the pinned weights, which normalize() rescales
     without changing the selections."""
-    from explainrank.corpus import Corpus, ExplanationFact, Question
+    from explainrank.corpus import Question
 
     vectors = {**PINNED_VECTORS, "qa": PINNED_QA}
 
@@ -424,9 +425,8 @@ def pinned_corpus():
         def rows(self, texts):
             return dense_rows([vectors[t] for t in texts])
 
-    facts = {uid: ExplanationFact(uid, uid, "t") for uid in PINNED_VECTORS}
-    corpus = Corpus(facts=facts, questions=(Question("q", "qa", {"A": ""}, "A"),))
-    uids = tuple(facts)
+    corpus = corpus_of({uid: uid for uid in PINNED_VECTORS}, [Question("q", "qa", {"A": ""}, "A")])
+    uids = corpus.facts.uids
     table = RelevanceTable(("q",), uids, np.array([[PINNED_REL[u] for u in uids]]))
     return corpus, Provider(), table
 

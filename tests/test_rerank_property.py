@@ -20,11 +20,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rerank_reference as reference
-from explainrank.corpus import CENTRAL, Corpus, ExplanationFact, Question
+from explainrank.corpus import CENTRAL, Question
 from explainrank.errors import DataError
 from explainrank.rerank import RerankConfig, depth_sweep, rerank_all
 from explainrank.scorer import RelevanceTable
 from explainrank.textsim import DenseWordVectors, default_provider
+from synth import corpus_of
 
 WORDS = ["frog", "pond", "sun", "heat", "rock", "soil", "rain", "leaf", "moon", "the", "of"]
 SCORES = [-2.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0]
@@ -40,14 +41,14 @@ def cases(draw):
     pool = draw(st.lists(texts(), min_size=1, max_size=5))
     fact_texts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
     uids = [f"u{k:02d}" for k in draw(st.permutations(range(len(fact_texts))))]
-    facts = {uid: ExplanationFact(uid, text, "t") for uid, text in zip(uids, fact_texts)}
+    facts = dict(zip(uids, fact_texts))
     questions = []
     for k in range(draw(st.integers(1, 5))):
         gold = draw(st.lists(st.sampled_from(uids + ["dangling"]), max_size=4, unique=True))
         answer = draw(st.sampled_from("AAAB"))  # B names no choice: unanswerable
         questions.append(Question(f"q{k}", draw(texts()), {"A": draw(texts())}, answer,
                                   tuple((uid, CENTRAL) for uid in gold)))
-    corpus = Corpus(facts=facts, questions=tuple(questions))
+    corpus = corpus_of(facts, questions)
     scored = [q.qid for q in questions if draw(st.booleans()) or q is questions[0]]
     scores = draw(st.lists(st.lists(st.sampled_from(SCORES), min_size=len(facts),
                                     max_size=len(facts)), min_size=len(scored), max_size=len(scored)))

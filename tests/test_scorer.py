@@ -1,11 +1,12 @@
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from explainrank.corpus import CENTRAL, Corpus, ExplanationFact, Question
+from explainrank.corpus import CENTRAL, Question
 from explainrank.errors import DataError, FormatError
 from explainrank.scorer import (
     NORM_FLOOR,
@@ -17,22 +18,17 @@ from explainrank.scorer import (
     normalize,
     normalized_at,
     score_lexical,
-    uid_ranks,
     write_scores,
 )
 from explainrank.textsim import default_provider
 
 import line_readers
-from synth import random_corpus, score_table, table_scores
+from synth import corpus_of, random_corpus, score_table, table_scores
 from tfidf_reference import tokenize
 
 
 def toy_corpus():
-    facts = {
-        "f1": ExplanationFact("f1", "a frog eats insects", "t"),
-        "f2": ExplanationFact("f2", "green plants use sunlight", "t"),
-        "f3": ExplanationFact("f3", "a frog is an amphibian", "t"),
-    }
+    facts = {"f1": "a frog eats insects", "f2": "green plants use sunlight", "f3": "a frog is an amphibian"}
     q = Question(
         "q1",
         "What does a frog eat?",
@@ -40,7 +36,7 @@ def toy_corpus():
         "A",
         (("f1", CENTRAL),),
     )
-    return Corpus(facts=facts, questions=(q,))
+    return corpus_of(facts, [q])
 
 
 def oracle_tfidf_scores(corpus):
@@ -76,19 +72,15 @@ def oracle_tfidf_scores(corpus):
 
 class TestScoreLexical:
     def test_identical_text_scores_one(self):
-        facts = {
-            "f1": ExplanationFact("f1", "sunlight warms the ground", "t"),
-            "f2": ExplanationFact("f2", "unrelated words entirely", "t"),
-        }
+        facts = {"f1": "sunlight warms the ground", "f2": "unrelated words entirely"}
         q = Question("q1", "sunlight warms the", {"A": "ground"}, "A")
-        corpus = Corpus(facts=facts, questions=(q,))
+        corpus = corpus_of(facts, [q])
         table = table_scores(score_lexical(corpus, default_provider(corpus), TFIDF_COSINE))
         assert table["q1"]["f1"] == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_vocabulary_zero_both_methods(self):
-        facts = {"f1": ExplanationFact("f1", "zebra quagga okapi", "t")}
         q = Question("q1", "completely different words", {"A": "here"}, "A")
-        corpus = Corpus(facts=facts, questions=(q,))
+        corpus = corpus_of({"f1": "zebra quagga okapi"}, [q])
         provider = default_provider(corpus)
         assert score_lexical(corpus, provider, TFIDF_COSINE).scores.tolist() == [[0.0]]
         assert score_lexical(corpus, provider, OVERLAP).scores.tolist() == [[0.0]]
@@ -121,9 +113,8 @@ class TestScoreLexical:
             score_lexical(corpus, default_provider(corpus), "bm42")
 
     def test_unresolvable_answer_key_skipped(self, caplog):
-        facts = {"f1": ExplanationFact("f1", "some fact", "t")}
         q = Question("q1", "Stem", {"A": "x"}, "Z")
-        corpus = Corpus(facts=facts, questions=(q,))
+        corpus = corpus_of({"f1": "some fact"}, [q])
         with caplog.at_level("WARNING"):
             table = score_lexical(corpus, default_provider(corpus))
         assert table.qids == ()
@@ -235,6 +226,15 @@ class TestLoadScores:
         assert (loaded.qids, loaded.uids) == (table.qids, table.uids)
         assert loaded.scores.tolist() == table.scores.tolist()
 
+    @pytest.mark.parametrize("bad", ["q\t1", "q\r1", "q\n1"], ids=["tab", "cr", "lf"])
+    @pytest.mark.parametrize("where", ["qid", "uid"])
+    def test_id_that_would_not_read_back_refused(self, tmp_path, where, bad):
+        ids = {"qid": "q1", "uid": "f1", where: bad}
+        path = tmp_path / "s.tsv"
+        with pytest.raises(ValueError, match=re.escape(f"{where} {bad!r} holds a tab or a line break")):
+            write_scores(score_table({ids["qid"]: {"f0": 0.5, ids["uid"]: 1.0}}), path)
+        assert not path.exists()
+
 
 class TestInitialRanking:
     def test_descending_order(self):
@@ -268,7 +268,7 @@ class TestInitialRanking:
         rows += [np.where(rng.random(300) < 0.2, np.nan, rng.normal(size=300)), np.full(300, np.nan)]
         rows += [np.full(300, 0.5), np.full(300, -np.inf), np.full(300, -0.0)]
         table = RelevanceTable(tuple(f"q{i}" for i in range(len(rows))), uids, np.array(rows))
-        ranks = uid_ranks(uids)
+        ranks = np.argsort(np.argsort(uids))  # each uid's place in uid order
         for i, row in enumerate(table.scores):
             assert table.order(i).tolist() == np.lexsort((ranks, -row)).tolist()
 
