@@ -26,8 +26,7 @@ _EXPORTS = {
     ),
     "errors": ("DataError", "FormatError", "PipelineError"),
     "evaluation": (
-        "EvalReport", "evaluate_rankings", "map_overall", "read_predictions",
-        "write_predictions",
+        "EvalReport", "evaluate_rankings", "read_predictions", "write_predictions",
     ),
     "rerank": ("RerankConfig", "RerankTrace", "depth_sweep", "rerank_all"),
     "scorer": (

@@ -206,7 +206,7 @@ def _provider(args: argparse.Namespace, corpus: Corpus):
 
 def _table(args: argparse.Namespace, corpus: Corpus, provider=None) -> scorer.RelevanceTable:
     """The --scores table, or lexical scores; the TF-IDF cosine takes provider
-    (built if None), token overlap compares no vectors."""
+    (built if None), token overlap counts terms of TF-IDF rows of its own."""
     if args.scores:
         return scorer.load_scores(args.scores, corpus)
     if provider is None and args.method == scorer.TFIDF_COSINE:

@@ -3,7 +3,7 @@ turn an undecodable input into a located FormatError.
 
 Lines end at "\n" only. Text mode has already turned "\r\n" and "\r" into
 "\n"; str.splitlines would also break lines at U+2028, U+0085, form feeds
-and other separators that a cell may hold.
+and other separators that a cell may hold. A leading byte-order mark is dropped.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def split_cell(what: str, cells: Iterable[str]) -> str | None:
 def read_utf8(path: str | Path) -> str:
     """The whole file as text; invalid UTF-8 is a FormatError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise _decode_error(path) from None
 
@@ -60,7 +60,7 @@ def text_lines(text: str) -> list[str]:
 
 def utf8_lines(path: str | Path) -> Iterator[str]:
     """The file's lines, newline kept; invalid UTF-8 is a FormatError."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield from fh
         except UnicodeDecodeError:
@@ -73,7 +73,7 @@ def utf8_blocks(path: str | Path) -> Iterator[tuple[int, str]]:
     too; invalid UTF-8 is a FormatError, raised after the same lines as
     utf8_lines raises it."""
     lineno, pending = 1, []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             while chunk := fh.read(_BLOCK_CHARS):
                 cut = chunk.rfind("\n") + 1

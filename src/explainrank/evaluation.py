@@ -86,19 +86,6 @@ def evaluable(ranked_qids: Collection[str], corpus: Corpus) -> list[Question]:
     return questions
 
 
-def _scan_gold(questions: Sequence[Question], ranked_by_qid: RankedUids):
-    """Each question's gold positions, gold set size and AP, every gold fact
-    relevant. Each ranking is scanned once."""
-    found = [_positions(ranked_by_qid[q.qid], q.gold_uid_set) for q in questions]
-    sizes = np.array([len(q.gold_uid_set) for q in questions])
-    return found, sizes, average_precisions(padded([list(f.values()) for f in found]), sizes)
-
-
-def map_overall(ranked_by_qid: RankedUids, corpus: Corpus) -> float:
-    """Mean AP over annotated questions, every gold fact relevant."""
-    return mean_in_order(_scan_gold(evaluable(ranked_by_qid, corpus), ranked_by_qid)[2])
-
-
 def _per_role(questions: Sequence[Question], found: Sequence[dict[str, int]]) -> dict[str, float]:
     """Mean AP per role, each question's relevant set restricted to its gold
     facts of that role; questions lacking a role do not count against it."""
@@ -133,7 +120,10 @@ def evaluate_rankings(ranked_by_qid: RankedUids, corpus: Corpus) -> EvalReport:
     if unknown:
         raise DataError(f"rankings reference unknown fact uid(s): {sorted(unknown)[:5]}")
     skipped = sum(1 for q in corpus.questions if q.qid in ranked_by_qid and not q.gold)
-    found, sizes, aps = _scan_gold(questions, ranked_by_qid)
+    # every gold fact relevant; each ranking is scanned once
+    found = [_positions(ranked_by_qid[q.qid], q.gold_uid_set) for q in questions]
+    sizes = np.array([len(q.gold_uid_set) for q in questions])
+    aps = average_precisions(padded([list(f.values()) for f in found]), sizes)
     lengths, counts = np.unique(sizes, return_counts=True)
     return EvalReport(
         map_overall=mean_in_order(aps),
@@ -195,10 +185,13 @@ def report_keyvalues(report: EvalReport) -> str:
 def write_predictions(ranked_by_qid: RankedUids, path: str | Path, top_m: int | None = None) -> None:
     """One "qid<TAB>fact_uid" line per kept position, questions in mapping
     order, best fact first within each question; a question's lines are
-    written as one string. A qid holding a tab, CR or LF is a ValueError,
-    raised before the file is opened; the uids are not checked."""
+    written as one string. A ValueError, raised before the file is opened,
+    refuses a qid holding a tab, CR or LF, or a blank one keeping a blank uid."""
     if reason := split_cell("qid", ranked_by_qid):
         raise ValueError(f"{reason}; the predictions would not read back")
+    for qid, uids in ranked_by_qid.items():
+        if not qid.strip() and not all(map(str.strip, uids[:top_m])):
+            raise ValueError(f"qid {qid!r} keeps a blank uid, whose line would read back as blank")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for qid, uids in ranked_by_qid.items():
             uids = uids if top_m is None else uids[:top_m]

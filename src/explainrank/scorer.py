@@ -14,14 +14,14 @@ import logging
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError, FormatError, split_cell, tsv_blocks
-from .textsim import STOPWORDS, fact_vectors, token_lists
+from .textsim import default_provider, fact_vectors
 
 log = logging.getLogger(__name__)
 
@@ -71,24 +71,28 @@ def score_lexical(corpus: Corpus, provider, method: str = TFIDF_COSINE) -> Relev
     """Score every fact for every question.
 
     tfidf: cosine between the question/answer vector and the fact vector.
-    overlap: fraction of the fact's (stop-word-free) token set shared with
-    the question/answer token set.
+    overlap: share of the fact row's term ids that the question/answer row
+    holds too (0.0 for a fact without terms), both rows from
+    default_provider(corpus), whatever provider is given.
     """
     if method not in (TFIDF_COSINE, OVERLAP):
         raise ValueError(f"unknown scoring method {method!r}")
     kept = corpus.answerable
     qids, qa_texts = [q.qid for q, _ in kept], [qa for _, qa in kept]
-    matrix = np.empty((len(qids), len(corpus.facts)))  # filled a row at a time
+    matrix = np.zeros((len(qids), len(corpus.facts)))  # filled a row at a time, or left 0.0
+    provider = default_provider(corpus) if method == OVERLAP else provider
+    fact_rows, qa_rows = fact_vectors(corpus, provider), provider.rows(qa_texts)
     if method == TFIDF_COSINE:
-        fact_rows, qa_rows = fact_vectors(corpus, provider), provider.rows(qa_texts)
         for i in range(len(qids)):
             matrix[i] = fact_rows.cosines(i, qa_rows)
-    else:
-        facts = token_lists(corpus.facts.texts)
-        fact_tokens = [set(filterfalse(STOPWORDS.__contains__, tokens)) for tokens in facts]
-        for i, qa_tokens in enumerate(token_lists(qa_texts)):
-            qa_tokens = set(filterfalse(STOPWORDS.__contains__, qa_tokens))
-            matrix[i] = [len(qa_tokens & t) / len(t) if t else 0.0 for t in fact_tokens]
+    else:  # a row holds each of its terms once, padded with the id dim
+        dim = fact_rows.dim
+        terms = np.count_nonzero(fact_rows.ids < dim, axis=1)
+        shared = np.zeros(dim + 1, dtype=bool)  # whether each id is a term of the Q/A row
+        for i, ids in enumerate(qa_rows.ids):
+            shared[ids[ids < dim]] = True
+            np.divide(np.count_nonzero(shared[fact_rows.ids], axis=1), terms, out=matrix[i], where=terms > 0)
+            shared[ids] = False
     return RelevanceTable(tuple(qids), corpus.facts.uids, matrix)
 
 

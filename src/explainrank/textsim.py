@@ -72,12 +72,6 @@ def _tokenize_block(texts: Sequence[str]) -> Iterator[list[str]]:
     return map(next, map((slow, fast).__getitem__, plain))
 
 
-def token_lists(texts: Sequence[str]) -> Iterator[list[str]]:
-    """Each text's tokens, as tokenize gives them, a block of texts at a time."""
-    for start in range(0, len(texts), _TEXT_BLOCK):
-        yield from _tokenize_block(texts[start : start + _TEXT_BLOCK])
-
-
 def _token_ids(
     block: Sequence[str], ids_of: Callable[[Iterable[str]], Iterable[int]]
 ) -> tuple[np.ndarray, np.ndarray]:

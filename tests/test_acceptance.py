@@ -13,7 +13,7 @@ from explainrank.cli import main
 from explainrank.corpus import CENTRAL, load_corpus
 from explainrank.dataprep import PrepConfig, REGRESSION, build_dataset
 from explainrank.errors import DataError
-from explainrank.evaluation import evaluate_rankings, map_overall
+from explainrank.evaluation import evaluate_rankings
 from explainrank.rerank import RerankConfig, depth_sweep, rerank_all
 from explainrank.scorer import all_rankings, load_scores, score_lexical, write_scores
 from explainrank.textsim import default_provider
@@ -37,7 +37,7 @@ def _pass(name):
 
 
 def test_ap_oracle_equivalence():
-    """The AP of one ranking (map_overall of a one-question corpus) matches a
+    """The AP of one ranking (the MAP of a one-question corpus) matches a
     brute-force position scan on 200 randomized instances (<= 12 facts,
     <= 5 relevant) within 1e-12, in under a second."""
     started = time.perf_counter()
@@ -165,9 +165,9 @@ def test_directional_multihop_improvement():
     corpus = chain_corpus(n_questions=20)
     provider = default_provider(corpus)
     table = score_lexical(corpus, provider)
-    initial_map = map_overall(all_rankings(table), corpus)
+    initial_map = evaluate_rankings(all_rankings(table), corpus).map_overall
     reranked, _ = rerank_all(corpus, provider, table, RerankConfig(depth=10))
-    reranked_map = map_overall(reranked, corpus)
+    reranked_map = evaluate_rankings(reranked, corpus).map_overall
     assert initial_map < reranked_map, (initial_map, reranked_map)
     _pass(
         "directional multi-hop improvement "
@@ -188,7 +188,7 @@ def test_external_scores_depth_sweep_structure(tmp_path):
     write_scores(score_lexical(corpus, provider, "overlap"), external_path)
     table = load_scores(external_path, corpus)
 
-    no_rerank_map = map_overall(all_rankings(table), corpus)
+    no_rerank_map = evaluate_rankings(all_rankings(table), corpus).map_overall
     rows = depth_sweep(corpus, provider, table, (1, 3, 5, 10, 15, 20, 30))
     assert [depth for depth, _ in rows] == [1, 3, 5, 10, 15, 20, 30]
     assert abs(rows[0][1] - no_rerank_map) <= 1e-9

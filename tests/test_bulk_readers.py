@@ -205,26 +205,37 @@ def test_scores_round_trip(qids, uids, data, chars):
     assert same_table(back, table)
 
 
+# empty, or spaces, form feeds and other whitespace only
+blank_ids = st.text(st.sampled_from(" \x0b\x0c\x1c\x85\u2028\u3000"), max_size=3)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    qids=st.lists(clean_ids.filter(str.strip), min_size=1, max_size=4, unique=True),
-    uids=st.lists(clean_ids.filter(str.strip), min_size=1, max_size=8, unique=True),
+    qids=st.lists(clean_ids.filter(str.strip) | blank_ids, min_size=1, max_size=4, unique=True),
+    uids=st.lists(clean_ids.filter(str.strip) | blank_ids, min_size=1, max_size=8, unique=True),
     top_m=st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
     data=st.data(),
     chars=block_chars,
 )
 def test_predictions_round_trip(qids, uids, top_m, data, chars):
+    """read(write(rankings)) is rankings, or, when a line would read as
+    blank, write refuses the rankings before it opens the file."""
     rankings = {qid: data.draw(st.permutations(uids)) for qid in qids}
+    lines = [f"{qid}\t{uid}\n" for qid, ranked in rankings.items() for uid in ranked[:top_m]]
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(errors, "_BLOCK_CHARS", chars)
         path, again = Path(tmp) / "predictions.tsv", Path(tmp) / "again.tsv"
+        if not all(map(str.strip, lines)):
+            with pytest.raises(ValueError, match="keeps a blank uid"):
+                write_predictions(rankings, path, top_m)
+            assert not path.exists()
+            return
         write_predictions(rankings, path, top_m)
         written = path.read_bytes()
         back = read_predictions(path)
         write_predictions(back, again)
         rewritten = again.read_bytes()
-    expected = "".join(f"{qid}\t{uid}\n" for qid, ranked in rankings.items() for uid in ranked[:top_m])
-    assert written == expected.encode("utf-8")
+    assert written == "".join(lines).encode("utf-8")
     assert list(back.items()) == [(qid, ranked[:top_m]) for qid, ranked in rankings.items()]
     assert rewritten == written
 

@@ -11,6 +11,7 @@ from explainrank.corpus import (
     GROUNDING,
     NEG,
     Corpus,
+    Question,
     load_corpus,
     load_facts,
     load_questions,
@@ -23,7 +24,7 @@ from explainrank.scorer import OVERLAP, TFIDF_COSINE, load_scores, score_lexical
 from explainrank.textsim import default_provider, load_dense
 
 import rerank_reference
-from synth import WORD_POOL, random_corpus, write_corpus_files, write_fact_table
+from synth import WORD_POOL, corpus_of, random_corpus, write_corpus_files, write_fact_table
 
 
 @pytest.fixture()
@@ -240,24 +241,33 @@ class TestRankCommand:
             for name in ("scores.tsv", "predictions.tsv"):
                 assert (out / name).read_bytes() == (plain / name).read_bytes()
 
-    def test_overlap_ignores_vectors_and_builds_no_provider(self, corpus_files, tmp_path,
-                                                            monkeypatch):
+    def test_overlap_never_reads_vectors(self, corpus_files, tmp_path, monkeypatch):
+        # overlap counts terms of TF-IDF rows that score_lexical builds itself
         _, facts, questions = corpus_files
         base = ["rank", "--facts", *facts, "--questions", questions, "--method", "overlap"]
-        plain, malformed, unbuilt = tmp_path / "plain", tmp_path / "malformed", tmp_path / "unbuilt"
+        plain, malformed, unread = tmp_path / "plain", tmp_path / "malformed", tmp_path / "unread"
         assert run(*base, "--out", plain) == 0
         vectors = tmp_path / "bad_vectors.txt"
         vectors.write_text("a 1 zz\n", encoding="utf-8")
         assert run(*base, "--vectors", vectors, "--out", malformed) == 0
 
-        def refuse(corpus):
-            raise AssertionError("rank --method overlap built a TF-IDF provider")
+        def refuse(path):
+            raise AssertionError("rank --method overlap read --vectors")
 
-        monkeypatch.setattr(cli.textsim, "default_provider", refuse)
-        assert run(*base, "--out", unbuilt) == 0
-        for out in (malformed, unbuilt):
+        monkeypatch.setattr(cli.textsim, "load_dense", refuse)
+        assert run(*base, "--vectors", vectors, "--out", unread) == 0
+        for out in (malformed, unread):
             for name in ("scores.tsv", "predictions.tsv"):
                 assert (out / name).read_bytes() == (plain / name).read_bytes()
+
+    @pytest.mark.parametrize("method", [TFIDF_COSINE, OVERLAP])
+    def test_corpus_without_a_term_exits_one(self, method, tmp_path, caplog):
+        # stop words, punctuation and underscores only: no TF-IDF term to count
+        corpus = corpus_of({"f1": "the of", "f2": "..."}, [Question("q1", "is it", {"A": "_"}, "A")])
+        facts, questions = write_corpus_files(corpus, tmp_path / "data")
+        argv = ["rank", "--facts", *facts, "--questions", questions, "--method", method]
+        assert run(*argv, "--out", tmp_path / "out") == 1
+        assert "cannot build TF-IDF vectors: no tokens in any input text" in caplog.text
 
     def test_huge_vectors_exit_two(self, corpus_files, tmp_path, caplog):
         # the norms of 1e200-scale vectors overflow, which made nan scores
@@ -710,6 +720,36 @@ class TestInvalidUtf8:
         code = run("validate", "--facts", facts_path, "--questions", questions)
         assert code == 2
         assert f"{facts_path} line 2: not valid UTF-8" in caplog.text
+
+
+# input name -> (a well-formed file's text, its reader, what a read gives
+# as comparable values)
+_BOM_CORPUS = corpus_of({"f1": "alpha", "f2": "beta", "f3": "gamma"},
+                        [Question("q1", "s", {"A": "a"}, "A", (("f1", CENTRAL),))])
+_BOM_INPUTS = {
+    "facts": ("text\tUID\nfact one\tf1\n", lambda path: load_facts([path]),
+              lambda facts: (facts.uids, facts.texts)),
+    "questions": ("QuestionID\tquestion\tAnswerKey\texplanation\nq1\tStem (A) x (B) y\tA\tf1|CENTRAL\n",
+                  load_questions, list),
+    "scores": ("q1\tf1\t5.0\nq1\tf2\t1.0\nq1\tf3\t2.0\n", lambda path: load_scores(path, _BOM_CORPUS),
+               lambda table: (table.qids, table.scores.tolist())),
+    "predictions": ("q1\tf1\nq1\tf2\n", read_predictions, dict),
+    "vectors": ("2 2\nw1 1.0 2.0\nw2 3.0 4.0\n", load_dense,
+                lambda vectors: (vectors.term_ids, vectors.table.tolist())),
+    "config": ("depth=3\n", read_config, dict),
+    "dataset": ("qid\tquestion_text\tcontext\tcandidate_text\tlabel_or_target\trole\n"
+                "q1\tqt\t\tcand\t1.0\tCENTRAL\n", read_dataset, dataclasses.astuple),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOM_INPUTS))
+def test_leading_byte_order_mark_is_dropped(name, tmp_path):
+    text, read, values = _BOM_INPUTS[name]
+    plain, marked = tmp_path / "plain" / "input.txt", tmp_path / "marked" / "input.txt"
+    for path, data in ((plain, text), (marked, "\ufeff" + text)):
+        path.parent.mkdir()
+        path.write_text(data, encoding="utf-8")
+    assert values(read(marked)) == values(read(plain))
 
 
 # key -> (a command taking it, its flag argv, the same value as a config

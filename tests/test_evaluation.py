@@ -13,7 +13,6 @@ from explainrank.errors import DataError, FormatError
 from explainrank.evaluation import (
     evaluate_rankings,
     format_report,
-    map_overall,
     read_predictions,
     report_keyvalues,
     write_predictions,
@@ -37,11 +36,12 @@ def make_corpus(questions, n_facts=10):
 
 
 def one_question_ap(ranked, relevant):
-    """The AP of one ranking: map_overall over a corpus of one question,
+    """The AP of one ranking: the MAP of a corpus of one question,
     whose gold is the relevant uids, and of a fact for every uid named."""
     uids = dict.fromkeys([*ranked, *sorted(relevant)])
     question = Question("q", "s", {"A": "a"}, "A", tuple((uid, CENTRAL) for uid in sorted(relevant)))
-    return map_overall({"q": ranked}, corpus_of({uid: f"text {uid}" for uid in uids}, [question]))
+    corpus = corpus_of({uid: f"text {uid}" for uid in uids}, [question])
+    return evaluate_rankings({"q": ranked}, corpus).map_overall
 
 
 class TestAveragePrecision:
@@ -133,7 +133,7 @@ class TestMapOverall:
         ]
         corpus = make_corpus(questions)
         ranked = {"q1": ["f1", "f2", "f3"], "q2": ["f2", "f3", "f1"]}
-        assert map_overall(ranked, corpus) == 1.0
+        assert evaluate_rankings(ranked, corpus).map_overall == 1.0
 
     def test_mean_of_two(self):
         questions = [
@@ -141,9 +141,9 @@ class TestMapOverall:
             Question("q2", "s", {"A": "a"}, "A", (("f2", CENTRAL),)),
         ]
         corpus = make_corpus(questions)
-        ranked = {"q1": ["x", "f1", "f2"] , "q2": ["f2", "f1", "x"]}
+        ranked = {"q1": ["f0", "f1", "f2"], "q2": ["f2", "f1", "f0"]}
         # APs 0.5 and 1.0
-        assert map_overall(ranked, corpus) == pytest.approx(0.75, abs=1e-12)
+        assert evaluate_rankings(ranked, corpus).map_overall == pytest.approx(0.75, abs=1e-12)
 
     def test_empty_gold_excluded(self):
         questions = [
@@ -152,17 +152,17 @@ class TestMapOverall:
         ]
         corpus = make_corpus(questions)
         ranked = {"q1": ["f1"], "q2": ["f1"]}
-        assert map_overall(ranked, corpus) == 1.0
+        assert evaluate_rankings(ranked, corpus).map_overall == 1.0
 
     def test_no_annotated_questions_error(self):
         corpus = make_corpus([Question("q1", "s", {"A": "a"}, "A", ())])
         with pytest.raises(DataError, match="no annotated"):
-            map_overall({"q1": ["f1"]}, corpus)
+            evaluate_rankings({"q1": ["f1"]}, corpus).map_overall
 
     def test_unknown_qid_error(self):
         corpus = make_corpus([Question("q1", "s", {"A": "a"}, "A", (("f1", CENTRAL),))])
         with pytest.raises(DataError, match="ghost"):
-            map_overall({"q1": ["f1"], "ghost": ["f1"]}, corpus)
+            evaluate_rankings({"q1": ["f1"], "ghost": ["f1"]}, corpus).map_overall
 
     def test_unranked_annotated_question_skipped_with_warning(self, caplog):
         questions = [
@@ -171,7 +171,7 @@ class TestMapOverall:
         ]
         corpus = make_corpus(questions)
         with caplog.at_level("WARNING"):
-            value = map_overall({"q1": ["f1", "f2"]}, corpus)
+            value = evaluate_rankings({"q1": ["f1", "f2"]}, corpus).map_overall
         assert value == 1.0
         assert any("skipped" in rec.message for rec in caplog.records)
 
@@ -195,7 +195,8 @@ class TestMapPerRole:
             uids = [f"f{j}" for j in range(10)]
             rng.shuffle(uids)
             ranked[q.qid] = uids
-        assert evaluate_rankings(ranked, corpus).per_role[CENTRAL] == map_overall(ranked, corpus)
+        report = evaluate_rankings(ranked, corpus)
+        assert report.per_role[CENTRAL] == report.map_overall
 
     def test_mixed_roles_match_brute_force(self):
         questions = [
@@ -251,7 +252,7 @@ class TestMapByLength:
         buckets = evaluate_rankings(ranked, corpus).per_length
         weighted = sum(count * value for count, value in buckets.values())
         total = sum(count for count, _ in buckets.values())
-        assert weighted / total == pytest.approx(map_overall(ranked, corpus), abs=1e-9)
+        assert weighted / total == pytest.approx(evaluate_rankings(ranked, corpus).map_overall, abs=1e-9)
         assert total == len(questions)
 
     def test_three_buckets_match_oracle(self):
@@ -336,10 +337,10 @@ class TestPredictions:
     def test_round_trip_preserves_ap(self, tmp_path):
         corpus = make_corpus([Question("q1", "s", {"A": "a"}, "A", (("f2", CENTRAL),))])
         ranked = {"q1": [f"f{i}" for i in range(10)]}
-        in_memory = map_overall(ranked, corpus)
+        in_memory = evaluate_rankings(ranked, corpus).map_overall
         path = tmp_path / "p.tsv"
         write_predictions(ranked, path)
-        assert map_overall(read_predictions(path), corpus) == in_memory
+        assert evaluate_rankings(read_predictions(path), corpus).map_overall == in_memory
 
     def test_rewriting_what_was_read_reproduces_the_file(self, tmp_path):
         path, again = tmp_path / "p.tsv", tmp_path / "again.tsv"
@@ -353,6 +354,20 @@ class TestPredictions:
         with pytest.raises(ValueError, match=re.escape(f"qid {bad!r} holds a tab or a line break")):
             write_predictions({"q0": ["a"], bad: ["a", "b"]}, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("qid, uids", [(" ", [" ", "f1"]), ("", ["f1", "\t"]), ("\x0c ", ["f1", ""])])
+    def test_blank_line_refused(self, tmp_path, qid, uids):
+        # the line qid<TAB>uid of a blank qid and a blank uid reads as blank
+        path = tmp_path / "p.tsv"
+        with pytest.raises(ValueError, match=re.escape(f"qid {qid!r} keeps a blank uid")):
+            write_predictions({"q0": ["a"], qid: uids}, path)
+        assert not path.exists()
+
+    def test_blank_qid_with_kept_uids_reads_back(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        ranked = {"": ["f1", "f2"], " ": ["f2", " "], "q1": [" ", "f1"]}
+        write_predictions(ranked, path, top_m=1)
+        assert read_predictions(path) == {"": ["f1"], " ": ["f2"], "q1": [" "]}
 
     def test_read_rejects_duplicates(self, tmp_path):
         path = tmp_path / "p.tsv"

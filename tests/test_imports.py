@@ -31,8 +31,7 @@ EXPORTS = {
     ],
     "errors": ["DataError", "FormatError", "PipelineError"],
     "evaluation": [
-        "EvalReport", "evaluate_rankings", "map_overall", "read_predictions",
-        "write_predictions",
+        "EvalReport", "evaluate_rankings", "read_predictions", "write_predictions",
     ],
     "rerank": ["RerankConfig", "RerankTrace", "depth_sweep", "rerank_all"],
     "scorer": [
@@ -54,7 +53,7 @@ def test_name_is_its_module_attribute(module, name):
 
 
 def test_all_and_dir_list_every_name_and_star_binds_them():
-    assert len(NAMES) == 52
+    assert len(NAMES) == 51
     assert sorted(explainrank.__all__) == sorted(NAMES)
     assert set(NAMES) <= set(dir(explainrank))
     namespace = {}

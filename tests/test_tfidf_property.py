@@ -1,5 +1,5 @@
-"""TfidfProvider and the block tokeniser against the per-text references in
-tfidf_reference.py.
+"""TfidfProvider, the block tokeniser and token overlap scores against the
+per-text references in tfidf_reference.py.
 
 The provider tokenises each distinct build text once, a block of texts at a
 time, and builds rows() with numpy; the reference tokenises every text it is
@@ -7,7 +7,8 @@ given with its own regex and builds each row from a Counter. Vocabulary, idf
 and every array of rows() must be the same bits. Generated texts repeat,
 repeat tokens, hold nothing but stop words or nothing at all, mix case,
 Unicode letters, digits, underscores and line separators, and rows() also
-gets texts that were not build texts.
+gets texts that were not build texts. Overlap scores, counted on the TF-IDF
+rows' term ids, must be the bits of the reference's set intersections.
 """
 
 import sys
@@ -21,11 +22,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from explainrank import textsim
+from explainrank.corpus import Question
 from explainrank.errors import DataError
+from explainrank.scorer import OVERLAP, score_lexical
 from explainrank.textsim import TfidfProvider, default_provider, fact_vectors
 
-from synth import random_corpus
-from tfidf_reference import TfidfReference, tokenize
+from synth import corpus_of, random_corpus
+from tfidf_reference import TfidfReference, overlap_scores, tokenize
 
 WORDS = ["frog", "Frog", "FROG", "plant", "sun", "moon", "rock", "soil", "rain", "heat", "42",
          "x1", "élan", "Straße", "İzmir", "ǅemal", "猫", "ΣΊΣΥΦΟΣ", "a_b", "_", "the", "and",
@@ -71,6 +74,30 @@ def test_bitwise_equal_to_per_text_reference(case):
     assert [v.hex() for v in got.idf.values()] == [v.hex() for v in want.idf.values()]
     for batch in (build, queries, build + queries, []):
         assert_same_rows(got.rows(batch), want.rows(batch))
+
+
+# texts without a term: empty, stop words only, punctuation and underscores only
+TERMLESS = ["", "the of", "And IS", "...", "_", " - _ , "]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    facts=st.lists(texts() | st.sampled_from(TERMLESS), min_size=1, max_size=8),
+    stems=st.lists(texts() | st.sampled_from(TERMLESS), max_size=5),
+    answers=st.lists(texts() | st.sampled_from(TERMLESS), min_size=5, max_size=5),
+)
+def test_overlap_equals_set_reference(facts, stems, answers):
+    questions = [Question(f"q{i}", stem, {"A": answer}, "A") for i, stem, answer in zip(range(5), stems, answers)]
+    corpus = corpus_of({f"f{j}": text for j, text in enumerate(facts)}, questions)
+    qa_texts = [qa for _, qa in corpus.answerable]
+    if not any(tokenize(text, drop_stopwords=True) for text in [*facts, *qa_texts]):
+        with pytest.raises(DataError, match="no tokens in any input text"):
+            score_lexical(corpus, None, OVERLAP)
+        return
+    got = score_lexical(corpus, None, OVERLAP).scores
+    want = np.array(overlap_scores(facts, qa_texts), dtype=float).reshape(len(qa_texts), len(facts))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_each_build_text_tokenised_once(monkeypatch):

@@ -1,9 +1,10 @@
 """Per-text TF-IDF provider: the reference explainrank.textsim.TfidfProvider
-is tested against.
+is tested against, and the set-based token overlap that
+score_lexical(..., OVERLAP) is tested against.
 
-It tokenises every text it is given, the build texts twice over, with its
-own regex a text at a time, and builds each row from a Counter, a dict and a
-sorted list.
+Both tokenise every text they are given with their own regex a text at a
+time. The provider builds each row from a Counter, a dict and a sorted
+list; the overlap intersects two token sets per (question, fact) pair.
 """
 
 from __future__ import annotations
@@ -71,3 +72,14 @@ class TfidfReference:
             if row:
                 ids[i, : len(row)], values[i, : len(row)] = zip(*row)
         return Rows(values, np.array(norms), len(self.term_ids), ids)
+
+
+def overlap_scores(facts: Sequence[str], qa_texts: Sequence[str]) -> list[list[float]]:
+    """Row i, column j: the share of fact j's set of non-stop-word tokens
+    that Q/A text i's set holds too, 0.0 for a fact without such a token."""
+    fact_tokens = [set(tokenize(text, drop_stopwords=True)) for text in facts]
+    rows = []
+    for qa in qa_texts:
+        qa_tokens = set(tokenize(qa, drop_stopwords=True))
+        rows.append([len(qa_tokens & t) / len(t) if t else 0.0 for t in fact_tokens])
+    return rows
