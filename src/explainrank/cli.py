@@ -36,7 +36,7 @@ if "numpy" not in sys.modules and not _BLAS_THREADS & os.environ.keys():
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .corpus import Corpus, load_corpus, validate
-from .errors import DataError, FormatError, read_utf8, text_lines
+from .errors import DataError, FormatError, utf8_blocks
 
 log = logging.getLogger(__name__)
 
@@ -155,7 +155,8 @@ def read_config(path: str | Path) -> dict[str, object]:
     path = Path(path)
     values: dict[str, object] = {}
     linenos: dict[str, int] = {}
-    for lineno, line in enumerate(text_lines(read_utf8(path)), start=1):
+    lines = "".join(text for _, text in utf8_blocks(path)).split("\n")[:-1]
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -206,7 +207,8 @@ def _provider(args: argparse.Namespace, corpus: Corpus):
 
 def _table(args: argparse.Namespace, corpus: Corpus, provider=None) -> scorer.RelevanceTable:
     """The --scores table, or lexical scores; the TF-IDF cosine takes provider
-    (built if None), token overlap counts terms of TF-IDF rows of its own."""
+    (built if None), token overlap counts terms of the TF-IDF rows of
+    provider, or of its own when provider is None or word vectors."""
     if args.scores:
         return scorer.load_scores(args.scores, corpus)
     if provider is None and args.method == scorer.TFIDF_COSINE:

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import chain, count, repeat
 from pathlib import Path
 
-from .errors import DataError, FormatError, read_utf8, split_cell, text_lines, tsv_fields, utf8_blocks
+from .errors import DataError, FormatError, split_cell, tsv_fields, utf8_blocks
 
 log = logging.getLogger(__name__)
 
@@ -281,7 +281,7 @@ def load_questions(path: str | Path) -> list[Question]:
     issue by validate().
     """
     path = Path(path)
-    lines = text_lines(read_utf8(path))
+    lines = "".join(text for _, text in utf8_blocks(path)).split("\n")[:-1]
     if not lines:
         raise FormatError(f"{path}: empty question file")
     headers = lines[0].split("\t")

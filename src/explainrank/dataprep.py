@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, parse_role
-from .errors import DataError, FormatError, read_utf8, text_lines
+from .errors import DataError, FormatError, utf8_blocks
 from .textsim import Rows, _over_norms, fact_vectors
 
 log = logging.getLogger(__name__)
@@ -325,7 +325,7 @@ def read_dataset(path: str | Path) -> Dataset:
     or with a label that is not a finite number is a FormatError naming its
     line."""
     path = Path(path)
-    lines = text_lines(read_utf8(path))
+    lines = "".join(text for _, text in utf8_blocks(path)).split("\n")[:-1]
     if not lines or lines[0].split("\t") != list(_COLUMNS):
         raise FormatError(f"{path}: missing or wrong dataset header")
     data = Dataset()

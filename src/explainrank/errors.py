@@ -1,15 +1,21 @@
-"""Exception types shared across the pipeline, and the UTF-8 readers that
-turn an undecodable input into a located FormatError.
+"""Exception types shared across the pipeline, and the UTF-8 block reader
+that every input reader builds on.
 
-Lines end at "\n" only. Text mode has already turned "\r\n" and "\r" into
-"\n"; str.splitlines would also break lines at U+2028, U+0085, form feeds
-and other separators that a cell may hold. A leading byte-order mark is dropped.
+Each input is decoded once, a block of whole lines at a time. A line ends
+at "\n", "\r\n" or "\r": text mode turns the last two into "\n", and lines
+are split at "\n" only, since str.splitlines would also break them at
+U+2028, U+0085, form feeds and other separators that a cell may hold. A
+leading byte-order mark is dropped. A byte that is not valid UTF-8 is a
+FormatError naming its line, counted the same way, and its byte in that
+line (the line's own bytes, after the byte-order mark). The lines before it
+are handed on first, so a reader that checks lines in file order raises the
+first faulty line's error.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -42,66 +48,49 @@ def split_cell(what: str, cells: Iterable[str]) -> str | None:
     return None if bad is None else f"{what} {bad!r} holds a tab or a line break"
 
 
-def read_utf8(path: str | Path) -> str:
-    """The whole file as text; invalid UTF-8 is a FormatError."""
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError:
-        raise _decode_error(path) from None
-
-
-def text_lines(text: str) -> list[str]:
-    """The lines of a text from read_utf8, without their "\n"."""
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
-
-
-def utf8_lines(path: str | Path) -> Iterator[str]:
-    """The file's lines, newline kept; invalid UTF-8 is a FormatError."""
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError:
-            raise _decode_error(path) from None
-
-
 def utf8_blocks(path: str | Path) -> Iterator[tuple[int, str]]:
     """The file a block of whole lines at a time, each block with the number
     of its first line. Every line ends in "\n", a last line without one
-    too; invalid UTF-8 is a FormatError, raised after the same lines as
-    utf8_lines raises it."""
-    lineno, pending = 1, []
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            while chunk := fh.read(_BLOCK_CHARS):
-                cut = chunk.rfind("\n") + 1
-                if not cut:
-                    pending.append(chunk)
-                    continue
-                text = "".join((*pending, chunk[:cut]))
-                pending = [chunk[cut:]]
-                yield lineno, text
-                lineno += text.count("\n")
-        except UnicodeDecodeError:
-            pass
-        else:
-            tail = "".join(pending)
-            if tail:
-                yield lineno, tail + "\n"
-            return
-    # read() decodes further ahead than iterating over lines does; hand on
-    # the lines that utf8_lines returns before its error, so that an error
-    # on one of them is still the one the caller raises
-    lines = []
-    try:
-        for line in islice(utf8_lines(path), lineno - 1, None):
-            lines.append(line)
-    except FormatError:
-        if lines:
-            yield lineno, "".join(lines)
-        raise
+    too. A byte that is not valid UTF-8 is a FormatError naming its line and
+    its byte in that line, raised after the lines before it are yielded."""
+    lineno = 1
+    for text in _whole_lines(path):
+        # the usual block is ASCII; otherwise a strict encode stops at the
+        # first lone surrogate, which is where the first bad byte was
+        if not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                start = text.rfind("\n", 0, exc.start) + 1  # the bad byte's line
+                if start:
+                    yield lineno, text[:start]
+                    lineno += text.count("\n", 0, start)
+                line = text[start : text.find("\n", exc.start) + 1 or None]
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    raise FormatError(
+                        f"{path} line {lineno}: not valid UTF-8 (byte {bad.start + 1}: {bad.reason})"
+                    ) from None
+        yield lineno, text if text.endswith("\n") else text + "\n"
+        lineno += text.count("\n")
+
+
+def _whole_lines(path: str | Path) -> Iterator[str]:
+    """The file's text, decoded once, a block of whole lines at a time; a
+    byte that is not valid UTF-8 becomes a lone surrogate. Only the last
+    block may lack a final "\n"."""
+    pending = []
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        while chunk := fh.read(_BLOCK_CHARS):
+            cut = chunk.rfind("\n") + 1
+            if not cut:
+                pending.append(chunk)
+                continue
+            yield "".join((*pending, chunk[:cut]))
+            pending = [chunk[cut:]]
+    if tail := "".join(pending):
+        yield tail
 
 
 def tsv_fields(text: str, n_fields: int) -> list[str] | None:
@@ -170,18 +159,3 @@ def _block(
         changes = np.fromiter(map(operator.ne, keys, chain((None,), keys)), bool, len(keys))
         starts = np.flatnonzero(changes).tolist()
     return TsvBlock(linenos, columns, [*starts, len(keys)], wrong_line)
-
-
-def _decode_error(path: str | Path) -> FormatError:
-    """A FormatError naming the first line that is not valid UTF-8. The file
-    is decoded again line by line: a text stream decodes ahead of the line
-    it returns, so its error does not say which line failed."""
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return FormatError(
-                    f"{path} line {lineno}: not valid UTF-8 (byte {exc.start + 1}: {exc.reason})"
-                )
-    return FormatError(f"{path}: not valid UTF-8")

@@ -186,9 +186,13 @@ def write_predictions(ranked_by_qid: RankedUids, path: str | Path, top_m: int | 
     """One "qid<TAB>fact_uid" line per kept position, questions in mapping
     order, best fact first within each question; a question's lines are
     written as one string. A ValueError, raised before the file is opened,
-    refuses a qid holding a tab, CR or LF, or a blank one keeping a blank uid."""
+    refuses a qid holding a tab, CR or LF, a blank one keeping a blank uid,
+    and a first written qid starting with a byte-order mark."""
     if reason := split_cell("qid", ranked_by_qid):
         raise ValueError(f"{reason}; the predictions would not read back")
+    first = next((qid for qid, uids in ranked_by_qid.items() if uids[:top_m]), "")
+    if first.startswith("\ufeff"):
+        raise ValueError(f"first qid {first!r} starts with a byte-order mark, which readers drop")
     for qid, uids in ranked_by_qid.items():
         if not qid.strip() and not all(map(str.strip, uids[:top_m])):
             raise ValueError(f"qid {qid!r} keeps a blank uid, whose line would read back as blank")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError, FormatError, split_cell, tsv_blocks
-from .textsim import default_provider, fact_vectors
+from .textsim import TfidfProvider, default_provider, fact_vectors
 
 log = logging.getLogger(__name__)
 
@@ -72,15 +72,17 @@ def score_lexical(corpus: Corpus, provider, method: str = TFIDF_COSINE) -> Relev
 
     tfidf: cosine between the question/answer vector and the fact vector.
     overlap: share of the fact row's term ids that the question/answer row
-    holds too (0.0 for a fact without terms), both rows from
-    default_provider(corpus), whatever provider is given.
+    holds too (0.0 for a fact without terms), both rows from the given
+    provider when it is a TfidfProvider, and from default_provider(corpus)
+    otherwise.
     """
     if method not in (TFIDF_COSINE, OVERLAP):
         raise ValueError(f"unknown scoring method {method!r}")
     kept = corpus.answerable
     qids, qa_texts = [q.qid for q, _ in kept], [qa for _, qa in kept]
     matrix = np.zeros((len(qids), len(corpus.facts)))  # filled a row at a time, or left 0.0
-    provider = default_provider(corpus) if method == OVERLAP else provider
+    if method == OVERLAP and not isinstance(provider, TfidfProvider):
+        provider = default_provider(corpus)
     fact_rows, qa_rows = fact_vectors(corpus, provider), provider.rows(qa_texts)
     if method == TFIDF_COSINE:
         for i in range(len(qids)):
@@ -104,9 +106,12 @@ def write_scores(table: RelevanceTable, path: str | Path) -> None:
     are one join of a list holding every line's pieces in place: the uid
     pieces are made once, and only the qid and score pieces change from
     row to row, so no line is built as a string of its own. A qid or uid
-    holding a tab, CR or LF is a ValueError, raised before the file opens."""
+    holding a tab, CR or LF, or a first written qid starting with a
+    byte-order mark, is a ValueError, raised before the file opens."""
     if reason := split_cell("qid", table.qids) or split_cell("uid", table.uids):
         raise ValueError(f"{reason}; the scores would not read back")
+    if table.uids and table.qids and table.qids[0].startswith("\ufeff"):
+        raise ValueError(f"first qid {table.qids[0]!r} starts with a byte-order mark, which readers drop")
     n = len(table.uids)
     pieces = [None, None, None, "\n"] * n  # qid<TAB>, uid<TAB>, score, newline of each line
     pieces[1::4] = [f"{uid}\t" for uid in table.uids]

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .errors import DataError, FormatError, utf8_lines
+from .errors import DataError, FormatError, utf8_blocks
 
 log = logging.getLogger(__name__)
 
@@ -389,7 +389,8 @@ def load_dense(path: str | Path) -> DenseWordVectors:
     dim: int | None = None
     count: int | None = None
     repeats, first_repeat = 0, None
-    for lineno, line in enumerate(utf8_lines(path), start=1):
+    lines = chain.from_iterable(text.split("\n")[:-1] for _, text in utf8_blocks(path))
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
             continue

@@ -4,20 +4,23 @@ explainrank.scorer and explainrank.evaluation, and the one-table loader in
 explainrank.textsim are tested against.
 
 These read one line per Python iteration, keep every check in file order,
-and log under the same logger names as the package readers.
+and log under the same logger names as the package readers. Each line is
+decoded on its own, from the file's bytes.
 """
 
 from __future__ import annotations
 
+import codecs
 import logging
 import math
 from array import array
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from explainrank.corpus import Corpus, ExplanationFact
-from explainrank.errors import DataError, FormatError, utf8_lines
+from explainrank.errors import DataError, FormatError
 from explainrank.scorer import RelevanceTable
 from explainrank.textsim import MAX_NORM
 
@@ -26,10 +29,25 @@ scorer_log = logging.getLogger("explainrank.scorer")
 textsim_log = logging.getLogger("explainrank.textsim")
 
 
+def decoded_lines(path) -> Iterator[str]:
+    """The file's lines without their ends, one at a time. A line ends at
+    LF, CRLF or CR, and a leading byte-order mark is dropped. A line that is
+    not valid UTF-8, decoded with its own line end, is a FormatError naming
+    it and its first bad byte."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    for lineno, raw in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            yield raw.decode("utf-8").rstrip("\r\n")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path} line {lineno}: not valid UTF-8 (byte {exc.start + 1}: {exc.reason})"
+            ) from None
+
+
 def load_facts(paths) -> dict[str, ExplanationFact]:
     facts: dict[str, ExplanationFact] = {}
     for path in map(Path, paths):
-        lines = [line.rstrip("\n") for line in utf8_lines(path)]
+        lines = list(decoded_lines(path))
         if not lines:
             raise FormatError(f"{path}: empty fact table")
         headers = lines[0].split("\t")
@@ -80,8 +98,7 @@ def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
     cells, values = array("q"), array("d")
     unknown_uids: dict[str, int] = {}
     unknown_qids: set[str] = set()
-    for lineno, line in enumerate(utf8_lines(path), start=1):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(decoded_lines(path), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -134,8 +151,7 @@ def read_predictions(path: str | Path) -> dict[str, list[str]]:
     path = Path(path)
     ranked: dict[str, list[str]] = {}
     seen: dict[str, set[str]] = {}
-    for lineno, line in enumerate(utf8_lines(path), start=1):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(decoded_lines(path), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -157,7 +173,7 @@ def load_dense(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
     dim: int | None = None
     count: int | None = None
     repeats, first_repeat = 0, None
-    for lineno, line in enumerate(utf8_lines(path), start=1):
+    for lineno, line in enumerate(decoded_lines(path), start=1):
         fields = line.split()
         if not fields:
             continue

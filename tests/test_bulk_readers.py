@@ -4,9 +4,10 @@ reference readers in line_readers.py, and the writers' round trips.
 Generated files mix CRLF, CR and LF line ends, blank and whitespace-only
 lines, a qid's lines out of order, repeated pairs, unknown qids and uids,
 bad and non-finite scores, wrong field counts and non-ASCII text. Some are
-padded with blank lines past the 8 KB a text stream decodes at a time and
-carry bytes that are not valid UTF-8. The block size is mostly set small
-enough that every file spans several blocks.
+padded with up to 13 KB of blank lines, so that a faulty line and a later
+one fall far apart, and some carry bytes that are not valid UTF-8, which
+the reference readers find by decoding each line on its own. The block
+size is mostly set small enough that every file spans several blocks.
 """
 
 import logging
@@ -175,11 +176,13 @@ def test_read_predictions_matches_per_line_reader(lines, ends, final_newline, ch
 clean_ids = st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), min_size=1, max_size=6
 )
+# a qid that would lose its first character as the file's first
+marked_qid = st.just("\ufeffq")
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    qids=st.lists(clean_ids.filter(str.strip), min_size=1, max_size=4, unique=True),
+    qids=st.lists(clean_ids.filter(str.strip) | marked_qid, min_size=1, max_size=4, unique=True),
     uids=st.lists(clean_ids.filter(str.strip), min_size=1, max_size=6, unique=True),
     data=st.data(),
     chars=block_chars,
@@ -193,6 +196,11 @@ def test_scores_round_trip(qids, uids, data, chars):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(errors, "_BLOCK_CHARS", chars)
         path = Path(tmp) / "scores.tsv"
+        if qids[0].startswith("\ufeff"):
+            with pytest.raises(ValueError, match="starts with a byte-order mark"):
+                write_scores(table, path)
+            assert not path.exists()
+            return
         write_scores(table, path)
         written = path.read_bytes()
         back = load_scores(path, corpus)
@@ -211,7 +219,7 @@ blank_ids = st.text(st.sampled_from(" \x0b\x0c\x1c\x85\u2028\u3000"), max_size=3
 
 @settings(max_examples=100, deadline=None)
 @given(
-    qids=st.lists(clean_ids.filter(str.strip) | blank_ids, min_size=1, max_size=4, unique=True),
+    qids=st.lists(clean_ids.filter(str.strip) | blank_ids | marked_qid, min_size=1, max_size=4, unique=True),
     uids=st.lists(clean_ids.filter(str.strip) | blank_ids, min_size=1, max_size=8, unique=True),
     top_m=st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
     data=st.data(),
@@ -219,12 +227,18 @@ blank_ids = st.text(st.sampled_from(" \x0b\x0c\x1c\x85\u2028\u3000"), max_size=3
 )
 def test_predictions_round_trip(qids, uids, top_m, data, chars):
     """read(write(rankings)) is rankings, or, when a line would read as
-    blank, write refuses the rankings before it opens the file."""
+    blank or the first line starts with a byte-order mark, write refuses
+    the rankings before it opens the file."""
     rankings = {qid: data.draw(st.permutations(uids)) for qid in qids}
     lines = [f"{qid}\t{uid}\n" for qid, ranked in rankings.items() for uid in ranked[:top_m]]
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(errors, "_BLOCK_CHARS", chars)
         path, again = Path(tmp) / "predictions.tsv", Path(tmp) / "again.tsv"
+        if lines[0].startswith("\ufeff"):
+            with pytest.raises(ValueError, match="starts with a byte-order mark"):
+                write_predictions(rankings, path, top_m)
+            assert not path.exists()
+            return
         if not all(map(str.strip, lines)):
             with pytest.raises(ValueError, match="keeps a blank uid"):
                 write_predictions(rankings, path, top_m)

@@ -18,10 +18,10 @@ from explainrank.corpus import (
 )
 from explainrank.dataprep import CLASSIFICATION, REGRESSION, PrepConfig, read_dataset
 from explainrank.errors import FormatError
-from explainrank.evaluation import read_predictions
-from explainrank.rerank import RerankConfig
+from explainrank.evaluation import read_predictions, write_predictions
+from explainrank.rerank import RerankConfig, rerank_all
 from explainrank.scorer import OVERLAP, TFIDF_COSINE, load_scores, score_lexical
-from explainrank.textsim import default_provider, load_dense
+from explainrank.textsim import TfidfProvider, default_provider, load_dense
 
 import rerank_reference
 from synth import WORD_POOL, corpus_of, random_corpus, write_corpus_files, write_fact_table
@@ -293,6 +293,23 @@ class TestRankCommand:
 
 
 class TestRerankCommand:
+    def test_overlap_builds_one_tfidf_provider(self, corpus_files, tmp_path, monkeypatch):
+        # the overlap scores count terms of the provider the re-ranking cosines use
+        _, facts, questions = corpus_files
+        builds, build = [], TfidfProvider.__init__
+        monkeypatch.setattr(TfidfProvider, "__init__", lambda self, texts: builds.append(build(self, texts)))
+        args = ["--facts", *facts, "--questions", questions, "--method", "overlap", "--depth", 4]
+        assert run("rerank", *args, "--out", tmp_path) == 0
+        assert len(builds) == 1
+        monkeypatch.undo()
+        corpus = load_corpus(facts, questions)
+        table = score_lexical(corpus, None, OVERLAP)  # its own provider
+        rankings, _ = rerank_all(corpus, default_provider(corpus), table, RerankConfig(depth=4))
+        write_predictions(rankings, tmp_path / "two_providers.tsv")
+        assert (tmp_path / "reranked_predictions.tsv").read_bytes() == (
+            tmp_path / "two_providers.tsv"
+        ).read_bytes()
+
     def test_depth_one_matches_rank_output(self, corpus_files, tmp_path):
         _, facts, questions = corpus_files
         rank_out = tmp_path / "rank_out"
@@ -712,6 +729,34 @@ class TestInvalidUtf8:
         with pytest.raises(FormatError) as err:
             load(path)
         assert f"{path} line {len(lines) + 1}: not valid UTF-8 (byte 4:" in str(err.value)
+
+    @pytest.mark.parametrize("loader", sorted(_LOADERS))
+    def test_cr_and_crlf_lines_counted_as_the_reader_counts_them(self, loader, tmp_path):
+        header, line, load = _LOADERS[loader]
+        lines = [header] if header else []
+        lines += [line.format(i=i) for i in range(5)]
+        path = tmp_path / f"{loader}.txt"
+        data = "\r\n".join(lines) + "\r" + "f\udce9 bad\r" + line.format(i=9) + "\r\n"
+        path.write_bytes(data.encode("utf-8", "surrogateescape"))
+        with pytest.raises(FormatError) as err:
+            load(path)
+        bad_line = len(lines) + 1
+        assert str(err.value) == f"{path} line {bad_line}: not valid UTF-8 (byte 2: invalid continuation byte)"
+
+    @pytest.mark.parametrize("loader, wrong, message", [
+        ("scores", "Q000\tF1", "expected qid<TAB>fact_uid<TAB>score"),
+        ("predictions", "q1\tu1\tx", "expected qid<TAB>fact_uid"),
+        ("vectors", "w1 1.0", "expected 2 components, found 1"),
+    ])
+    def test_wrong_line_before_a_bad_byte_is_the_error(self, loader, wrong, message, tmp_path):
+        # these readers check lines in file order, and the bad byte is in
+        # the block of characters a text stream decodes with line 2
+        _, line, load = _LOADERS[loader]
+        path = tmp_path / f"{loader}.txt"
+        path.write_bytes(f"{line.format(i=0)}\n{wrong}\n".encode() + b"caf\xe9 bad\n")
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path} line 2: {message}"
 
     def test_cli_exits_two_naming_the_file(self, corpus_files, tmp_path, caplog):
         _, _, questions = corpus_files

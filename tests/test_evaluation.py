@@ -363,6 +363,18 @@ class TestPredictions:
             write_predictions({"q0": ["a"], qid: uids}, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("ranked", [{"\ufeffq1": ["f1"]}, {"q0": [], "\ufeffq1": ["f1", "f2"]}],
+                             ids=["first", "first_written"])
+    def test_first_written_qid_with_byte_order_mark_refused(self, tmp_path, ranked):
+        # a reader drops a byte-order mark at the start of the file only
+        path = tmp_path / "p.tsv"
+        with pytest.raises(ValueError, match=re.escape("qid '\\ufeffq1' starts with a byte-order mark")):
+            write_predictions(ranked, path)
+        assert not path.exists()
+        later = {"q9": ["f1"], **ranked}
+        write_predictions(later, path)
+        assert read_predictions(path) == {qid: uids for qid, uids in later.items() if uids}
+
     def test_blank_qid_with_kept_uids_reads_back(self, tmp_path):
         path = tmp_path / "p.tsv"
         ranked = {"": ["f1", "f2"], " ": ["f2", " "], "q1": [" ", "f1"]}

@@ -235,6 +235,17 @@ class TestLoadScores:
             write_scores(score_table({ids["qid"]: {"f0": 0.5, ids["uid"]: 1.0}}), path)
         assert not path.exists()
 
+    def test_first_qid_with_byte_order_mark_refused(self, tmp_path):
+        # a reader drops a byte-order mark at the start of the file only
+        path = tmp_path / "s.tsv"
+        with pytest.raises(ValueError, match=re.escape("qid '\\ufeffq1' starts with a byte-order mark")):
+            write_scores(score_table({"\ufeffq1": {"f0": 0.5}, "q2": {"f0": 1.0}}), path)
+        assert not path.exists()
+        table = score_table({"q2": {"f0": 1.0}, "\ufeffq1": {"f0": 0.5}})
+        write_scores(table, path)
+        corpus = corpus_of({"f0": "text"}, [Question(qid, "s", {"A": "a"}, "A", ()) for qid in table.qids])
+        assert load_scores(path, corpus).qids == table.qids
+
 
 class TestInitialRanking:
     def test_descending_order(self):
