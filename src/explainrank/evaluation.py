@@ -1,23 +1,25 @@
-"""Mean-average-precision reports: overall, by explanation role, by gold size.
+"""Rankings as int32 orders, and MAP reports: overall, by role, by gold size.
 
-All metrics operate on ordered uid lists per question against the gold
-annotation. Questions without gold are never scored; questions annotated
-but absent from the supplied rankings are skipped with a warning so score
-files covering a subset of the corpus still evaluate. A ranking may be
-truncated (`--top-m`): a gold fact it does not retrieve adds nothing to the
+Questions without gold are never scored; questions annotated but absent
+from the supplied rankings are skipped with a warning so score files
+covering a subset of the corpus still evaluate. A ranking may be truncated
+(`--top-m`): a gold fact it does not retrieve adds nothing to the
 question's AP, whose denominator stays the gold set size, and the report
 counts such facts. A ranked uid that is not a corpus fact is a hard error,
 since it means mismatched files. Every MAP, here and in the depth sweep,
-comes from the gold facts' positions through one AP kernel,
+comes from the gold positions find_gold gives, through one AP kernel,
 average_precisions.
 """
 
 from __future__ import annotations
 
 import logging
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count, repeat
 from pathlib import Path
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,21 +28,38 @@ from .errors import DataError, FormatError, split_cell, tsv_blocks
 
 log = logging.getLogger(__name__)
 
-# qid -> fact uids, best first: what all_rankings, rerank_all and read_predictions give
-RankedUids = Mapping[str, Sequence[str]]
+
+class Rankings(Mapping[str, list[str]]):
+    """A read-only qid -> fact uids mapping over uids, an object array, and orders, each
+    qid's int32 indices into uids, best first. An item is a new list each time it is asked for."""
+
+    __slots__ = ("uids", "orders")
+
+    def __init__(self, uids: Sequence[str], orders: dict[str, np.ndarray]):
+        self.uids, self.orders = np.array(uids, dtype=object), orders
+
+    def __getitem__(self, qid: str) -> list[str]:
+        return self.uids[self.orders[qid]].tolist()
+
+    def __contains__(self, qid: object) -> bool:
+        return qid in self.orders
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.orders)
+
+    def __len__(self) -> int:
+        return len(self.orders)
 
 
-def _positions(ranked: Sequence[str], relevant: Collection[str]) -> dict[str, int]:
-    """The 0-based position of each relevant uid the ranking holds, at its
-    first occurrence, in rank order. The scan stops at the last relevant
-    item, so a long ranking is read only as far as its gold reaches."""
-    found: dict[str, int] = {}
-    for position, uid in enumerate(ranked):
-        if uid in relevant and uid not in found:
-            found[uid] = position
-            if len(found) == len(relevant):
-                break
-    return found
+def find_gold(order: np.ndarray, question: Question, column: dict[str, int]) -> tuple[np.ndarray, list[str]]:
+    """Where order, corpus columns best first, first holds each gold uid of question
+    that it holds, and those uids, in column order; column maps uids to columns."""
+    uid_at = {column[uid]: uid for uid in question.gold_uid_set if uid in column}
+    is_gold = np.zeros(len(column), dtype=bool)  # a mask of the gold columns: np.isin took longer
+    is_gold[list(uid_at)] = True
+    hits = np.flatnonzero(is_gold[order])
+    found, first = np.unique(order[hits], return_index=True)  # a repeated uid counts once
+    return hits[first], [uid_at[j] for j in found.tolist()]
 
 
 def padded(rows: Sequence[Sequence[float]]) -> np.ndarray:
@@ -114,14 +133,21 @@ class EvalReport:
     unretrieved: int = 0  # gold facts of evaluated questions missing from their rankings
 
 
-def evaluate_rankings(ranked_by_qid: RankedUids, corpus: Corpus) -> EvalReport:
-    questions = evaluable(ranked_by_qid, corpus)
-    unknown = set().union(*ranked_by_qid.values()).difference(corpus.facts.column)
-    if unknown:
+def evaluate_rankings(rankings: Mapping[str, Sequence[str]], corpus: Corpus) -> EvalReport:
+    """A mapping that is not a Rankings is numbered once, as read_predictions numbers uids."""
+    questions = evaluable(rankings, corpus)
+    if not isinstance(rankings, Rankings):
+        index = defaultdict(count().__next__)  # a uid not yet seen gets the next index
+        orders = {qid: np.fromiter(map(index.__getitem__, r), np.int32, len(r)) for qid, r in rankings.items()}
+        rankings = Rankings(list(index), orders)
+    column = corpus.facts.column
+    columns = np.fromiter(map(column.get, rankings.uids, repeat(-1)), np.intp, len(rankings.uids))
+    if unknown := set(rankings.uids[columns < 0]):
         raise DataError(f"rankings reference unknown fact uid(s): {sorted(unknown)[:5]}")
-    skipped = sum(1 for q in corpus.questions if q.qid in ranked_by_qid and not q.gold)
-    # every gold fact relevant; each ranking is scanned once
-    found = [_positions(ranked_by_qid[q.qid], q.gold_uid_set) for q in questions]
+    skipped = sum(1 for q in corpus.questions if q.qid in rankings and not q.gold)
+    # every gold fact relevant; each order is looked at once
+    found = [find_gold(columns[rankings.orders[q.qid]], q, column) for q in questions]
+    found = [dict(zip(uids, positions.tolist())) for positions, uids in found]
     sizes = np.array([len(q.gold_uid_set) for q in questions])
     aps = average_precisions(padded([list(f.values()) for f in found]), sizes)
     lengths, counts = np.unique(sizes, return_counts=True)
@@ -182,7 +208,7 @@ def report_keyvalues(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def write_predictions(ranked_by_qid: RankedUids, path: str | Path, top_m: int | None = None) -> None:
+def write_predictions(ranked_by_qid: Mapping[str, Sequence[str]], path: str | Path, top_m: int | None = None):
     """One "qid<TAB>fact_uid" line per kept position, questions in mapping
     order, best fact first within each question; a question's lines are
     written as one string. A ValueError, raised before the file is opened,
@@ -190,11 +216,11 @@ def write_predictions(ranked_by_qid: RankedUids, path: str | Path, top_m: int | 
     and a first written qid starting with a byte-order mark."""
     if reason := split_cell("qid", ranked_by_qid):
         raise ValueError(f"{reason}; the predictions would not read back")
-    first = next((qid for qid, uids in ranked_by_qid.items() if uids[:top_m]), "")
+    first = next((qid for qid in ranked_by_qid if ranked_by_qid[qid][:top_m]), "")
     if first.startswith("\ufeff"):
         raise ValueError(f"first qid {first!r} starts with a byte-order mark, which readers drop")
-    for qid, uids in ranked_by_qid.items():
-        if not qid.strip() and not all(map(str.strip, uids[:top_m])):
+    for qid in ranked_by_qid:
+        if not qid.strip() and not all(map(str.strip, ranked_by_qid[qid][:top_m])):
             raise ValueError(f"qid {qid!r} keeps a blank uid, whose line would read back as blank")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for qid, uids in ranked_by_qid.items():
@@ -204,36 +230,37 @@ def write_predictions(ranked_by_qid: RankedUids, path: str | Path, top_m: int | 
                 fh.write(f"{qid}\t{lines}\n")
 
 
-def read_predictions(path: str | Path) -> dict[str, list[str]]:
-    """Read a predictions file back into ordered uid lists per question.
+def read_predictions(path: str | Path) -> Rankings:
+    """Read a predictions file back as Rankings, a block of lines at a time.
 
-    The file is parsed a block of lines at a time. A question's lines need
-    not be contiguous. Equal uids share one string object across questions.
-    A (qid, uid) pair that repeats is a DataError naming its line.
+    A question's lines need not be contiguous. Uids are numbered in the
+    order they first occur, so equal uids share one string object. A (qid,
+    uid) pair that repeats is a DataError naming its line.
     """
     path = Path(path)
-    ranked: dict[str, list[str]] = {}
-    canon: dict[str, str] = {}
+    index = defaultdict(count().__next__)  # a uid not yet seen gets the next index
+    orders: dict[str, array | np.ndarray] = {}
     try:
         for block in tsv_blocks(path, 2):
             qids, uids = block.columns
-            uids = list(map(canon.setdefault, uids, uids))
+            ids = np.fromiter(map(index.__getitem__, uids), np.int32, len(uids))
             for start, end in zip(block.runs, block.runs[1:]):
-                ranked.setdefault(qids[start], []).extend(uids[start:end])
+                orders.setdefault(qids[start], array("i")).frombytes(ids[start:end].tobytes())
             if block.wrong_line is not None:
                 raise FormatError(f"{path} line {block.wrong_line}: expected qid<TAB>fact_uid")
     except FormatError:
-        _check_repeats(path, ranked)  # a repeat on an earlier line is raised first
+        _check_repeats(path, orders)  # a repeat on an earlier line is raised first
         raise
-    _check_repeats(path, ranked)
-    return ranked
+    _check_repeats(path, orders)
+    for qid, ids in orders.items():  # each buffer to an array of its size, one at a time
+        orders[qid] = np.array(ids, np.int32)
+    return Rankings(list(index), orders)
 
 
-def _check_repeats(path: Path, ranked: Mapping[str, list[str]]) -> None:
-    """A DataError at the first line that repeats a (qid, uid) pair. Each
-    question is checked with one temporary set; the file is read again only
-    to locate a repeat."""
-    if all(len(set(uids)) == len(uids) for uids in ranked.values()):
+def _check_repeats(path: Path, orders: Mapping[str, array]) -> None:
+    """A DataError at the first line that repeats a (qid, uid) pair. Each order is checked
+    with one sort; the file is read again only to locate a repeat."""
+    if not any((s[1:] == s[:-1]).any() for s in map(np.sort, orders.values())):
         return
     first_index: dict[tuple[str, str], int] = {}
     offset = 0

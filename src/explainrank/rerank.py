@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError
-from .evaluation import average_precisions, evaluable, mean_in_order, padded
+from .evaluation import Rankings, average_precisions, evaluable, find_gold, mean_in_order, padded
 from .scorer import RelevanceTable, normalized_at
 from .textsim import Window
 
@@ -164,20 +164,19 @@ def rerank_all(
     config: RerankConfig,
     *,
     want_trace: bool = False,
-) -> tuple[dict[str, list[str]], dict[str, RerankTrace]]:
+) -> tuple[Rankings, dict[str, RerankTrace]]:
     """Re-rank every scored question with an answerable key. Returns each
     one's qid mapped to its fact uids, best first, in table order, and its
     trace when want_trace is set. The base order and its tie-break come
     from the raw scores; normalized scores are only weights."""
-    uids = np.array(table.uids, dtype=object)
-    top, window, weights, qa_sims, rankings = _windows(
-        corpus, provider, table, 2 * config.depth, lambda qid, order: uids[order].tolist()
+    top, window, weights, qa_sims, orders = _windows(
+        corpus, provider, table, 2 * config.depth, lambda qid, order: order.astype(np.int32)
     )
-    perm, rounds = _greedy(window, weights, qa_sims, config.depth, uids[top] if want_trace else None)
-    # each initial ranking takes its new top in place, so no list is resized
-    for ranking, head in zip(rankings.values(), np.take_along_axis(top, perm, axis=1)):
-        ranking[: len(head)] = uids[head].tolist()
-    traces = {qid: RerankTrace(qid, tuple(r)) for qid, r in zip(rankings, rounds)}
+    rankings = Rankings(table.uids, orders)
+    perm, rounds = _greedy(window, weights, qa_sims, config.depth, rankings.uids[top] if want_trace else None)
+    for order, head in zip(orders.values(), np.take_along_axis(top, perm, axis=1)):
+        order[: len(head)] = head
+    traces = {qid: RerankTrace(qid, tuple(r)) for qid, r in zip(orders, rounds)}
     return rankings, traces
 
 
@@ -191,15 +190,10 @@ def depth_sweep(
     and its initial position outside it."""
     # RerankConfig refuses a depth below 1, before any work is done
     width = 2 * max((RerankConfig(depth).depth for depth in depths), default=1)
-    column = corpus.facts.column  # the table's columns, as _windows checks
-    gold = {q.qid: [column[u] for u in q.gold_uid_set if u in column] for q in corpus.questions}
-
-    def gold_positions(qid: str, order: np.ndarray) -> np.ndarray:
-        is_gold = np.zeros(len(order), dtype=bool)
-        is_gold[gold[qid]] = True
-        return np.flatnonzero(is_gold[order])
-
-    _, window, weights, qa_sims, found = _windows(corpus, provider, table, width, gold_positions)
+    column, question = corpus.facts.column, corpus.question_index()  # the table's columns, as _windows checks
+    _, window, weights, qa_sims, found = _windows(
+        corpus, provider, table, width, lambda qid, order: find_gold(order, question[qid], column)[0]
+    )
     questions = evaluable(found, corpus)
     batch_row = {qid: n for n, qid in enumerate(found)}
     rows_of = np.array([batch_row[q.qid] for q in questions])

@@ -21,6 +21,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError, FormatError, split_cell, tsv_blocks
+from .evaluation import Rankings
 from .textsim import TfidfProvider, default_provider, fact_vectors
 
 log = logging.getLogger(__name__)
@@ -43,13 +44,9 @@ class RelevanceTable:
     scores: np.ndarray
 
     @cached_property
-    def _uid_array(self) -> np.ndarray:
-        return np.array(self.uids, dtype=object)
-
-    @cached_property
     def _by_uid(self) -> np.ndarray:
         """The columns in ascending uid order."""
-        return np.argsort(self._uid_array)
+        return np.argsort(np.array(self.uids, dtype=object))
 
     def order(self, i: int) -> np.ndarray:
         """Row i's columns by score descending, ties by uid ascending: the
@@ -200,10 +197,10 @@ def load_scores(path: str | Path, corpus: Corpus) -> RelevanceTable:
     return RelevanceTable(qids, uids, matrix)
 
 
-def all_rankings(table: RelevanceTable) -> dict[str, list[str]]:
-    """Each row's qid mapped to its fact uids by score descending, ties by
-    uid ascending, in table order."""
-    return {qid: table._uid_array[table.order(i)].tolist() for i, qid in enumerate(table.qids)}
+def all_rankings(table: RelevanceTable) -> Rankings:
+    """Each row's qid mapped to its fact uids by score descending, ties by uid
+    ascending, in table order, as an int32 order of the table's columns."""
+    return Rankings(table.uids, {qid: table.order(i).astype(np.int32) for i, qid in enumerate(table.qids)})
 
 
 def normalize(table: RelevanceTable) -> RelevanceTable:
@@ -215,23 +212,17 @@ def normalize(table: RelevanceTable) -> RelevanceTable:
     divides by even when external scores are negative. Constant score
     vectors map to all ones.
     """
-    scores = table.scores
-    lo, hi = scores.min(axis=1, keepdims=True), scores.max(axis=1, keepdims=True)
-    return RelevanceTable(table.qids, table.uids, _rescale(scores, lo, hi))
+    rows, columns = np.ogrid[: len(table.qids), : len(table.uids)]
+    return RelevanceTable(table.qids, table.uids, normalized_at(table, rows[:, 0], columns))
 
 
 def normalized_at(table: RelevanceTable, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """normalize(table).scores[rows[:, None], columns], bit for bit, with
-    only those cells rescaled: row k of columns holds columns of table row
-    rows[k]."""
+    """normalize(table).scores[rows[:, None], columns], with only those
+    cells rescaled: row k of columns holds columns of table row rows[k],
+    each min-max rescaled from its table row's [lo, hi]."""
     scores = table.scores
     lo, hi = scores.min(axis=1, keepdims=True)[rows], scores.max(axis=1, keepdims=True)[rows]
-    return _rescale(scores[rows[:, None], columns], lo, hi)
-
-
-def _rescale(cells: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Each row of cells min-max rescaled from [lo, hi] of its row."""
-    span = hi - lo
+    cells, span = scores[rows[:, None], columns], hi - lo
     flat = span == 0.0
     scaled = NORM_FLOOR + (cells - lo) / np.where(flat, 1.0, span) * (1.0 - NORM_FLOOR)
     scaled[flat[:, 0]] = 1.0

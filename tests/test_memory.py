@@ -2,6 +2,8 @@
 score_lexical hold the float64 matrix and little beside it; of loading a
 fact table: load_facts keeps columns, not an object per fact; and of
 building a dataset: build_dataset keeps columns, not an object per row.
+What rankings keep: all_rankings and read_predictions keep an int32 order
+per question, not a list of uid references.
 
 numpy registers its data buffers with tracemalloc, so the traced peak
 counts the matrix, every temporary array and every Python object made
@@ -16,7 +18,8 @@ import pytest
 
 from explainrank.corpus import load_facts
 from explainrank.dataprep import NegativeSampler, PrepConfig, build_dataset
-from explainrank.scorer import OVERLAP, RelevanceTable, load_scores, score_lexical, write_scores
+from explainrank.evaluation import read_predictions, write_predictions
+from explainrank.scorer import OVERLAP, RelevanceTable, all_rankings, load_scores, score_lexical, write_scores
 from explainrank.textsim import default_provider
 from synth import WORD_POOL, random_corpus, write_fact_table
 
@@ -36,10 +39,17 @@ MAX_FACT_TABLE_RATIO = 4.0
 # corpus; a list of one frozen row object per row, the positive shared within
 # its block, reads 83-85 and 82-83
 MAX_DATASET_BYTES_PER_ROW = 68
+# what all_rankings and read_predictions keep per ranked position: an int32
+# index, and per question an array and its dict entry (read back, also the
+# spare capacity of the buffer each question's runs were appended to).
+# Measured 4.5 and 4.9 B on the corpus below; a list of uid references per
+# question keeps 8.3 and 8.7
+MAX_RANKING_BYTES_PER_POSITION = 6
 
 
-def traced_peak(call):
-    """call()'s result and the traced peak above what was traced before it."""
+def traced(call):
+    """call()'s result, the traced peak above what was traced before it,
+    and the traced bytes still held above that once it returns."""
     if tracemalloc.is_tracing() or sys.gettrace() is not None:
         pytest.skip("another tracer is running")
     tracemalloc.start()
@@ -47,9 +57,15 @@ def traced_peak(call):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         result = call()
-        return result, tracemalloc.get_traced_memory()[1] - before
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak - before, held - before
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(call):
+    """call()'s result and the traced peak above what was traced before it."""
+    return traced(call)[:2]
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +123,17 @@ def test_build_dataset_peak_has_no_object_per_row(with_context):
     data, peak = traced_peak(lambda: build_dataset(corpus, sampler, cfg))
     assert len(data) > 2000
     assert peak <= MAX_DATASET_BYTES_PER_ROW * len(data), peak / len(data)
+
+
+def test_rankings_keep_an_int32_order_per_question(corpus, tmp_path):
+    rng = np.random.default_rng(32)
+    table = RelevanceTable(
+        tuple(q.qid for q in corpus.questions), corpus.facts.uids, rng.normal(size=(N_QUESTIONS, N_FACTS))
+    )
+    path = tmp_path / "predictions.tsv"
+    write_predictions(all_rankings(table), path)
+    positions = N_QUESTIONS * N_FACTS
+    for call in (lambda: all_rankings(table), lambda: read_predictions(path)):
+        rankings, _, kept = traced(call)
+        assert sum(map(len, rankings.values())) == positions
+        assert kept <= MAX_RANKING_BYTES_PER_POSITION * positions, kept / positions

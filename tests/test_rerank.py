@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from explainrank import textsim
 from explainrank.errors import DataError
 from explainrank.rerank import RerankConfig, _greedy, depth_sweep, rerank_all
 from explainrank.scorer import RelevanceTable, score_lexical
@@ -489,3 +490,31 @@ class TestDepthSweep:
         table = score_lexical(corpus, provider)
         with pytest.raises(ValueError, match="depth must be >= 1"):
             depth_sweep(corpus, provider, table, depths)
+
+
+def reranked_bits(corpus, provider, table):
+    """rerank_all's rankings and traces, and depth_sweep's MAPs, every float
+    as float.hex."""
+    rankings, traces = rerank_all(corpus, provider, table, RerankConfig(depth=6), want_trace=True)
+    rounds = [
+        (qid, rnd.number, rnd.selected, rnd.candidates,
+         [list(map(float.hex, a.tolist())) for a in (rnd.weighted_rel, rnd.qa_sim, rnd.score)])
+        for qid, trace in traces.items()
+        for rnd in trace.rounds
+    ]
+    sweep = [(depth, value.hex()) for depth, value in depth_sweep(corpus, provider, table, [1, 3, 6, 10])]
+    return dict(rankings), rounds, sweep
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_window_blocks_change_no_bit(block, monkeypatch):
+    """A Window keys its windows a block at a time, each block's query slots
+    after the last block's. 30 windows in blocks of 1, 2 or 3 give the bits
+    of one block."""
+    corpus = random_corpus(n_questions=30, n_facts=80, seed=56)
+    provider = default_provider(corpus)
+    table = score_lexical(corpus, provider)
+    assert block < len(table.qids) <= textsim._WINDOW_BLOCK  # one block unpatched, many patched
+    whole = reranked_bits(corpus, provider, table)
+    monkeypatch.setattr(textsim, "_WINDOW_BLOCK", block)
+    assert reranked_bits(corpus, provider, table) == whole
