@@ -18,7 +18,7 @@ import importlib.util
 import logging
 import os
 import sys
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -226,19 +226,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     corpus = _load(args, textsim, dataprep)
     # one sampler for every variant: fact rows and negatives computed once
     sampler = dataprep.NegativeSampler(corpus, _provider(args, corpus))
-    if args.task == "all":
-        variants = [
-            (task, ctx)
-            for task in (dataprep.CLASSIFICATION, dataprep.REGRESSION)
-            for ctx in (False, True)
-        ]
-    else:
-        variants = [(args.task, args.with_context)]
+    tasks = (dataprep.CLASSIFICATION, dataprep.REGRESSION) if args.task == "all" else (args.task,)
+    contexts = (False, True) if args.task == "all" else (args.with_context,)
     stats_sections = []
-    for task, with_context in variants:
-        prep = dataprep.PrepConfig(
-            k=args.k, m=args.m, seed=args.seed, with_context=with_context, task=task
-        )
+    for task, with_context in product(tasks, contexts):
+        prep = dataprep.PrepConfig(k=args.k, m=args.m, seed=args.seed, with_context=with_context, task=task)
         examples = dataprep.build_dataset(corpus, sampler, prep)
         name = f"dataset_{task}{'_context' if with_context else ''}.tsv"
         out_path = args.out / name

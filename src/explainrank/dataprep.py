@@ -14,16 +14,15 @@ from __future__ import annotations
 import logging
 import math
 import random
-import re
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass, field, fields
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import CENTRAL, GROUNDING, LEXGLUE, Corpus, parse_role
-from .errors import DataError, FormatError, utf8_blocks
+from .errors import DataError, FormatError, split_cell, utf8_blocks
 from .textsim import Rows, _over_norms, fact_vectors
 
 log = logging.getLogger(__name__)
@@ -141,12 +140,7 @@ class NegativeSampler:
         if best is None:
             best = self._memo[key] = self._negatives(*key)
             if len(best) < k:
-                log.warning(
-                    "gold fact %s: only %d non-gold fact(s) available for k=%d",
-                    gold_uid,
-                    len(best),
-                    k,
-                )
+                log.warning("gold fact %s: only %d non-gold fact(s) available for k=%d", gold_uid, len(best), k)
         return list(best)
 
     def _negatives(self, gold_uid: str, gold_uids: frozenset[str], k: int) -> tuple[str, ...]:
@@ -269,55 +263,56 @@ _BLOCK_ROWS = 256  # larger blocks raise the peak RSS, not the speed
 _COLUMNS = ("qid", "question_text", "context", "candidate_text", "label_or_target", "role")
 
 
-class _Cleaned(dict):
-    """Field text by raw text, tabs and newlines replaced with spaces; each
-    distinct text is cleaned, and warned about, once. With a separator, a
-    cleaned text that holds it, or ends in it but for its last space, splits
-    at it when read back, and is warned about once too."""
-
-    def __init__(self, what: str, separator: str = ""):
-        super().__init__()
-        self.what, self.separator = what, separator
-
-    def __missing__(self, text: str) -> str:
-        cleaned = text
-        if "\t" in text or "\n" in text or "\r" in text:
-            log.warning("%s contains tab/newline characters, replaced with spaces", self.what)
-            cleaned = re.sub(r"[\t\n\r]", " ", text)
-        sep = self.separator
-        if sep and (sep in cleaned or cleaned.endswith(sep[:-1])):
-            log.warning("%s fact %.60r may read back as more than one fact at the %r separator",
-                        self.what, cleaned, sep)
-        self[text] = cleaned
-        return cleaned
-
-
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    """TSV with a header row; context facts joined by the [SEP] marker.
-    Rows are joined and written a block at a time. Columns of unequal length
-    are a ValueError."""
-    columns = (
-        dataset.qids, dataset.questions, dataset.contexts, dataset.candidates, dataset.labels,
-        dataset.roles,
-    )
+    """TSV with a header row; context facts joined by the [SEP] marker, rows
+    written a block at a time. Before the file opens, a ValueError refuses
+    unequal columns, or names the column and the cell of a row read_dataset
+    would not read back as written (clean tabs and line breaks out first): a
+    tab, CR or LF in a text; an empty role, or one parse_role would change; a
+    context of one empty fact; a label not finite, or whose repr float() does
+    not read back. A context fact that may read back split at the separator
+    (it holds it, or ends in it but for its last space) is warned once."""
+    columns = [getattr(dataset, column.name) for column in fields(Dataset)]
     if len(set(map(len, columns))) > 1:
         raise ValueError("the dataset's columns differ in length")
-    qids, questions = _Cleaned("qid"), _Cleaned("question text")
-    candidates = _Cleaned("candidate text")
-    # by fact; the separator has no tab or newline
-    contexts = _Cleaned("context", CONTEXT_SEPARATOR)
-    roles = _Cleaned("role")
+    # each distinct cell is checked once
+    contexts = dict.fromkeys(dataset.contexts)
+    facts = dict.fromkeys(chain.from_iterable(contexts))
+    roles = dict.fromkeys(dataset.roles)
+    roles.pop(None, None)  # a negative's empty cell
+    texts = {"qid": dataset.qids, "question_text": dataset.questions, "context": facts,
+             "candidate_text": dataset.candidates, "role": roles}
+    reasons = [split_cell(what, dict.fromkeys(cells)) for what, cells in texts.items()]
+    reasons += ["context ('',) reads back as ()"] if ("",) in contexts else []
+    reasons += [f"role {role!r} reads back as {parse_role(role) or None!r}"
+                for role in roles if parse_role(role) != role or not role]
+    # keyed by type too: 1.0, True and np.float64(1.0) are one key by value
+    labels = dict.fromkeys(zip(dataset.labels, map(type, dataset.labels)))
+    reasons += [f"label_or_target {label!r} is not a finite number whose repr reads back as it"
+                for label, _ in labels if not _reads_back(label)]
+    if reason := next(filter(None, reasons), None):
+        raise ValueError(f"{reason}; the dataset would not read back")
+    for fact in facts:
+        if CONTEXT_SEPARATOR in fact or fact.endswith(CONTEXT_SEPARATOR[:-1]):
+            log.warning("context fact %.60r may read back as more than one fact at the %r separator",
+                        fact, CONTEXT_SEPARATOR)
     rows = zip(*columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(_COLUMNS) + "\n")
         for _ in range(0, len(dataset), _BLOCK_ROWS):
             fh.write("".join([
-                f"{qids[qid]}\t{questions[qa]}\t"
-                f"{CONTEXT_SEPARATOR.join(map(contexts.__getitem__, context))}\t"
-                f"{candidates[candidate]}\t{label!r}\t"
-                f"{'' if role is None else roles[role]}\n"
+                f"{qid}\t{qa}\t{CONTEXT_SEPARATOR.join(context)}\t{candidate}\t{label!r}\t"
+                f"{'' if role is None else role}\n"
                 for qid, qa, context, candidate, label, role in islice(rows, _BLOCK_ROWS)
             ]))
+
+
+def _reads_back(label) -> bool:
+    """Whether float() reads label's repr back as a finite number equal to label."""
+    try:
+        return math.isfinite(back := float(repr(label))) and back == label
+    except ValueError:
+        return False
 
 
 def read_dataset(path: str | Path) -> Dataset:

@@ -51,6 +51,15 @@ class Rankings(Mapping[str, list[str]]):
         return len(self.orders)
 
 
+def _numbered(rankings: Mapping[str, Sequence[str]]) -> Rankings:
+    """rankings itself if it is a Rankings, else its uids numbered once, as read_predictions numbers them."""
+    if isinstance(rankings, Rankings):
+        return rankings
+    index = defaultdict(count().__next__)  # a uid not yet seen gets the next index
+    orders = {qid: np.fromiter(map(index.__getitem__, r), np.int32, len(r)) for qid, r in rankings.items()}
+    return Rankings(list(index), orders)
+
+
 def find_gold(order: np.ndarray, question: Question, column: dict[str, int]) -> tuple[np.ndarray, list[str]]:
     """Where order, corpus columns best first, first holds each gold uid of question
     that it holds, and those uids, in column order; column maps uids to columns."""
@@ -136,10 +145,7 @@ class EvalReport:
 def evaluate_rankings(rankings: Mapping[str, Sequence[str]], corpus: Corpus) -> EvalReport:
     """A mapping that is not a Rankings is numbered once, as read_predictions numbers uids."""
     questions = evaluable(rankings, corpus)
-    if not isinstance(rankings, Rankings):
-        index = defaultdict(count().__next__)  # a uid not yet seen gets the next index
-        orders = {qid: np.fromiter(map(index.__getitem__, r), np.int32, len(r)) for qid, r in rankings.items()}
-        rankings = Rankings(list(index), orders)
+    rankings = _numbered(rankings)
     column = corpus.facts.column
     columns = np.fromiter(map(column.get, rankings.uids, repeat(-1)), np.intp, len(rankings.uids))
     if unknown := set(rankings.uids[columns < 0]):
@@ -210,23 +216,25 @@ def report_keyvalues(report: EvalReport) -> str:
 
 def write_predictions(ranked_by_qid: Mapping[str, Sequence[str]], path: str | Path, top_m: int | None = None):
     """One "qid<TAB>fact_uid" line per kept position, questions in mapping
-    order, best fact first within each question; a question's lines are
-    written as one string. A ValueError, raised before the file is opened,
-    refuses a qid holding a tab, CR or LF, a blank one keeping a blank uid,
-    and a first written qid starting with a byte-order mark."""
-    if reason := split_cell("qid", ranked_by_qid):
+    order, best first; each order is cut to top_m before its uids are looked
+    up, and a question's lines are written as one string. A ValueError,
+    raised before the file is opened, refuses a qid holding a tab, CR or LF,
+    a blank one keeping a blank uid, and a first written qid starting with a
+    byte-order mark."""
+    rankings = _numbered(ranked_by_qid)
+    uids, heads = rankings.uids, {qid: order[:top_m] for qid, order in rankings.orders.items()}
+    if reason := split_cell("qid", heads):
         raise ValueError(f"{reason}; the predictions would not read back")
-    first = next((qid for qid in ranked_by_qid if ranked_by_qid[qid][:top_m]), "")
+    first = next((qid for qid, head in heads.items() if len(head)), "")
     if first.startswith("\ufeff"):
         raise ValueError(f"first qid {first!r} starts with a byte-order mark, which readers drop")
-    for qid in ranked_by_qid:
-        if not qid.strip() and not all(map(str.strip, ranked_by_qid[qid][:top_m])):
+    for qid, head in heads.items():
+        if not qid.strip() and not all(map(str.strip, uids[head])):
             raise ValueError(f"qid {qid!r} keeps a blank uid, whose line would read back as blank")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for qid, uids in ranked_by_qid.items():
-            uids = uids if top_m is None else uids[:top_m]
-            if uids:
-                lines = f"\n{qid}\t".join(uids)
+        for qid, head in heads.items():
+            if len(head):
+                lines = f"\n{qid}\t".join(uids[head].tolist())
                 fh.write(f"{qid}\t{lines}\n")
 
 

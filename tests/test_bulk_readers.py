@@ -1,5 +1,6 @@
 """The block readers of scores and predictions files against the per-line
-reference readers in line_readers.py, and the writers' round trips.
+reference readers in line_readers.py, and the writers' round trips, datasets
+included.
 
 Generated files mix CRLF, CR and LF line ends, blank and whitespace-only
 lines, a qid's lines out of order, repeated pairs, unknown qids and uids,
@@ -11,6 +12,7 @@ size is mostly set small enough that every file spans several blocks.
 """
 
 import logging
+import math
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -23,8 +25,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import line_readers
-from explainrank import errors
+from explainrank import dataprep, errors
 from explainrank.corpus import Question
+from explainrank.dataprep import CONTEXT_SEPARATOR, Dataset, read_dataset, write_dataset
 from explainrank.errors import PipelineError
 from explainrank.evaluation import read_predictions, write_predictions
 from explainrank.scorer import RelevanceTable, load_scores, write_scores
@@ -309,3 +312,99 @@ def test_empty_table_writes_nothing(tmp_path):
     path = tmp_path / "scores.tsv"
     write_scores(RelevanceTable(("q1",), (), np.zeros((1, 0))), path)
     assert path.read_bytes() == b""
+
+
+# other line separators, the context separator and its pieces; then tabs and line breaks
+clean_texts = st.one_of(
+    st.text(st.sampled_from(list("aé [SEP]\u2028\x85\x0c")), max_size=8),
+    st.sampled_from(["", "plain", CONTEXT_SEPARATOR, f"a{CONTEXT_SEPARATOR}b", "x [SEP]", "[SEP] y"]),
+)
+cell_texts = clean_texts | st.text(st.sampled_from(list("a\t\r\n")), min_size=1, max_size=3)
+role_cells = st.sampled_from(
+    [None, "", " ", "CENTRAL", "central", "lexical glue", "lexical_glue", "Lexical Glue", "odd role", "r\t1", "r\n"]
+)
+label_cells = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1, True, np.float64(1.0), np.float64(0.25),
+                     np.float32(0.1), 2**53 + 1, 10**400, "1.0", 0.1 + 0.2]),
+    st.floats(), st.floats(allow_nan=False).map(np.float64), st.integers(-(2**60), 2**60),
+)
+clean_rows = st.tuples(
+    st.sampled_from(["q1", "q 2", ""]), clean_texts,
+    st.lists(clean_texts, max_size=3).map(tuple).filter(lambda context: context != ("",)), clean_texts,
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1]),
+    st.sampled_from([None, "CENTRAL", "LEXGLUE", "odd role", " "]),
+)
+# one cell of any kind in place of a clean one: (column, row, value)
+any_cells = (cell_texts, cell_texts, st.lists(cell_texts, max_size=3).map(tuple), cell_texts, label_cells, role_cells)
+dataset_damages = st.one_of(
+    st.none(), *(st.tuples(st.just(c), st.integers(0, 99), cells) for c, cells in enumerate(any_cells))
+)
+
+
+def plain_bytes(data):
+    """The header and one line per row, each cell as it is and each label's
+    repr: what write_dataset writes when it writes."""
+    lines = ["\t".join(dataprep._COLUMNS)] + [
+        "\t".join([qid, qa, CONTEXT_SEPARATOR.join(context), candidate, repr(label), role or ""])
+        for qid, qa, context, candidate, label, role in zip(*vars(data).values())
+    ]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def reads_back(data, path):
+    path.write_bytes(plain_bytes(data))
+    try:
+        return read_dataset(path) == data
+    except PipelineError:
+        return False
+
+
+def may_split(fact):
+    return CONTEXT_SEPARATOR in fact or fact.endswith(CONTEXT_SEPARATOR[:-1])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=st.lists(clean_rows, max_size=10), damage=dataset_damages,
+       block=st.integers(1, 4) | st.just(dataprep._BLOCK_ROWS))
+@example(rows=[("q1", "qt", ("x [SEP]", "y"), "c", 1.0, "CENTRAL")], damage=None, block=1)
+@example(rows=[("q1", "qt", ("a [SEP] b",), "c", 1.0, None)] * 3, damage=(0, 1, "q\r"), block=2)
+# each refusal: a text with a tab or a line break, a role read back changed,
+# a context of one empty fact, and labels that read back changed
+@example(rows=[("q1", "qt", ("f",), "c", 1.0, None)] * 3, damage=(2, 2, ("f", "a\nb")), block=2)
+@example(rows=[("q1", "qt", (), "c", 1.0, None)] * 2, damage=(5, 1, "r\t1"), block=1)
+@example(rows=[("q1", "qt", (), "c", 1.0, None)], damage=(5, 0, ""), block=1)
+@example(rows=[("q1", "qt", (), "c", 1.0, None)], damage=(5, 0, "lexical glue"), block=1)
+@example(rows=[("q1", "qt", (), "c", 1.0, None)], damage=(2, 0, ("",)), block=1)
+@example(rows=[("q1", "qt", (), "c", 1.0, None)], damage=(4, 0, math.nan), block=1)
+@example(rows=[("q1", "qt", (), "c", 1.0, None)], damage=(4, 0, 2**53 + 1), block=1)
+@example(rows=[("q1", "qt", (), "c", 1.0, None)] * 2, damage=(4, 1, True), block=1)
+@example(rows=[("q1", "qt", (), "c", 1.0, None)] * 2, damage=(4, 1, np.float64(1.0)), block=1)
+def test_dataset_round_trip(rows, damage, block):
+    """write_dataset writes the plain bytes, and warns once about each context
+    fact that may split at the separator; with the separators taken out of
+    those facts, the plain bytes read back as the dataset. Or it refuses the
+    dataset with a ValueError before the file opens, and then the plain bytes
+    would not read back even with the separators taken out."""
+    if rows and damage:
+        column, row, value = damage
+        rows[row % len(rows)] = (*rows[row % len(rows)][:column], value, *rows[row % len(rows)][column + 1 :])
+    data = Dataset(*map(list, zip(*rows))) if rows else Dataset()
+    splitting = {fact for context in data.contexts for fact in context if may_split(fact)}
+    unsplit = Dataset(**vars(data))
+    unsplit.contexts = [tuple(fact.replace("[SEP]", "<SEP>") for fact in context) for context in data.contexts]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataprep, "_BLOCK_ROWS", block)
+        path, plain = Path(tmp) / "d.tsv", Path(tmp) / "plain.tsv"
+        with captured_warnings() as messages:
+            try:
+                write_dataset(data, path)
+            except ValueError as exc:
+                assert not path.exists()
+                assert str(exc).split(" ")[0] in dataprep._COLUMNS
+                assert not messages
+                assert not reads_back(unsplit, plain)
+                return
+        assert path.read_bytes() == plain_bytes(data)
+        assert len(messages) == len(splitting)
+        assert reads_back(unsplit, plain)
+        assert splitting or reads_back(data, plain)

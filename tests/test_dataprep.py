@@ -1,10 +1,12 @@
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from explainrank import dataprep
 from explainrank.corpus import (
     BACKGROUND,
     CENTRAL,
@@ -410,40 +412,81 @@ class TestDatasetIO:
         assert len(lines) == 3
         assert lines[0].startswith("qid\t")
 
-    def test_tab_replaced_with_warning(self, tmp_path, caplog):
-        data = rows_dataset(("q1", "qt", (), "has\ttab", 1.0, CENTRAL))
+    @pytest.mark.parametrize("row, message", [
+        pytest.param(("q\t1", "qt", (), "cand", 1.0, CENTRAL), "qid 'q\\t1' holds a tab", id="qid_tab"),
+        pytest.param(("q1", "q\rt", (), "cand", 1.0, CENTRAL), "question_text 'q\\rt' holds", id="question_cr"),
+        pytest.param(("q1", "qt", ("ok", "a\nb"), "cand", 1.0, CENTRAL), "context 'a\\nb' holds",
+                     id="context_lf"),
+        pytest.param(("q1", "qt", (), "has\ttab", 1.0, CENTRAL), "candidate_text 'has\\ttab' holds",
+                     id="candidate_tab"),
+        pytest.param(("q1", "qt", (), "cand", 1.0, "odd\r\nrole"), "role 'odd\\r\\nrole' holds",
+                     id="role_crlf"),
+        pytest.param(("q1", "qt", (), "cand", 1.0, ""), "role '' reads back as None", id="role_empty"),
+        pytest.param(("q1", "qt", (), "cand", 1.0, "lexical glue"), "role 'lexical glue' reads back as 'LEXGLUE'",
+                     id="role_folded"),
+        pytest.param(("q1", "qt", (), "cand", 1.0, "central"), "role 'central' reads back as 'CENTRAL'",
+                     id="role_case"),
+        pytest.param(("q1", "qt", ("",), "cand", 1.0, CENTRAL), "context ('',) reads back as ()",
+                     id="context_one_empty_fact"),
+        pytest.param(("q1", "qt", (), "cand", math.nan, CENTRAL), "label_or_target nan is not", id="label_nan"),
+        pytest.param(("q1", "qt", (), "cand", -math.inf, CENTRAL), "label_or_target -inf is not", id="label_inf"),
+        # equal to the other row's 1.0 label, so only its type tells it apart
+        pytest.param(("q1", "qt", (), "cand", True, CENTRAL), "label_or_target True is not", id="label_bool"),
+        pytest.param(("q1", "qt", (), "cand", np.float32(0.1), CENTRAL), "label_or_target np.float32(0.1) is not"
+                     if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else "label_or_target 0.1 is not",
+                     id="label_float32"),
+        pytest.param(("q1", "qt", (), "cand", 2**53 + 1, CENTRAL), "label_or_target 9007199254740993 is not",
+                     id="label_big_int"),
+        pytest.param(("q1", "qt", (), "cand", np.float64(1.0), CENTRAL), "label_or_target np.float64(1.0) is not",
+                     id="label_float64", marks=pytest.mark.skipif(
+                         np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1.x writes '1.0'")),
+    ])
+    def test_unreadable_cell_refused_before_the_file_opens(self, tmp_path, row, message):
         path = tmp_path / "d.tsv"
-        with caplog.at_level("WARNING"):
-            write_dataset(data, path)
-        assert read_dataset(path).candidates == ["has tab"]
-        assert any("replaced" in rec.message for rec in caplog.records)
+        clean = ("q0", "question", ("fact",), "candidate", 1.0, None)
+        with pytest.raises(ValueError, match=re.escape(message) + ".*; the dataset would not read back$"):
+            write_dataset(rows_dataset(clean, row, clean), path)
+        assert not path.exists()
 
     def test_bytes_equal_per_row_reference_and_each_text_warned_once(self, tmp_path, caplog):
-        def clean(value):
-            return value.replace("\t", " ").replace("\n", " ").replace("\r", " ")
-
         rng = random.Random(8)
-        texts = ["plain", "has\ttab", "line\nbreak", "cr\r\nlf", "", "é \u2028 ok"]
-        roles = [None, CENTRAL, "odd\trole"]
-        rows = [
-            (rng.choice(["q1", "q\t2"]), rng.choice(texts), tuple(rng.sample(texts, rng.randint(0, 3))),
-             rng.choice(texts), rng.choice([1.0, 0.0, 6.0, -0.0, 0.1 + 0.2]), rng.choice(roles))
-            for _ in range(700)  # more than one block of rows
-        ]
+        sep = CONTEXT_SEPARATOR
+        texts = ["plain", "", "é \u2028 ok\x85", f"glued{sep}fact", f"tail{sep[:-1]}", "x [SEP y"]
+        roles = [None, CENTRAL, "odd role", " "]
+        rows = []
+        while len(rows) < 700:  # more than one block of rows
+            context = tuple(rng.sample(texts, rng.randint(0, 3)))
+            if context != ("",):
+                rows.append((rng.choice(["q1", "q 2", ""]), rng.choice(texts), context, rng.choice(texts),
+                             rng.choice([1.0, 0.0, 6.0, -0.0, 0.1 + 0.2, 1]), rng.choice(roles)))
         path = tmp_path / "d.tsv"
         with caplog.at_level("WARNING"):
             write_dataset(rows_dataset(*rows), path)
         reference = "".join(
-            "\t".join([clean(qid), clean(question), clean(CONTEXT_SEPARATOR.join(context)),
-                       clean(candidate), repr(label), clean(role or "")])
-            + "\n"
+            "\t".join([qid, question, sep.join(context), candidate, repr(label), role or ""]) + "\n"
             for qid, question, context, candidate, label, role in rows
         )
         header = "qid\tquestion_text\tcontext\tcandidate_text\tlabel_or_target\trole\n"
         assert path.read_bytes() == (header + reference).encode()
-        # once per distinct dirty text of each field: 3 texts, 1 qid, 1 role
-        warned = Counter(rec.message.split(" contains")[0] for rec in caplog.records)
-        assert warned == {"qid": 1, "question text": 3, "context": 3, "candidate text": 3, "role": 1}
+        # once per distinct context fact that may read back split
+        warned = Counter(rec.getMessage().split("context fact ")[1].split(" may")[0] for rec in caplog.records)
+        assert warned == {repr(f"glued{sep}fact"): 1, repr(f"tail{sep[:-1]}"): 1}
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_row_blocks_change_no_byte(self, tmp_path, monkeypatch, block):
+        """Rows are written _BLOCK_ROWS at a time. Blocks of 1, 2 or 3 rows,
+        the last one short, give the bytes of one block."""
+        corpus = random_corpus(n_questions=5, n_facts=30, seed=36, gold_range=(2, 3))
+        cfg = PrepConfig(k=2, m=1, seed=3, with_context=True, task=REGRESSION)
+        data = build_dataset(corpus, default_provider(corpus), cfg)
+        while len(data) % 6 not in (1, 5):  # last blocks of 2 and 3 rows short
+            for column, value in zip(vars(data).values(), ("q9", "odd", ("one", "two"), "last", 0.5, None)):
+                column.append(value)
+        assert block < len(data) <= dataprep._BLOCK_ROWS  # one block unpatched, many patched
+        write_dataset(data, tmp_path / "whole.tsv")
+        monkeypatch.setattr(dataprep, "_BLOCK_ROWS", block)
+        write_dataset(data, tmp_path / "blocks.tsv")
+        assert (tmp_path / "blocks.tsv").read_bytes() == (tmp_path / "whole.tsv").read_bytes()
 
     def test_line_separators_in_text_round_trip(self, tmp_path):
         # write_dataset keeps U+2028, U+0085 and form feeds; read_dataset must

@@ -1,6 +1,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 
 from explainrank.corpus import (
@@ -11,6 +12,7 @@ from explainrank.corpus import (
 )
 from explainrank.errors import DataError, FormatError
 from explainrank.evaluation import (
+    Rankings,
     evaluate_rankings,
     format_report,
     read_predictions,
@@ -18,6 +20,7 @@ from explainrank.evaluation import (
     write_predictions,
 )
 
+from explainrank.scorer import RelevanceTable, all_rankings
 from synth import corpus_of
 
 
@@ -380,6 +383,40 @@ class TestPredictions:
         ranked = {"": ["f1", "f2"], " ": ["f2", " "], "q1": [" ", "f1"]}
         write_predictions(ranked, path, top_m=1)
         assert read_predictions(path) == {"": ["f1"], " ": ["f2"], "q1": [" "]}
+
+    @pytest.fixture
+    def no_item_access(self, monkeypatch):
+        """Rankings.__getitem__ fails: a writer must read the int32 orders."""
+        def item(rankings, qid):
+            raise AssertionError(f"Rankings[{qid!r}] built a whole uid list")
+        monkeypatch.setattr(Rankings, "__getitem__", item)
+
+    @pytest.mark.parametrize("top_m", [None, 0, 1, 3, 40])
+    def test_rankings_written_from_their_orders(self, tmp_path, top_m, request):
+        rng = np.random.default_rng(5)
+        scores = rng.integers(0, 4, (6, 30)).astype(float)  # many ties
+        table = RelevanceTable(tuple(f"q{i}" for i in range(6)), tuple(f"f{j:02d}" for j in range(30)), scores)
+        rankings = all_rankings(table)
+        cut = {qid: uids[:top_m] for qid, uids in rankings.items()}
+        write_predictions(cut, tmp_path / "cut.tsv")
+        request.getfixturevalue("no_item_access")
+        write_predictions(rankings, tmp_path / "p.tsv", top_m)
+        assert (tmp_path / "p.tsv").read_bytes() == (tmp_path / "cut.tsv").read_bytes()
+
+    @pytest.mark.parametrize("orders, top_m, message", [
+        ({"q\t1": [0]}, None, "qid 'q\\t1' holds a tab"),
+        ({"q0": [], "\ufeffq1": [1, 0]}, None, "first qid '\\ufeffq1' starts with a byte-order mark"),
+        ({"q0": [0], " ": [0, 1]}, 2, "qid ' ' keeps a blank uid"),
+    ], ids=["tab", "byte_order_mark", "blank"])
+    def test_rankings_refused_from_their_heads(self, tmp_path, no_item_access, orders, top_m, message):
+        rankings = Rankings(["f1", " "], {qid: np.array(order, np.int32) for qid, order in orders.items()})
+        path = tmp_path / "p.tsv"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_predictions(rankings, path, top_m)
+        assert not path.exists()
+        if top_m:  # the blank uid cut away: written
+            write_predictions(rankings, path, 1)
+            assert path.read_text(encoding="utf-8") == "q0\tf1\n \tf1\n"
 
     def test_read_rejects_duplicates(self, tmp_path):
         path = tmp_path / "p.tsv"

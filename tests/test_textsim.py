@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from explainrank import textsim
 from explainrank.corpus import Question, qa_text
 from explainrank.errors import DataError, FormatError
 from explainrank.textsim import (
@@ -20,7 +21,7 @@ from explainrank.textsim import (
 )
 
 import cosine_reference
-from synth import random_corpus
+from synth import WORD_POOL, random_corpus
 
 
 def sparse_rows(weight_maps, dim=12):
@@ -475,3 +476,31 @@ class TestDefaultProvider:
 
     def test_stopword_list_is_fixed(self):
         assert "the" in STOPWORDS and "frog" not in STOPWORDS
+
+
+def provider_bits(build, queries):
+    """Everything TF-IDF and dense providers give for build and query texts,
+    by bits: the vocabulary, the idf values, and each Rows' values, norms,
+    ids and dimension."""
+    tfidf = TfidfProvider(build)
+    terms = {word: i for i, word in enumerate(reversed(WORD_POOL))}
+    dense = DenseWordVectors(terms, np.random.default_rng(3).standard_normal((len(terms), 5)))
+    rows = [tfidf.rows(build), tfidf.rows(queries + build[:5]), dense.rows(build + queries)]
+    return (
+        list(tfidf.term_ids.items()), hexes(tfidf.idf.values()),
+        [(r.values.shape, r.values.tobytes(), r.norms.tobytes(), r.ids.tolist(), r.dim, r.dense) for r in rows],
+    )
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_text_blocks_change_no_bit(block, monkeypatch):
+    """Texts are tokenised, numbered and averaged _TEXT_BLOCK at a time. In
+    blocks of 1, 2 or 3 they give the vocabulary, idf and rows of one block."""
+    corpus = random_corpus(n_questions=8, n_facts=40, seed=61)
+    build = [*corpus.facts.texts, *(qa for _, qa in corpus.answerable), *corpus.facts.texts[:3]]
+    queries = ["", "unknown words only", "Word03\nword07 word03", "wörd word01, word02", "the of and",
+               f"{WORD_POOL[5]} {WORD_POOL[5]} {WORD_POOL[9]}", "x"]
+    assert block < len(build) + len(queries) <= textsim._TEXT_BLOCK  # one block unpatched, many patched
+    whole = provider_bits(build, queries)
+    monkeypatch.setattr(textsim, "_TEXT_BLOCK", block)
+    assert provider_bits(build, queries) == whole
