@@ -258,12 +258,18 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def _trace_lines(trace) -> str:
     """A question's traces.tsv lines: one per candidate per round, floats
-    by repr, 1 on the round's pick."""
+    by repr, 1 on the round's pick. A candidate's qa_sim is the same in
+    every round it stays in the pool, so each is repr'd once."""
+    qa_sim: dict[str, float] = {}
+    for rnd in trace.rounds:
+        qa_sim.update(zip(rnd.candidates, rnd.qa_sim.tolist()))
+    qa_text = dict(zip(qa_sim, map(repr, qa_sim.values())))
     lines = []
     for rnd in trace.rounds:
         picked = ["0\n"] * len(rnd.candidates)
         picked[rnd.candidates.index(rnd.selected)] = "1\n"
-        values = (map(repr, a.tolist()) for a in (rnd.weighted_rel, rnd.qa_sim, rnd.score))
+        values = (map(repr, rnd.weighted_rel.tolist()), map(qa_text.__getitem__, rnd.candidates),
+                  map(repr, rnd.score.tolist()))
         lines += map("\t".join, zip(repeat(f"{trace.qid}\t{rnd.number}"), rnd.candidates, *values, picked))
     return "".join(lines)
 
@@ -354,6 +360,26 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code (see the module docstring).
+
+    main registers gc.freeze as an atexit hook, once however often it is
+    called. The interpreter's last collection then skips every object still
+    alive at exit, about 22,500 of numpy and the package. That collection
+    took 19-23 ms of each bench command; with the hook a command ends 5-8
+    ms after main returns (2 vCPUs, Python 3.11). Nothing changes while the
+    command runs, and other atexit hooks and output flushes still run. A
+    program that calls main gets the same hook: an object in a reference
+    cycle alive at exit is never finalized, so its __del__ does not run
+    (Python never promises that it does at exit), and an unclosed file in
+    such a cycle is not reported. atexit.unregister(gc.freeze) after the
+    call restores the default.
+    """
+    # imported on the call that registers the hook: importing cli stays as it was
+    import atexit
+    import gc
+
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     try:
         args = parse_args(argv)
